@@ -216,32 +216,27 @@ def fit_method(method: str, cfg: BenchConfig, reg, train: Dataset, ot_fit: Datas
                calib: Dataset, seed: int) -> tuple[CalibratedPredictor, float, float]:
     """Build and calibrate one method; returns (predictor, fit_ms, calibrate_ms)."""
     t0 = time.perf_counter()
-    if method in ("merge_l2", "abs_univariate"):
-        fn = make_score_function(method, regressor=reg)
-    elif method == "merge_mahalanobis":
+    parts = {"regressor": reg}
+    if method == "merge_mahalanobis":
         fit_resid = residuals(ot_fit, reg)
         ridge = default_mahalanobis_ridge(fit_resid)
-        fn = make_score_function(method, regressor=reg,
-                                 whitener=estimate_covariance(fit_resid, ridge))
+        parts["whitener"] = estimate_covariance(fit_resid, ridge)
     elif method == "mcp_max":
         mcp = cfg.mcp
-        qp = fit_quantile_predictor(
+        parts["quantile_predictor"] = fit_quantile_predictor(
             train, int(mcp.get("k", cfg.regressor.get("k", 25))),
             float(mcp.get("alpha_lo", cfg.alpha / 2)),
             float(mcp.get("alpha_hi", 1 - cfg.alpha / 2)))
-        fn = make_score_function(method, quantile_predictor=qp)
     elif method == "otcp":
         o = cfg.otcp
         fit_resid = residuals(ot_fit, reg)
         grid = build_spherical_grid(int(o.get("m", 4096)), ot_fit.d,
                                     mode=o.get("grid_mode", "low_discrepancy"),
                                     seed=seed)
-        emap = fit_entropic_map(fit_resid, grid, epsilon=float(o.get("epsilon", 0.1)),
-                                tol=float(o.get("tol", 1e-6)),
-                                max_iter=int(o.get("max_iter", 2000)))
-        fn = make_score_function(method, regressor=reg, transport_map=emap)
-    else:
-        raise ParamError(f"unknown method {method!r}")
+        parts["transport_map"] = fit_entropic_map(
+            fit_resid, grid, epsilon=float(o.get("epsilon", 0.1)),
+            tol=float(o.get("tol", 1e-6)), max_iter=int(o.get("max_iter", 2000)))
+    fn = make_score_function(method, **parts)
     t1 = time.perf_counter()
     pred = calibrate(fn, calib, cfg.alpha)
     t2 = time.perf_counter()

@@ -27,17 +27,23 @@ from .errors import (
     SingularError,
 )
 
-SCORE_KINDS = ("abs_univariate", "merge_l2", "merge_mahalanobis", "mcp_max", "otcp")
-
-
 # ---------------------------------------------------------------------------
 # Score functions
 # ---------------------------------------------------------------------------
 
 class ScoreFunction:
-    """Base conformity score; subclasses define the row-wise evaluation."""
+    """Base conformity score: a prediction at x, scored against responses y.
+
+    Subclasses say what they predict at each input row (`_predict_rows`), how
+    responses score against that prediction (`_scores`) and where the region
+    it implies is centered (`_centers`). `components` names the fitted parts
+    the constructor takes, in order, and the attributes that keep them;
+    building a score and reading or writing its artifact go through these
+    names for every kind.
+    """
 
     kind = "base"
+    components: tuple[str, ...] = ()
 
     def __init__(self, d: int, fit_tags=()):
         self.d = int(d)
@@ -56,43 +62,52 @@ class ScoreFunction:
 
     def score_rows(self, X, Y) -> np.ndarray:
         """Scores of paired rows (X_i, Y_i)."""
-        raise NotImplementedError
+        return self.score_center_rows(X, Y)[0]
+
+    def score_center_rows(self, X, Y) -> tuple[np.ndarray, np.ndarray]:
+        """Scores of paired rows and the region centers at X, from one prediction."""
+        X, Y = self._check_pair(X, Y)
+        pred = self._predict_rows(X)
+        return self._scores(pred, Y), self._centers(pred)
 
     def score_candidates(self, x, Y) -> np.ndarray:
         """Scores of many candidate responses for a single input."""
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        X = np.repeat(np.atleast_2d(np.asarray(x, dtype=float)), Y.shape[0], axis=0)
-        return self.score_rows(X, Y)
+        return self._scores(self._predict_rows(np.atleast_2d(x)), Y)
 
     def center(self, x) -> np.ndarray:
         """Representative center of the region at x (used for sizing bounds)."""
-        raise NotImplementedError
+        return self._centers(self._predict_rows(np.atleast_2d(x)))[0]
+
+    def contour_2d(self, x, r: float, circle: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Boundary of the d=2 set {y: score(x, y) <= r}, in order, unclosed.
+
+        `circle` holds unit vectors at the contour's angles. Also returns
+        whether the vertices had to be re-sorted by angle.
+        """
+        raise MethodError(f"no 2-D region for score kind {self.kind!r}")
 
 
 class _RegressionScore(ScoreFunction):
+    components = ("regressor",)
+
     def __init__(self, regressor: Regressor):
         if regressor.d is None:
             raise NotFittedError("regressor must be fitted first")
         super().__init__(regressor.d, [regressor.fit_tag])
         self.regressor = regressor
 
-    def _residual_rows(self, X, Y):
-        X, Y = self._check_pair(X, Y)
-        return Y - self.regressor.predict_rows(X)
+    def _predict_rows(self, X):
+        return self.regressor.predict_rows(X)
 
-    def score_candidates(self, x, Y):
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        resid = Y - self.regressor.predict(x)[None, :]
-        return self._score_residuals(resid)
+    def _scores(self, pred, Y):
+        return self._score_residuals(Y - pred)
 
-    def score_rows(self, X, Y):
-        return self._score_residuals(self._residual_rows(X, Y))
+    def _centers(self, pred):
+        return pred
 
     def _score_residuals(self, resid) -> np.ndarray:
         raise NotImplementedError
-
-    def center(self, x):
-        return self.regressor.predict(x)
 
 
 class AbsoluteResidualScore(_RegressionScore):
@@ -117,11 +132,15 @@ class EuclideanResidualScore(_RegressionScore):
     def _score_residuals(self, resid):
         return np.linalg.norm(resid, axis=1)
 
+    def contour_2d(self, x, r, circle):
+        return self.center(x)[None, :] + r * circle, False
+
 
 class MahalanobisResidualScore(_RegressionScore):
     """||W (yhat(x) - y)||_2 with W the inverse square root of a residual covariance."""
 
     kind = "merge_mahalanobis"
+    components = ("regressor", "whitener")
 
     def __init__(self, regressor, whitener: np.ndarray):
         super().__init__(regressor)
@@ -133,11 +152,16 @@ class MahalanobisResidualScore(_RegressionScore):
     def _score_residuals(self, resid):
         return np.linalg.norm(resid @ self.whitener.T, axis=1)
 
+    def contour_2d(self, x, r, circle):
+        half = np.linalg.inv(self.whitener)  # maps the unit ball to the ellipse
+        return self.center(x)[None, :] + (r * circle) @ half.T, False
+
 
 class MaxIntervalScore(ScoreFunction):
     """Worst per-dimension quantile-interval violation, max_i max(lo_i-y_i, y_i-hi_i)."""
 
     kind = "mcp_max"
+    components = ("quantile_predictor",)
 
     def __init__(self, quantile_predictor: KnnQuantilePredictor):
         if quantile_predictor.d is None:
@@ -145,25 +169,36 @@ class MaxIntervalScore(ScoreFunction):
         super().__init__(quantile_predictor.d, [quantile_predictor.fit_tag])
         self.quantile_predictor = quantile_predictor
 
-    def score_rows(self, X, Y):
-        X, Y = self._check_pair(X, Y)
-        lo, hi = self.quantile_predictor.bounds_rows(X)
+    def _predict_rows(self, X):
+        return self.quantile_predictor.bounds_rows(X)
+
+    def _scores(self, bounds, Y):
+        lo, hi = bounds
         return np.maximum(lo - Y, Y - hi).max(axis=1)
 
-    def score_candidates(self, x, Y):
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        lo, hi = self.quantile_predictor.predict_bounds(x)
-        return np.maximum(lo[None, :] - Y, Y - hi[None, :]).max(axis=1)
-
-    def center(self, x):
-        lo, hi = self.quantile_predictor.predict_bounds(x)
+    def _centers(self, bounds):
+        lo, hi = bounds
         return (lo + hi) / 2.0
+
+    def contour_2d(self, x, r, circle):
+        lo, hi = self.quantile_predictor.predict_bounds(x)
+        lo, hi = lo - r, hi + r
+        if (hi <= lo).any():
+            raise MethodError("interval region is empty at this threshold")
+        corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
+        per_edge = max(circle.shape[0] // 4, 2)
+        edges = []
+        for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+            frac = np.linspace(0.0, 1.0, per_edge, endpoint=False)[:, None]
+            edges.append(a[None, :] * (1 - frac) + b[None, :] * frac)
+        return np.vstack(edges), False
 
 
 class TransportRankScore(_RegressionScore):
     """Transport rank of the residual vector: ||T(y - yhat(x))|| in [0, 1]."""
 
     kind = "otcp"
+    components = ("regressor", "transport_map")
 
     def __init__(self, regressor, transport_map: EntropicMap):
         super().__init__(regressor)
@@ -176,27 +211,37 @@ class TransportRankScore(_RegressionScore):
     def _score_residuals(self, resid):
         return np.atleast_1d(self.transport_map.rank(resid))
 
+    def contour_2d(self, x, r, circle):
+        # pull the radius-r sphere shell back through the inverse map
+        pulled = self.transport_map.inverse(r * circle) + self.center(x)[None, :]
+        centroid = pulled.mean(axis=0)
+        ang = np.arctan2(pulled[:, 1] - centroid[1], pulled[:, 0] - centroid[0])
+        # a pullback that is already angle-monotone (up to direction and one
+        # wraparound) traces a simple curve; anything else gets re-sorted and
+        # flagged
+        steps = np.diff(ang, append=ang[:1])
+        monotone = (steps < 0).sum() == 1 or (steps > 0).sum() == 1
+        return pulled[np.argsort(ang, kind="stable")], not monotone
+
+
+SCORE_CLASSES = {cls.kind: cls for cls in (
+    AbsoluteResidualScore, EuclideanResidualScore, MahalanobisResidualScore,
+    MaxIntervalScore, TransportRankScore)}
+SCORE_KINDS = tuple(SCORE_CLASSES)
+
 
 def make_score_function(kind: str, regressor=None, quantile_predictor=None,
                         transport_map=None, whitener=None) -> ScoreFunction:
     """Build a score function from its fitted components."""
-    if kind == "abs_univariate":
-        return AbsoluteResidualScore(regressor)
-    if kind == "merge_l2":
-        return EuclideanResidualScore(regressor)
-    if kind == "merge_mahalanobis":
-        if whitener is None:
-            raise ParamError("merge_mahalanobis needs a whitening matrix")
-        return MahalanobisResidualScore(regressor, whitener)
-    if kind == "mcp_max":
-        if quantile_predictor is None:
-            raise ParamError("mcp_max needs a quantile predictor")
-        return MaxIntervalScore(quantile_predictor)
-    if kind == "otcp":
-        if transport_map is None:
-            raise ParamError("otcp needs a fitted transport map")
-        return TransportRankScore(regressor, transport_map)
-    raise ParamError(f"unknown score kind {kind!r}; choose from {SCORE_KINDS}")
+    if kind not in SCORE_CLASSES:
+        raise ParamError(f"unknown score kind {kind!r}; choose from {SCORE_KINDS}")
+    cls = SCORE_CLASSES[kind]
+    given = {"regressor": regressor, "quantile_predictor": quantile_predictor,
+             "transport_map": transport_map, "whitener": whitener}
+    missing = [name for name in cls.components if given[name] is None]
+    if missing:
+        raise ParamError(f"{kind} needs a fitted {' and '.join(missing)}")
+    return cls(*(given[name] for name in cls.components))
 
 
 def estimate_covariance(resid, ridge: float = 0.0) -> np.ndarray:
@@ -291,19 +336,17 @@ class CalibratedPredictor:
         return bool(self.contains_rows(np.atleast_2d(np.asarray(x, dtype=float)),
                                        np.atleast_2d(np.asarray(y, dtype=float)))[0])
 
-    def contains_rows(self, X, Y) -> np.ndarray:
-        scores = self.score_fn.score_rows(X, Y)
+    def _accepts(self, scores) -> np.ndarray:
         if self.band is not None:
             pit = self.pit(scores)
             return (pit >= self.band[0]) & (pit <= self.band[1])
         return scores <= self.threshold
 
+    def contains_rows(self, X, Y) -> np.ndarray:
+        return self._accepts(self.score_fn.score_rows(X, Y))
+
     def contains_candidates(self, x, Y) -> np.ndarray:
-        scores = self.score_fn.score_candidates(x, Y)
-        if self.band is not None:
-            pit = self.pit(scores)
-            return (pit >= self.band[0]) & (pit <= self.band[1])
-        return scores <= self.threshold
+        return self._accepts(self.score_fn.score_candidates(x, Y))
 
     def threshold_at(self, alpha: float) -> float:
         """Threshold recomputed at a different miscoverage level from the same scores."""
@@ -325,16 +368,11 @@ def calibrate(score_fn: ScoreFunction, calib: Dataset, alpha: float,
         raise ProvenanceError(
             f"score function was fitted on {calib.tag!r}; pass allow_same_data=True "
             "to calibrate on the same split anyway")
-    scores = score_fn.score_rows(calib.features, calib.targets)
-    threshold = conformal_threshold(scores, alpha)
-    try:
-        centers = np.vstack([score_fn.center(x) for x in calib.features])
-        resid = calib.targets - centers
-        low, high = resid.min(axis=0), resid.max(axis=0)
-    except NotImplementedError:  # pragma: no cover
-        low = high = None
-    return CalibratedPredictor(score_fn, float(alpha), threshold,
-                               np.sort(scores), low, high, band)
+    scores, centers = score_fn.score_center_rows(calib.features, calib.targets)
+    resid = calib.targets - centers
+    return CalibratedPredictor(score_fn, float(alpha), conformal_threshold(scores, alpha),
+                               np.sort(scores), resid.min(axis=0), resid.max(axis=0),
+                               band)
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +395,14 @@ class Region2D:
         return float(abs(np.sum(v[:-1, 0] * v[1:, 1] - v[1:, 0] * v[:-1, 1])) / 2.0)
 
 
-def _close(vertices: np.ndarray) -> np.ndarray:
-    return np.vstack([vertices, vertices[:1]])
-
-
 def region_contour_2d(pred: CalibratedPredictor, x, n_angles: int = 128,
                       threshold: float | None = None) -> Region2D:
     """Trace the d=2 prediction-set boundary at input x.
 
-    Transport-rank predictors pull the radius-threshold sphere shell back
-    through the inverse map and re-sort the vertices by angle around their
-    centroid; Euclidean, Mahalanobis, and interval scores emit their exact
-    circle, ellipse, and rectangle. Univariate scores have no 2-D region.
+    Each score kind draws its own boundary: transport-rank predictors pull the
+    radius-threshold sphere shell back through the inverse map; Euclidean,
+    Mahalanobis, and interval scores emit their exact circle, ellipse, and
+    rectangle. Univariate scores have no 2-D region.
     """
     if pred.d != 2:
         raise MethodError("region contours are defined for d = 2 only")
@@ -377,41 +411,9 @@ def region_contour_2d(pred: CalibratedPredictor, x, n_angles: int = 128,
     r = pred.threshold if threshold is None else threshold
     if not math.isfinite(r):
         raise MethodError("threshold is infinite (region is the whole plane)")
-    fn = pred.score_fn
     x = np.asarray(x, dtype=float)
     theta = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
     circle = np.column_stack([np.cos(theta), np.sin(theta)])
-
-    if fn.kind == "merge_l2":
-        verts = fn.center(x)[None, :] + r * circle
-        return Region2D(x, pred.alpha, _close(verts), fn.kind)
-    if fn.kind == "merge_mahalanobis":
-        half = np.linalg.inv(fn.whitener)  # maps the unit ball to the ellipse
-        verts = fn.center(x)[None, :] + (r * circle) @ half.T
-        return Region2D(x, pred.alpha, _close(verts), fn.kind)
-    if fn.kind == "mcp_max":
-        lo, hi = fn.quantile_predictor.predict_bounds(x)
-        lo, hi = lo - r, hi + r
-        if (hi <= lo).any():
-            raise MethodError("interval region is empty at this threshold")
-        corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
-        per_edge = max(n_angles // 4, 2)
-        edges = []
-        for a, b in zip(corners, np.roll(corners, -1, axis=0)):
-            frac = np.linspace(0.0, 1.0, per_edge, endpoint=False)[:, None]
-            edges.append(a[None, :] * (1 - frac) + b[None, :] * frac)
-        return Region2D(x, pred.alpha, _close(np.vstack(edges)), fn.kind)
-    if fn.kind == "otcp":
-        shell = r * circle
-        pulled = fn.transport_map.inverse(shell) + fn.center(x)[None, :]
-        centroid = pulled.mean(axis=0)
-        ang = np.arctan2(pulled[:, 1] - centroid[1], pulled[:, 0] - centroid[0])
-        # a pullback that is already angle-monotone (up to direction and one
-        # wraparound) traces a simple curve; anything else gets re-sorted and
-        # flagged
-        steps = np.diff(ang, append=ang[:1])
-        monotone = (steps < 0).sum() == 1 or (steps > 0).sum() == 1
-        order = np.argsort(ang, kind="stable")
-        return Region2D(x, pred.alpha, _close(pulled[order]), fn.kind,
-                        reordered=not monotone)
-    raise MethodError(f"no 2-D region for score kind {fn.kind!r}")
+    verts, reordered = pred.score_fn.contour_2d(x, r, circle)
+    return Region2D(x, pred.alpha, np.vstack([verts, verts[:1]]), pred.score_fn.kind,
+                    reordered)

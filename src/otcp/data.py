@@ -189,18 +189,6 @@ def split_dataset(ds: Dataset, spec: SplitSpec):
     return tuple(out)
 
 
-def split_indices(n: int, spec: SplitSpec):
-    """Index sets of the four splits, in (train, ot_fit, calib, test) order."""
-    sizes = [int(math.floor(f * n + 1e-9)) for f in spec.fractions]
-    sizes[0] += n - sum(sizes)
-    perm = np.random.default_rng(spec.seed).permutation(n)
-    out, start = [], 0
-    for size in sizes:
-        out.append(np.sort(perm[start:start + size]))
-        start += size
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Synthetic generators
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 The forward map sends a residual vector to a Gibbs-weighted average of grid
 points inside the unit ball; its norm is the transport rank in [0, 1]. The
 inverse map pulls grid points back to weighted averages of the fitted
-residuals, which is how 2-D prediction regions are traced.
+residuals, which is how 2-D prediction regions are traced. Both directions
+run one chunked path over the solver's Gibbs kernel: each block of at most
+_CHUNK_ENTRIES query-by-point logits is reduced into the averaged values
+before the next block is built.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .sinkhorn import (
     DualPotentials,
     OtProblem,
     Standardizer,
+    _gibbs,
     lse_eps,
     pairwise_sq_dists,
     sinkhorn_solve,
@@ -27,19 +31,12 @@ from .sphere import SphericalGrid, build_spherical_grid
 _CHUNK_ENTRIES = 16_000_000  # cap on rows*points per distance block
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    top = logits.max(axis=1, keepdims=True)
-    w = np.exp(logits - top)
-    return w / w.sum(axis=1, keepdims=True)
-
-
 @dataclass(frozen=True, eq=False)
 class EntropicMap:
     """Forward/inverse entropic Brenier map between residuals and a ball grid."""
 
     potentials: DualPotentials
     grid: SphericalGrid
-    source_std: np.ndarray      # fitted residuals in standardized coordinates
     standardizer: Standardizer
     origin: str = ""
 
@@ -56,6 +53,11 @@ class EntropicMap:
     def dim(self) -> int:
         return self.grid.dim
 
+    @property
+    def source_std(self) -> np.ndarray:
+        """Fitted residuals in standardized coordinates (the solve's source)."""
+        return self.potentials.problem.source
+
     def _queries(self, z) -> tuple[np.ndarray, bool]:
         z = np.asarray(z, dtype=float)
         single = z.ndim == 1
@@ -66,45 +68,53 @@ class EntropicMap:
             raise ParamError("query contains non-finite values")
         return z, single
 
+    def _gibbs_average(self, queries, points, potential, values=None) -> np.ndarray:
+        """Per query row, softmax_j((potential_j - ||q - points_j||^2)/eps) @ values.
+
+        With values None, returns the softmax weights themselves.
+        """
+        m = points.shape[0]
+        out = np.empty((queries.shape[0], m if values is None else values.shape[1]))
+        step = max(1, _CHUNK_ENTRIES // m)
+        for lo in range(0, queries.shape[0], step):
+            block = queries[lo:lo + step]
+            logits = (potential[None, :] - pairwise_sq_dists(block, points)) / self.epsilon
+            total = _gibbs(logits, axis=1)[1][:, None]
+            out[lo:lo + block.shape[0]] = (logits if values is None
+                                           else logits @ values) / total
+        return out
+
     def gibbs_weights(self, z) -> np.ndarray:
         """Softmin weights over grid points: p_j(z) prop exp(-(||z-u_j||^2 - g_j)/eps).
 
         Nonnegative and summing to one per query row; z is standardized first.
         """
         z, single = self._queries(z)
-        zs = self.standardizer.transform(z)
-        g = self.potentials.g
-        eps = self.epsilon
-        out = np.empty((zs.shape[0], self.grid.m))
-        step = max(1, _CHUNK_ENTRIES // self.grid.m)
-        for lo in range(0, zs.shape[0], step):
-            block = zs[lo:lo + step]
-            logits = (g[None, :] - pairwise_sq_dists(block, self.grid.points)) / eps
-            out[lo:lo + block.shape[0]] = _softmax_rows(logits)
+        out = self._gibbs_average(self.standardizer.transform(z), self.grid.points,
+                                  self.potentials.g)
         return out[0] if single else out
+
+    def forward_std(self, z_std) -> np.ndarray:
+        """Forward map of standardized queries (no input transform), one row each."""
+        return self._gibbs_average(np.atleast_2d(z_std), self.grid.points,
+                                   self.potentials.g, self.grid.points)
 
     def forward(self, z) -> np.ndarray:
         """Map residual(s) into the unit ball as a convex combination of grid points."""
-        w = self.gibbs_weights(z)
-        return w @ self.grid.points
+        z, single = self._queries(z)
+        img = self.forward_std(self.standardizer.transform(z))
+        return img[0] if single else img
 
     def rank(self, z):
         """Transport rank ||forward(z)|| in [0, 1]."""
-        img = self.forward(z)
-        out = np.linalg.norm(np.atleast_2d(img), axis=1)
-        return float(out[0]) if img.ndim == 1 else out
+        return np.linalg.norm(self.forward(z), axis=-1)
 
     def inverse(self, u) -> np.ndarray:
         """Pull ball point(s) back to a convex combination of fitted residuals."""
-        u = np.asarray(u, dtype=float)
-        single = u.ndim == 1
-        u = np.atleast_2d(u)
-        if u.shape[1] != self.dim:
-            raise DimensionError(f"expected dim {self.dim}, got {u.shape[1]}")
-        f = self.potentials.f
-        logits = (f[None, :] - pairwise_sq_dists(u, self.source_std)) / self.epsilon
-        w = _softmax_rows(logits)
-        img = self.standardizer.inverse_transform(w @ self.source_std)
+        u, single = self._queries(u)
+        src = self.source_std
+        img = self.standardizer.inverse_transform(
+            self._gibbs_average(u, src, self.potentials.f, src))
         return img[0] if single else img
 
     def forward_potential(self, z_std) -> float:
@@ -120,13 +130,6 @@ class EntropicMap:
             raise DimensionError(f"expected a {self.dim}-vector")
         d2 = pairwise_sq_dists(z_std[None, :], self.grid.points)[0]
         return 0.5 * lse_eps(d2 - self.potentials.g, self.epsilon)
-
-    def forward_std(self, z_std) -> np.ndarray:
-        """Forward map in standardized coordinates (no input transform)."""
-        z_std = np.atleast_2d(np.asarray(z_std, dtype=float))
-        logits = (self.potentials.g[None, :]
-                  - pairwise_sq_dists(z_std, self.grid.points)) / self.epsilon
-        return _softmax_rows(logits) @ self.grid.points
 
 
 def fit_entropic_map(scores, grid: SphericalGrid | None = None, *, m: int = 4096,
@@ -151,4 +154,4 @@ def fit_entropic_map(scores, grid: SphericalGrid | None = None, *, m: int = 4096
     zs = std.transform(z)
     pot = sinkhorn_solve(OtProblem(zs, grid.points, epsilon), tol=tol,
                          max_iter=max_iter)
-    return EntropicMap(pot, grid, zs, std, origin)
+    return EntropicMap(pot, grid, std, origin)

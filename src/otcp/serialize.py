@@ -5,42 +5,55 @@ reproduces every value exactly. Predictor files embed everything needed to
 score and contour without refitting: regressor state, whitener, quantile
 predictor, or the full transport map (potentials, grid, standardized source,
 standardizer).
+
+Files are strict JSON (format v2): an infinite threshold, which calibration
+returns when alpha < 1/(n+1), is written as null. v1 files, which wrote it as
+the bare token Infinity, still load. Loading checks every map array's shape
+against the others and requires finite values, raising ParamError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .conformal import (
-    AbsoluteResidualScore,
-    CalibratedPredictor,
-    EuclideanResidualScore,
-    MahalanobisResidualScore,
-    MaxIntervalScore,
-    TransportRankScore,
-)
+from .conformal import CalibratedPredictor, make_score_function
 from .data import Dataset, KnnMeanRegressor, KnnQuantilePredictor, RidgeRegressor
 from .entropic import EntropicMap
-from .errors import ParamError
+from .errors import DimensionError, ParamError
 from .sinkhorn import DualPotentials, OtProblem, Standardizer
 from .sphere import SphericalGrid
 
 MAP_FORMAT = "entropic-map"
 PREDICTOR_FORMAT = "conformal-predictor"
-VERSION = 1
+VERSION = 2
 
 
 def _arr(a) -> list:
     return np.asarray(a, dtype=float).tolist()
 
 
+def _array(value, name: str, shape: tuple) -> np.ndarray:
+    """A loaded array, checked finite and of `shape` (None matches any length)."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ParamError(f"{name} is not a numeric array") from None
+    if a.ndim != len(shape) or any(w is not None and w != n for n, w in zip(a.shape, shape)):
+        raise ParamError(f"{name} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ParamError(f"{name} contains non-finite values")
+    return a
+
+
 def _check_header(doc: dict, expected: str):
-    if doc.get("format") != expected or doc.get("version") != VERSION:
+    if doc.get("format") != expected or doc.get("version") not in (1, VERSION):
         raise ParamError(
-            f"expected {expected} v{VERSION}, got {doc.get('format')} v{doc.get('version')}")
+            f"expected {expected} v1 or v{VERSION}, "
+            f"got {doc.get('format')} v{doc.get('version')}")
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +76,7 @@ def _regressor_from_dict(doc: dict):
         return KnnMeanRegressor(doc["k"]).fit(Dataset(X, Y, tag=doc.get("tag")))
     if doc["kind"] == "ridge_linear":
         reg = RidgeRegressor(doc["lam"])
-        reg.coef = np.asarray(doc["coef"], dtype=float)
+        reg.coef = _array(doc["coef"], "ridge coef", (doc["p"] + 1, doc["d"]))
         reg.p, reg.d, reg.fit_tag = doc["p"], doc["d"], doc.get("tag")
         return reg
     raise ParamError(f"unknown regressor kind {doc['kind']!r}")
@@ -105,23 +118,26 @@ def map_to_dict(emap: EntropicMap) -> dict:
 def map_from_dict(doc: dict) -> EntropicMap:
     _check_header(doc, MAP_FORMAT)
     g = doc["grid"]
-    grid = SphericalGrid(g["dim"], g["n_r"], g["n_s"], g["n_o"],
-                         np.asarray(g["points"], dtype=float),
-                         np.asarray(g["radii"], dtype=float),
-                         np.asarray(g["directions"], dtype=float))
-    source_std = np.asarray(doc["source_std"], dtype=float)
-    prob = OtProblem(source_std, grid.points, doc["epsilon"])
-    pot = DualPotentials(np.asarray(doc["f"], dtype=float),
-                         np.asarray(doc["g"], dtype=float),
+    dim = g["dim"]
+    grid = SphericalGrid(dim, g["n_r"], g["n_s"], g["n_o"],
+                         _array(g["points"], "grid points", (None, dim)),
+                         _array(g["radii"], "grid radii", (g["n_r"],)),
+                         _array(g["directions"], "grid directions", (g["n_s"], dim)))
+    source = _array(doc["source_std"], "source_std", (None, dim))
+    prob = OtProblem(source, grid.points, doc["epsilon"])
+    pot = DualPotentials(_array(doc["f"], "f", (prob.n,)), _array(doc["g"], "g", (prob.m,)),
                          doc["epsilon"], prob, doc["iterations"],
                          doc["marginal_error"], doc["converged"])
-    std = Standardizer(np.asarray(doc["standardizer"]["mean"], dtype=float),
-                       np.asarray(doc["standardizer"]["scale"], dtype=float))
-    return EntropicMap(pot, grid, source_std, std, doc.get("origin", ""))
+    scale = _array(doc["standardizer"]["scale"], "standardizer scale", (dim,))
+    if (scale <= 0).any():
+        raise ParamError("standardizer scale must be positive")
+    std = Standardizer(_array(doc["standardizer"]["mean"], "standardizer mean", (dim,)), scale)
+    return EntropicMap(pot, grid, std, doc.get("origin", ""))
 
 
 def save_map(emap: EntropicMap, path) -> None:
-    Path(path).write_text(json.dumps(map_to_dict(emap)) + "\n", encoding="utf-8")
+    text = json.dumps(map_to_dict(emap), allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_map(path) -> EntropicMap:
@@ -132,39 +148,37 @@ def load_map(path) -> EntropicMap:
 # Calibrated predictors
 # ---------------------------------------------------------------------------
 
+# score component attribute -> (JSON key, encode, decode)
+_COMPONENTS = {
+    "regressor": ("regressor", _regressor_to_dict, _regressor_from_dict),
+    "quantile_predictor": ("quantile_predictor", _quantile_to_dict, _quantile_from_dict),
+    "whitener": ("whitener", _arr, lambda w: _array(w, "whitener", (None, None))),
+    "transport_map": ("map", map_to_dict, map_from_dict),
+}
+
+
 def _score_fn_to_dict(fn) -> dict:
     doc = {"kind": fn.kind}
-    if isinstance(fn, MaxIntervalScore):
-        doc["quantile_predictor"] = _quantile_to_dict(fn.quantile_predictor)
-        return doc
-    doc["regressor"] = _regressor_to_dict(fn.regressor)
-    if isinstance(fn, MahalanobisResidualScore):
-        doc["whitener"] = _arr(fn.whitener)
-    if isinstance(fn, TransportRankScore):
-        doc["map"] = map_to_dict(fn.transport_map)
+    for name in fn.components:
+        key, encode, _ = _COMPONENTS[name]
+        doc[key] = encode(getattr(fn, name))
     return doc
 
 
 def _score_fn_from_dict(doc: dict):
-    kind = doc["kind"]
-    if kind == "mcp_max":
-        return MaxIntervalScore(_quantile_from_dict(doc["quantile_predictor"]))
-    reg = _regressor_from_dict(doc["regressor"])
-    if kind == "abs_univariate":
-        return AbsoluteResidualScore(reg)
-    if kind == "merge_l2":
-        return EuclideanResidualScore(reg)
-    if kind == "merge_mahalanobis":
-        return MahalanobisResidualScore(reg, np.asarray(doc["whitener"], dtype=float))
-    if kind == "otcp":
-        return TransportRankScore(reg, map_from_dict(doc["map"]))
-    raise ParamError(f"unknown score kind {kind!r}")
+    parts = {name: decode(doc[key])
+             for name, (key, _, decode) in _COMPONENTS.items() if key in doc}
+    try:
+        return make_score_function(doc["kind"], **parts)
+    except DimensionError as exc:
+        raise ParamError(f"score components do not fit together: {exc}") from None
 
 
 def predictor_to_dict(pred: CalibratedPredictor) -> dict:
     return {
         "format": PREDICTOR_FORMAT, "version": VERSION,
-        "alpha": pred.alpha, "threshold": pred.threshold,
+        "alpha": pred.alpha,
+        "threshold": None if pred.threshold == math.inf else pred.threshold,
         "cal_scores": _arr(pred.cal_scores),
         "residual_low": None if pred.residual_low is None else _arr(pred.residual_low),
         "residual_high": None if pred.residual_high is None else _arr(pred.residual_high),
@@ -175,19 +189,22 @@ def predictor_to_dict(pred: CalibratedPredictor) -> dict:
 
 def predictor_from_dict(doc: dict) -> CalibratedPredictor:
     _check_header(doc, PREDICTOR_FORMAT)
+    threshold = doc["threshold"]
     low = doc.get("residual_low")
     high = doc.get("residual_high")
     band = doc.get("band")
     return CalibratedPredictor(
-        _score_fn_from_dict(doc["score"]), doc["alpha"], doc["threshold"],
-        np.asarray(doc["cal_scores"], dtype=float),
+        _score_fn_from_dict(doc["score"]), doc["alpha"],
+        math.inf if threshold is None else threshold,
+        _array(doc["cal_scores"], "cal_scores", (None,)),
         None if low is None else np.asarray(low, dtype=float),
         None if high is None else np.asarray(high, dtype=float),
         tuple(band) if band else None)
 
 
 def save_predictor(pred: CalibratedPredictor, path) -> None:
-    Path(path).write_text(json.dumps(predictor_to_dict(pred)) + "\n", encoding="utf-8")
+    text = json.dumps(predictor_to_dict(pred), allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_predictor(path) -> CalibratedPredictor:

@@ -1,10 +1,12 @@
 """Log-domain Sinkhorn solver for entropy-regularized optimal transport.
 
 Solves the dual of the regularized problem between two uniform empirical
-measures under squared Euclidean cost. All reductions are soft-min
-(log-sum-exp with a mean normalization and max-shift), so small epsilon never
-overflows; no kernel matrix exponential is ever materialized outside of the
-final diagnostics on small problems.
+measures under squared Euclidean cost. Every soft-min here and in the
+entropic maps goes through one Gibbs kernel, `_gibbs`: it max-shifts a block
+of logits (potential - cost) / eps along one axis, exponentiates it in place
+and sums it, so small epsilon never overflows. The solver runs it over one
+preallocated n x m buffer; no kernel matrix exponential is ever kept outside
+of the final diagnostics on small problems.
 """
 
 from __future__ import annotations
@@ -115,6 +117,22 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
+def _gibbs(logits: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gibbs kernel: exponentiate logits in place, max-shifted along axis.
+
+    Overwrites `logits` with exp(logits - top), top being the max along axis,
+    so every entry lies in (0, 1] whatever the scale of the logits. Returns
+    (log_mean, total) along axis: log_mean = log(mean(exp(logits))) of the
+    original logits, and total the sum of the overwritten entries, so that
+    logits / total are the softmax weights.
+    """
+    top = logits.max(axis=axis, keepdims=True)
+    np.subtract(logits, top, out=logits)
+    np.exp(logits, out=logits)
+    total = logits.sum(axis=axis)
+    return np.log(total / logits.shape[axis]) + np.squeeze(top, axis=axis), total
+
+
 def lse_eps(values, eps: float, axis=None) -> float | np.ndarray:
     """Soft minimum -eps*log(mean(exp(-values/eps))), max-shifted for stability.
 
@@ -127,25 +145,8 @@ def lse_eps(values, eps: float, axis=None) -> float | np.ndarray:
     if axis is None:
         v = v.ravel()
         axis = 0
-    s = v.shape[axis]
-    low = v.min(axis=axis, keepdims=True)
-    out = -eps * (np.log(np.mean(np.exp(-(v - low) / eps), axis=axis)))
-    out = out + np.squeeze(low, axis=axis)
+    out = -eps * _gibbs(-v / eps, axis)[0]
     return float(out) if out.ndim == 0 else out
-
-
-def _log_mean_exp(logits: np.ndarray, axis: int) -> np.ndarray:
-    top = logits.max(axis=axis, keepdims=True)
-    out = np.log(np.mean(np.exp(logits - top), axis=axis))
-    return out + np.squeeze(top, axis=axis)
-
-
-def _dual_value(phi: np.ndarray, psi: np.ndarray, c_over_eps: np.ndarray,
-                eps: float) -> float:
-    # <f, 1/n> + <g, 1/m> - eps * mean_ij exp((f_i + g_j - c_ij)/eps)
-    logits = phi[:, None] + psi[None, :] - c_over_eps
-    kernel_term = float(np.exp(logits).mean())
-    return eps * (float(phi.mean()) + float(psi.mean()) - kernel_term)
 
 
 def sinkhorn_solve(prob: OtProblem, tol: float = DEFAULT_TOL,
@@ -173,33 +174,22 @@ def sinkhorn_solve(prob: OtProblem, tol: float = DEFAULT_TOL,
     buf = np.empty_like(c_over_eps)
     trace = [] if track_objective else None
 
-    def _soft(vec, axis):
-        # -logmeanexp(vec ⊕ -c_over_eps) along axis, reusing one n x m buffer
-        other = vec[None, :] if axis == 1 else vec[:, None]
-        np.subtract(other, c_over_eps, out=buf)
-        top = buf.max(axis=axis)
-        np.subtract(buf, np.expand_dims(top, axis), out=buf)
-        np.exp(buf, out=buf)
-        return -(np.log(buf.mean(axis=axis)) + top)
-
-    err = np.inf
-    it = 0
-    while it < max_iter:
-        phi_new = _soft(psi, axis=1)
+    for it in range(max_iter + 1):
+        # each half-step is a soft-min over the one preallocated n x m buffer
+        phi_new = -_gibbs(np.subtract(psi[None, :], c_over_eps, out=buf), axis=1)[0]
         if it > 0:
             # row sum i of P for the previous (phi, psi) iterate equals
-            # exp(phi_i - phi_new_i)/n; columns were exact after its g step
+            # exp(phi_i - phi_new_i)/n; columns were exact after its g step.
+            # After the last allowed update this certifies the final iterate.
             err = float(np.abs(np.expm1(phi - phi_new)).max()) / n
-            if err <= tol:
+            if err <= tol or it == max_iter:
                 break
-        it += 1
         phi = phi_new
-        psi = _soft(phi, axis=0)
+        psi = -_gibbs(np.subtract(phi[:, None], c_over_eps, out=buf), axis=0)[0]
         if track_objective:
-            trace.append(_dual_value(phi, psi, c_over_eps, eps))
-    else:
-        # budget exhausted: certify the final iterate with one extra reduction
-        err = float(np.abs(np.expm1(phi - _soft(psi, axis=1))).max()) / n
+            # every column of P sums to 1/m after the g step, so the kernel
+            # term of the dual is exactly 1
+            trace.append(eps * (float(phi.mean()) + float(psi.mean()) - 1.0))
     shift = float(psi.mean())
     f = (phi + shift) * eps
     g = (psi - shift) * eps
@@ -227,11 +217,9 @@ def coupling_matrix(pot: DualPotentials) -> np.ndarray:
 def coupling_marginal_error(pot: DualPotentials) -> float:
     """Worst absolute deviation of coupling row sums from 1/n and column sums from 1/m."""
     log_p = coupling_log_matrix(pot)
-    top_r = log_p.max(axis=1, keepdims=True)
-    rows = np.exp(top_r[:, 0]) * np.exp(log_p - top_r).sum(axis=1)
-    top_c = log_p.max(axis=0, keepdims=True)
-    cols = np.exp(top_c[0]) * np.exp(log_p - top_c).sum(axis=0)
     n, m = pot.problem.n, pot.problem.m
+    rows = np.exp(_gibbs(log_p.copy(), axis=1)[0]) * m
+    cols = np.exp(_gibbs(log_p, axis=0)[0]) * n
     return float(max(np.abs(rows - 1.0 / n).max(), np.abs(cols - 1.0 / m).max()))
 
 
@@ -239,5 +227,7 @@ def dual_objective(pot: DualPotentials) -> float:
     """Dual value <f,1/n> + <g,1/m> - eps*mean_ij exp((f_i+g_j-c_ij)/eps)."""
     prob = pot.problem
     eps = pot.epsilon
-    c_over_eps = pairwise_sq_dists(prob.source, prob.target) / eps
-    return _dual_value(pot.f / eps, pot.g / eps, c_over_eps, eps)
+    logits = (pot.f[:, None] + pot.g[None, :]
+              - pairwise_sq_dists(prob.source, prob.target)) / eps
+    kernel_term = float(np.exp(_gibbs(logits.ravel(), axis=0)[0]))
+    return float(pot.f.mean()) + float(pot.g.mean()) - eps * kernel_term

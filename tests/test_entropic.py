@@ -1,18 +1,25 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from otcp import (
     DimensionError,
+    DualPotentials,
     EntropicMap,
     OtProblem,
     SphericalGrid,
     Standardizer,
     build_spherical_grid,
     fit_entropic_map,
+    lse_eps,
     sinkhorn_solve,
     squared_cost,
 )
+from otcp import entropic
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +86,42 @@ def test_weights_normalized_even_for_extreme_queries(small_map_2d):
     assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
     wi = emap.inverse(queries[:3])  # inverse weights share the code path
     assert np.isfinite(wi).all()
+
+
+def _dense_softmax(potential, queries, points, eps):
+    # reference: plain exp of the logits, then normalise; no shift, no chunks
+    d2 = ((queries[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    w = np.exp((potential[None, :] - d2) / eps)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.integers(2, 40), st.integers(1, 3), st.integers(1, 30),
+       st.integers(1, 120), st.floats(0.2, 5.0), st.integers(0, 2**32 - 1))
+def test_kernel_matches_dense_reference(n, m, d, q, chunk, eps, seed):
+    rng = np.random.default_rng(seed)
+    source = rng.uniform(-1, 1, (n, d))
+    grid = build_spherical_grid(m, d)
+    pot = DualPotentials(rng.uniform(-1, 1, n), rng.uniform(-1, 1, m), eps,
+                         OtProblem(source, grid.points, eps), 0, 0.0, True)
+    std = Standardizer(rng.uniform(-0.5, 0.5, d), rng.uniform(0.5, 2.0, d))
+    emap = EntropicMap(pot, grid, std)
+    z = rng.uniform(-1, 1, (q, d))
+    u = rng.uniform(-1, 1, (q, d))
+    w = _dense_softmax(pot.g, std.transform(z), grid.points, eps)
+    w_inv = _dense_softmax(pot.f, u, source, eps)
+    values = rng.uniform(-3, 3, (q, m))
+    # chunk caps of a few rows push every query count through several blocks
+    with mock.patch.object(entropic, "_CHUNK_ENTRIES", chunk):
+        np.testing.assert_allclose(emap.gibbs_weights(z), w, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(emap.forward(z), w @ grid.points,
+                                   rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(emap.inverse(u),
+                                   std.inverse_transform(w_inv @ source),
+                                   rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(
+        lse_eps(values, eps, axis=1),
+        -eps * np.log(np.exp(-values / eps).mean(axis=1)), rtol=1e-12, atol=1e-12)
 
 
 def test_weights_dimension_error(small_map_2d):

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from otcp import (
     SplitSpec,
     build_spherical_grid,
     calibrate,
+    estimate_covariance,
     fit_entropic_map,
     fit_quantile_predictor,
     fit_regressor,
@@ -76,6 +80,11 @@ def test_ridge_regressor_round_trip(tmp_path):
     x = [[0.25]]
     assert np.array_equal(back.score_fn.regressor.predict_rows(x),
                           reg.predict_rows(x))
+    doc = json.loads((tmp_path / "p.json").read_text())
+    doc["score"]["regressor"]["coef"] = doc["score"]["regressor"]["coef"][:-1]
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    with pytest.raises(ParamError):
+        load_predictor(tmp_path / "bad.json")
 
 
 def test_version_check(tmp_path):
@@ -85,3 +94,83 @@ def test_version_check(tmp_path):
         load_predictor(path)
     with pytest.raises(ParamError):
         load_map(path)
+
+
+def _strict_loads(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_infinite_threshold_is_standard_json(fitted, tmp_path):
+    # alpha < 1/(n+1) gives an infinite threshold: stored as null
+    fn = make_score_function("merge_l2", regressor=fitted["reg"])
+    pred = calibrate(fn, fitted["calib"].take(np.arange(40)), alpha=0.001)
+    assert pred.threshold == math.inf
+    path = tmp_path / "inf.json"
+    save_predictor(pred, path)
+    doc = _strict_loads(path.read_text())
+    assert doc["version"] == 2 and doc["threshold"] is None
+    back = load_predictor(path)
+    assert back.threshold == math.inf
+    X, Y = fitted["test"].features, fitted["test"].targets
+    assert back.contains_rows(X, Y).all()
+
+
+def test_loads_version_1_documents(fitted, tmp_path):
+    fn = make_score_function("otcp", regressor=fitted["reg"],
+                             transport_map=fitted["emap"])
+    pred = calibrate(fn, fitted["calib"].take(np.arange(40)), alpha=0.001)
+    save_predictor(pred, tmp_path / "v2.json")
+    doc = json.loads((tmp_path / "v2.json").read_text())
+    # v1 wrote the same fields, the bare token Infinity for an infinite threshold
+    doc["version"] = doc["score"]["map"]["version"] = 1
+    doc["threshold"] = math.inf
+    (tmp_path / "v1.json").write_text(json.dumps(doc))
+    assert "Infinity" in (tmp_path / "v1.json").read_text()
+    back = load_predictor(tmp_path / "v1.json")
+    assert back.threshold == math.inf
+    X, Y = fitted["test"].features[:30], fitted["test"].targets[:30]
+    assert np.array_equal(back.score_fn.score_rows(X, Y), pred.score_fn.score_rows(X, Y))
+
+
+def _edit(doc, path, fn):
+    # replace the field at path by fn(field), or delete it when fn gives None
+    *parents, leaf = path
+    for key in parents:
+        doc = doc[key]
+    value = fn(doc[leaf])
+    if value is None:
+        del doc[leaf]
+    else:
+        doc[leaf] = value
+
+
+@pytest.mark.parametrize("path, fn", [
+    (("score", "map", "g"), lambda g: g[:-1]),
+    (("score", "map", "f"), lambda f: f[:-1]),
+    (("score", "map", "g"), lambda g: [math.nan] + g[1:]),
+    (("score", "map", "f"), lambda f: [math.inf] + f[1:]),
+    (("score", "map", "source_std"), lambda z: [row + [0.0] for row in z]),
+    (("score", "map", "grid", "points"), lambda p: [row[:1] for row in p]),
+    (("score", "map", "standardizer", "mean"), lambda v: v + [0.0]),
+    (("score", "map", "standardizer", "scale"), lambda v: v[:1]),
+    (("score", "map", "standardizer", "scale"), lambda v: [math.nan, 1.0]),
+    (("score", "map", "standardizer", "scale"), lambda v: [0.0, 1.0]),
+    (("score", "whitener"), lambda w: [row + [0.0] for row in w] + [[0.0, 0.0, 1.0]]),
+    (("score", "whitener"), lambda w: [[math.nan, 0.0], [0.0, 1.0]]),
+    (("score", "map"), lambda m: None),
+    (("score", "kind"), lambda k: "no_such_kind"),
+    (("cal_scores",), lambda c: c + [math.nan]),
+])
+def test_load_rejects_inconsistent_artifacts(fitted, tmp_path, path, fn):
+    kind = "merge_mahalanobis" if "whitener" in path else "otcp"
+    W = estimate_covariance(residuals(fitted["calib"], fitted["reg"]))
+    score = make_score_function(kind, regressor=fitted["reg"],
+                                transport_map=fitted["emap"], whitener=W)
+    save_predictor(calibrate(score, fitted["calib"], alpha=0.1), tmp_path / "p.json")
+    doc = json.loads((tmp_path / "p.json").read_text())
+    _edit(doc, path, fn)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    with pytest.raises(ParamError):
+        load_predictor(tmp_path / "bad.json")

@@ -144,6 +144,24 @@ def test_dual_objective_ascends(eps):
         assert (np.diff(trace) >= -1e-9 * scale).all()
 
 
+@pytest.mark.filterwarnings("ignore::otcp.errors.SinkhornNotConverged")
+def test_objective_trace_equals_full_dual_value():
+    # trace entry k is the dual value of the k-th iterate, which a solve capped
+    # at k iterations returns; compare with the full n x m formula
+    rng = np.random.default_rng(23)
+    for eps in (0.1, 1.0):
+        n, m = rng.integers(2, 12, size=2)
+        prob = OtProblem(rng.standard_normal((n, 2)), rng.standard_normal((m, 2)), eps)
+        trace = sinkhorn_solve(prob, tol=1e-12, max_iter=30,
+                               track_objective=True).objective_trace
+        for k, value in enumerate(trace, start=1):
+            pot = sinkhorn_solve(prob, tol=1e-12, max_iter=k)
+            c = ((prob.source[:, None, :] - prob.target[None, :, :]) ** 2).sum(axis=2)
+            kernel = np.exp((pot.f[:, None] + pot.g[None, :] - c) / eps).mean()
+            full = pot.f.mean() + pot.g.mean() - eps * kernel
+            assert value == pytest.approx(full, rel=1e-12, abs=1e-12)
+
+
 def test_degenerate_repeated_point_objective_constant():
     src = np.zeros((3, 2))
     pot = sinkhorn_solve(OtProblem(src, src, 0.5), max_iter=5, track_objective=True)
