@@ -195,7 +195,7 @@ def region_size_mc(pred: CalibratedPredictor, x, bounds=None, n_mc: int = 10000,
     if n_mc < 1:
         raise ParamError("n_mc must be >= 1")
     if bounds is None:
-        low, high = default_mc_bounds(pred, x, inflate=1.5)
+        low, high = default_mc_bounds(pred, x)
     else:
         low = np.asarray(bounds[0], dtype=float)
         high = np.asarray(bounds[1], dtype=float)
@@ -249,8 +249,10 @@ def _evaluate(pred: CalibratedPredictor, test: Dataset, cfg: BenchConfig,
     cov = marginal_coverage(pred, test)
     k = min(cfg.region_size_points, test.n)
     mc_seed = seed * 8191 + method_index  # per-cell stream, schedule independent
-    sizes = [region_size_mc(pred, test.features[i], n_mc=cfg.mc_samples,
-                            seed=mc_seed + 7 * i)
+    sizes = [region_size_mc(pred, test.features[i],
+                            default_mc_bounds(pred, test.features[i],
+                                              cfg.bounds_inflation),
+                            n_mc=cfg.mc_samples, seed=mc_seed + 7 * i)
              for i in range(k)]
     t1 = time.perf_counter()
     return cov, float(np.mean(sizes)), (t1 - t0) * 1e3

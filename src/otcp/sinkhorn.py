@@ -1,12 +1,19 @@
-"""Log-domain Sinkhorn solver for entropy-regularized optimal transport.
+"""Sinkhorn solver for entropy-regularized optimal transport.
 
 Solves the dual of the regularized problem between two uniform empirical
 measures under squared Euclidean cost. Every soft-min here and in the
 entropic maps goes through one Gibbs kernel, `_gibbs`: it max-shifts a block
 of logits (potential - cost) / eps along one axis, exponentiates it in place
-and sums it, so small epsilon never overflows. The solver runs it over one
-preallocated n x m buffer; no kernel matrix exponential is ever kept outside
-of the final diagnostics on small problems.
+and sums it, so small epsilon never overflows.
+
+The solver takes its first f and g half-steps in the log domain through
+`_gibbs`, then iterates in the scaling domain (Cuturi, arXiv:1306.0895): it
+keeps log potentials (phi, psi) and one n x m kernel
+K = exp(phi_i + psi_j - c_ij/eps), and each iteration is two matrix-vector
+products with K. Scalings that grow past a fixed bound are absorbed into
+(phi, psi) and K is rebuilt from the points (Schmitzer, arXiv:1610.06519),
+so exp runs over an n x m array only at the start and at absorptions, and K
+is the only n x m array the solver keeps.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from .errors import DimensionError, ParamError, SinkhornNotConverged
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 2000
+_ABSORB_LOG = 100.0  # |log| of a scaling past which it moves into the kernel
+_LOG_TINY = float(np.log(np.finfo(float).tiny))  # log of the smallest normal float
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,18 +158,57 @@ def lse_eps(values, eps: float, axis=None) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+def _logits(prob: OtProblem, phi: np.ndarray, psi: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """Write phi_i + psi_j - c_ij/eps into out (n x m), rebuilding c from the points.
+
+    Expands c_ij = |s_i|^2 + |t_j|^2 - 2 s_i.t_j and folds the potentials into
+    the two norm vectors: one product and three passes over out, and no other
+    n x m array.
+    """
+    src, tgt, eps = prob.source, prob.target, prob.epsilon
+    np.matmul(src, tgt.T, out=out)
+    out *= 2.0 / eps
+    out += (phi - (src * src).sum(axis=1) / eps)[:, None]
+    out += (psi - (tgt * tgt).sum(axis=1) / eps)[None, :]
+    return out
+
+
+def _kernel(prob: OtProblem, phi: np.ndarray, psi: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """The absorbed kernel K_ij = exp(phi_i + psi_j - c_ij/eps), written into out.
+
+    Entries below the smallest normal float are stored as 0: subnormals slow
+    both exp and the matrix-vector products several-fold, and with scalings
+    bounded by exp(_ABSORB_LOG) they weigh nothing in any row or column sum.
+    """
+    logits = _logits(prob, phi, psi, out)
+    logits[logits < _LOG_TINY] = -np.inf
+    return np.exp(logits, out=out)
+
+
 def sinkhorn_solve(prob: OtProblem, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER,
                    track_objective: bool = False) -> DualPotentials:
-    """Alternate soft-min updates of f and g until the coupling marginals fit.
+    """Alternate f and g updates until the coupling marginals fit.
 
-    One iteration refreshes f rows then g columns; after the g step the column
-    marginals are exact, and the worst row-sum deviation of the implied
-    coupling falls out of the next f reduction for free, so convergence is
-    checked every iteration at no extra cost. Stops when that deviation drops
-    to tol or the iteration budget runs out, in which case a
-    SinkhornNotConverged warning is emitted and the best iterate is returned.
-    Potentials are gauged so mean(g) = 0. Deterministic for identical inputs.
+    The first f and g half-steps are log-domain soft-mins through `_gibbs`.
+    The rest run in the scaling domain over one n x m kernel
+    K = exp(phi_i + psi_j - c_ij/eps) built from those exact potentials
+    (phi = f/eps, psi = g/eps): each iteration is two matrix-vector products,
+    a = m / (K b) then b = n / (K^T a), with no exp over the kernel, and
+    (phi + log a, psi + log b) are the current potentials. When a scaling
+    leaves exp(+-_ABSORB_LOG), the scalings are absorbed into (phi, psi) and
+    the kernel is rebuilt, so its entries never overflow and no row of it
+    underflows away, down to small epsilon.
+
+    After each g step the column marginals are exact, and the worst row-sum
+    deviation of the implied coupling, max |a_i (K b)_i / m - 1| / n, falls
+    out of the next f step, so convergence is checked every iteration at no
+    extra cost. Stops when that deviation drops to tol or the iteration budget
+    runs out, in which case a SinkhornNotConverged warning is emitted and the
+    best iterate is returned. Potentials are gauged so mean(g) = 0.
+    Deterministic for identical inputs.
     """
     if tol <= 0:
         raise ParamError("tol must be > 0")
@@ -168,28 +216,37 @@ def sinkhorn_solve(prob: OtProblem, tol: float = DEFAULT_TOL,
         raise ParamError("max_iter must be >= 1")
     n, m = prob.n, prob.m
     eps = float(prob.epsilon)
-    c_over_eps = pairwise_sq_dists(prob.source, prob.target) / eps
-    phi = np.zeros(n)  # f / eps
-    psi = np.zeros(m)  # g / eps
-    buf = np.empty_like(c_over_eps)
+    kernel = np.empty((n, m))  # the one n x m array: logits first, then K
+    phi = -_gibbs(_logits(prob, np.zeros(n), np.zeros(m), kernel), axis=1)[0]
+    psi = -_gibbs(_logits(prob, phi, np.zeros(m), kernel), axis=0)[0]
+    _kernel(prob, phi, psi, kernel)
+    a, b = np.ones(n), np.ones(m)
     trace = [] if track_objective else None
 
-    for it in range(max_iter + 1):
-        # each half-step is a soft-min over the one preallocated n x m buffer
-        phi_new = -_gibbs(np.subtract(psi[None, :], c_over_eps, out=buf), axis=1)[0]
-        if it > 0:
-            # row sum i of P for the previous (phi, psi) iterate equals
-            # exp(phi_i - phi_new_i)/n; columns were exact after its g step.
-            # After the last allowed update this certifies the final iterate.
-            err = float(np.abs(np.expm1(phi - phi_new)).max()) / n
-            if err <= tol or it == max_iter:
-                break
-        phi = phi_new
-        psi = -_gibbs(np.subtract(phi[:, None], c_over_eps, out=buf), axis=0)[0]
+    for it in range(1, max_iter + 1):
         if track_objective:
-            # every column of P sums to 1/m after the g step, so the kernel
+            # every column of P sums to 1/m after a g step, so the kernel
             # term of the dual is exactly 1
-            trace.append(eps * (float(phi.mean()) + float(psi.mean()) - 1.0))
+            trace.append(eps * (float((phi + np.log(a)).mean())
+                                + float((psi + np.log(b)).mean()) - 1.0))
+        kb = kernel @ b
+        # row i of P for the current iterate sums to a_i (K b)_i / (n m);
+        # columns were exact after its g step. After the last allowed update
+        # this certifies the final iterate.
+        err = float(np.abs(a * kb / m - 1.0).max()) / n
+        if err <= tol or it == max_iter:
+            break
+        a = m / kb
+        b = n / (kernel.T @ a)
+        log_a, log_b = np.log(a), np.log(b)
+        if max(np.abs(log_a).max(), np.abs(log_b).max()) > _ABSORB_LOG:
+            phi += log_a
+            psi += log_b
+            _kernel(prob, phi, psi, kernel)
+            a.fill(1.0)
+            b.fill(1.0)
+    phi = phi + np.log(a)
+    psi = psi + np.log(b)
     shift = float(psi.mean())
     f = (phi + shift) * eps
     g = (psi - shift) * eps

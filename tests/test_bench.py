@@ -21,6 +21,7 @@ from otcp import (
     sweep,
     synth_dataset,
 )
+from otcp import bench
 from otcp.bench import DEFAULT_SWEEP_EPSILONS, DEFAULT_SWEEP_TARGETS
 
 
@@ -100,6 +101,26 @@ def test_default_bounds_from_calibration_residuals():
     pred = _zero_center_predictor(1.0)
     est = region_size_mc(pred, [0.5], n_mc=50000, seed=1)  # box = +/-3 per dim
     assert abs(est - math.pi) / math.pi < 0.05
+
+
+def test_evaluate_honours_bounds_inflation(monkeypatch):
+    # the config's inflation sets the sizing box: residual box (-2, 2)^2 times 3
+    boxes = []
+    size_of = bench.region_size_mc
+
+    def spy(pred, x, bounds=None, **kw):
+        boxes.append(bounds)
+        return size_of(pred, x, bounds, **kw)
+
+    monkeypatch.setattr(bench, "region_size_mc", spy)
+    test = synth_dataset("gaussian", 10, 2, seed=0)
+    cfg = BenchConfig(methods=("merge_l2",), mc_samples=100, region_size_points=3,
+                      bounds_inflation=3.0)
+    bench._evaluate(_zero_center_predictor(1.0), test, cfg, seed=0, method_index=0)
+    assert len(boxes) == 3
+    for low, high in boxes:
+        np.testing.assert_allclose(low, [-6.0, -6.0], atol=1e-12)
+        np.testing.assert_allclose(high, [6.0, 6.0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

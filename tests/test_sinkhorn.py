@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from otcp import (
     DimensionError,
@@ -13,9 +14,11 @@ from otcp import (
     coupling_matrix,
     dual_objective,
     lse_eps,
+    pairwise_sq_dists,
     sinkhorn_solve,
     squared_cost,
 )
+from otcp import sinkhorn
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +213,67 @@ def test_convergence_reports_consistent_error():
     pot = sinkhorn_solve(prob, tol=1e-7)
     assert pot.converged
     assert coupling_marginal_error(pot) <= 1e-7
+
+
+def _log_domain_solve(prob, tol=1e-6, max_iter=2000):
+    """Reference: every half-step a soft-min over the whole cost in the log domain."""
+    n, m, eps = prob.n, prob.m, prob.epsilon
+    c = pairwise_sq_dists(prob.source, prob.target) / eps
+    phi, psi = np.zeros(n), np.zeros(m)
+    for it in range(max_iter + 1):
+        phi_new = np.log(m) - logsumexp(psi[None, :] - c, axis=1)
+        if it > 0:
+            err = np.abs(np.expm1(phi - phi_new)).max() / n
+            if err <= tol or it == max_iter:
+                break
+        phi = phi_new
+        psi = np.log(n) - logsumexp(phi[:, None] - c, axis=0)
+    shift = psi.mean()
+    return it, (phi + shift) * eps, (psi - shift) * eps
+
+
+@pytest.mark.filterwarnings("ignore::otcp.errors.SinkhornNotConverged")
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 64), st.integers(1, 3),
+       st.sampled_from([1.0, 0.1, 0.01, 0.001]), st.integers(0, 2**32 - 1))
+def test_scaling_domain_matches_log_domain(n, m, d, eps, seed):
+    rng = np.random.default_rng(seed)
+    prob = OtProblem(rng.standard_normal((n, d)), rng.standard_normal((m, d)), eps)
+    pot = sinkhorn_solve(prob)
+    it, f, g = _log_domain_solve(prob)
+    assert pot.iterations == it
+    np.testing.assert_allclose(pot.f, f, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(pot.g, g, rtol=0, atol=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore::otcp.errors.SinkhornNotConverged")
+def test_far_apart_clouds_absorb_scalings(monkeypatch):
+    calls = []
+    build = sinkhorn._kernel
+
+    def counting(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(sinkhorn, "_kernel", counting)
+    rng = np.random.default_rng(29)
+    prob = OtProblem(rng.standard_normal((40, 2)),
+                     rng.standard_normal((50, 2)) + 30.0, 0.001)
+    pot = sinkhorn_solve(prob, max_iter=300)
+    assert len(calls) > 1  # built once at the start, rebuilt at each absorption
+    assert np.isfinite(pot.f).all() and np.isfinite(pot.g).all()
+    assert pot.marginal_error == pytest.approx(coupling_marginal_error(pot), rel=1e-6)
+
+
+def test_far_source_point_whose_kernel_row_underflows():
+    rng = np.random.default_rng(31)
+    src = np.vstack([rng.standard_normal((20, 2)), [[60.0, 0.0]]])
+    prob = OtProblem(src, rng.standard_normal((30, 2)), 1.0)
+    assert (np.exp(-pairwise_sq_dists(src, prob.target)[-1]) == 0.0).all()
+    pot = sinkhorn_solve(prob)
+    assert pot.converged
+    assert np.isfinite(pot.f).all() and np.isfinite(pot.g).all()
+    assert pot.marginal_error == pytest.approx(coupling_marginal_error(pot), rel=1e-6)
 
 
 def test_problem_validation():
