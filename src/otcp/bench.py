@@ -10,10 +10,12 @@ once the timing columns are set aside.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -127,13 +129,13 @@ class BenchReport:
 
     def csv_lines(self, include_timings: bool = True) -> list[str]:
         cols = REPORT_COLUMNS + (TIMING_COLUMNS if include_timings else ())
-        lines = [",".join(cols)]
+        lines = [_csv_line(cols)]
         for r in self.rows:
             vals = [r.method, str(r.seed), r.status, repr(float(r.coverage)),
                     repr(float(r.mean_region_size))]
             if include_timings:
                 vals += [f"{r.fit_ms:.3f}", f"{r.calibrate_ms:.3f}", f"{r.predict_ms:.3f}"]
-            lines.append(",".join(vals))
+            lines.append(_csv_line(vals))
         return lines
 
     def aggregates(self) -> dict:
@@ -166,6 +168,14 @@ class BenchReport:
         json_path.write_text(json.dumps(self.aggregates(), indent=2, sort_keys=True)
                              + "\n", encoding="utf-8")
         return csv_path, json_path
+
+
+def _csv_line(fields) -> str:
+    """One CSV record without its line end; fields holding a comma, quote or
+    line break (failure messages can) are quoted, all others written as is."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +303,16 @@ def sweep(cfg: BenchConfig, eps_list=None, m_list=None) -> list[dict]:
     Returns long-format records (epsilon, m, seed, coverage, size, time_ms) and
     writes sweep.csv under the config's output dir when one is set.
     """
-    eps_list = tuple(eps_list) if eps_list else DEFAULT_SWEEP_EPSILONS
-    m_list = tuple(m_list) if m_list else DEFAULT_SWEEP_TARGETS
+    eps_list = DEFAULT_SWEEP_EPSILONS if eps_list is None else tuple(eps_list)
+    m_list = DEFAULT_SWEEP_TARGETS if m_list is None else tuple(m_list)
     if not eps_list or not m_list:
         raise ParamError("sweep lists must be nonempty")
     records = []
     for eps in eps_list:
         for m in m_list:
-            cell = BenchConfig(**{**_config_dict(cfg),
-                                  "methods": ("otcp",),
-                                  "otcp": {**cfg.otcp, "epsilon": float(eps), "m": int(m)},
-                                  "output_dir": None, "save_models": False})
+            cell = replace(cfg, methods=("otcp",),
+                           otcp={**cfg.otcp, "epsilon": float(eps), "m": int(m)},
+                           output_dir=None, save_models=False)
             t0 = time.perf_counter()
             report = run_benchmark(cell)
             elapsed = (time.perf_counter() - t0) * 1e3
@@ -317,15 +326,12 @@ def sweep(cfg: BenchConfig, eps_list=None, m_list=None) -> list[dict]:
         out.mkdir(parents=True, exist_ok=True)
         lines = ["epsilon,m,seed,status,coverage,mean_region_size,time_ms"]
         for r in records:
-            lines.append(",".join([repr(float(r["epsilon"])), str(r["m"]), str(r["seed"]),
-                                   r["status"], repr(float(r["coverage"])),
-                                   repr(float(r["mean_region_size"])), f"{r['time_ms']:.3f}"]))
+            lines.append(_csv_line([repr(float(r["epsilon"])), str(r["m"]), str(r["seed"]),
+                                    r["status"], repr(float(r["coverage"])),
+                                    repr(float(r["mean_region_size"])),
+                                    f"{r['time_ms']:.3f}"]))
         (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return records
-
-
-def _config_dict(cfg: BenchConfig) -> dict:
-    return {name: getattr(cfg, name) for name in cfg.__dataclass_fields__}
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ The forward map sends a residual vector to a Gibbs-weighted average of grid
 points inside the unit ball; its norm is the transport rank in [0, 1]. The
 inverse map pulls grid points back to weighted averages of the fitted
 residuals, which is how 2-D prediction regions are traced. Both directions
-run one chunked path over the solver's Gibbs kernel: each block of at most
-_CHUNK_ENTRIES query-by-point logits is reduced into the averaged values
-before the next block is built.
+run one chunked path over the solver's logits builder and Gibbs kernel: each
+call allocates one buffer of at most _CHUNK_ENTRIES query-by-point logits,
+and each block of query rows is built into it and reduced into the averaged
+values before the next block overwrites it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .sinkhorn import (
     OtProblem,
     Standardizer,
     _gibbs,
-    lse_eps,
-    pairwise_sq_dists,
+    _logits,
     sinkhorn_solve,
 )
 from .sphere import SphericalGrid, build_spherical_grid
@@ -73,12 +73,15 @@ class EntropicMap:
 
         With values None, returns the softmax weights themselves.
         """
-        m = points.shape[0]
-        out = np.empty((queries.shape[0], m if values is None else values.shape[1]))
-        step = max(1, _CHUNK_ENTRIES // m)
-        for lo in range(0, queries.shape[0], step):
+        q, m = queries.shape[0], points.shape[0]
+        out = np.empty((q, m if values is None else values.shape[1]))
+        step = max(1, min(q, _CHUNK_ENTRIES // m))
+        psi = potential / self.epsilon
+        buf = np.empty((step, m))
+        for lo in range(0, q, step):
             block = queries[lo:lo + step]
-            logits = (potential[None, :] - pairwise_sq_dists(block, points)) / self.epsilon
+            logits = _logits(block, points, self.epsilon, 0.0, psi,
+                             buf[:block.shape[0]])
             total = _gibbs(logits, axis=1)[1][:, None]
             out[lo:lo + block.shape[0]] = (logits if values is None
                                            else logits @ values) / total
@@ -128,8 +131,9 @@ class EntropicMap:
         z_std = np.asarray(z_std, dtype=float)
         if z_std.shape != (self.dim,):
             raise DimensionError(f"expected a {self.dim}-vector")
-        d2 = pairwise_sq_dists(z_std[None, :], self.grid.points)[0]
-        return 0.5 * lse_eps(d2 - self.potentials.g, self.epsilon)
+        logits = _logits(z_std[None, :], self.grid.points, self.epsilon, 0.0,
+                         self.potentials.g / self.epsilon, np.empty((1, self.grid.m)))
+        return -0.5 * self.epsilon * float(_gibbs(logits, axis=1)[0][0])
 
 
 def fit_entropic_map(scores, grid: SphericalGrid | None = None, *, m: int = 4096,

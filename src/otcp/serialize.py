@@ -9,7 +9,8 @@ standardizer).
 Files are strict JSON (format v2): an infinite threshold, which calibration
 returns when alpha < 1/(n+1), is written as null. v1 files, which wrote it as
 the bare token Infinity, still load. Loading checks every map array's shape
-against the others and requires finite values, raising ParamError.
+against the others and the residual bounding box against the score's
+dimension, and requires finite values, raising ParamError.
 """
 
 from __future__ import annotations
@@ -189,16 +190,21 @@ def predictor_to_dict(pred: CalibratedPredictor) -> dict:
 
 def predictor_from_dict(doc: dict) -> CalibratedPredictor:
     _check_header(doc, PREDICTOR_FORMAT)
+    score_fn = _score_fn_from_dict(doc["score"])
     threshold = doc["threshold"]
     low = doc.get("residual_low")
     high = doc.get("residual_high")
+    if (low is None) != (high is None):
+        raise ParamError("residual_low and residual_high must be stored together")
+    if low is not None:
+        low = _array(low, "residual_low", (score_fn.d,))
+        high = _array(high, "residual_high", (score_fn.d,))
+        if (low > high).any():
+            raise ParamError("residual_low exceeds residual_high")
     band = doc.get("band")
     return CalibratedPredictor(
-        _score_fn_from_dict(doc["score"]), doc["alpha"],
-        math.inf if threshold is None else threshold,
-        _array(doc["cal_scores"], "cal_scores", (None,)),
-        None if low is None else np.asarray(low, dtype=float),
-        None if high is None else np.asarray(high, dtype=float),
+        score_fn, doc["alpha"], math.inf if threshold is None else threshold,
+        _array(doc["cal_scores"], "cal_scores", (None,)), low, high,
         tuple(band) if band else None)
 
 

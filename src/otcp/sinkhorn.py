@@ -2,9 +2,11 @@
 
 Solves the dual of the regularized problem between two uniform empirical
 measures under squared Euclidean cost. Every soft-min here and in the
-entropic maps goes through one Gibbs kernel, `_gibbs`: it max-shifts a block
-of logits (potential - cost) / eps along one axis, exponentiates it in place
-and sums it, so small epsilon never overflows.
+entropic maps is built from two helpers. `_logits` is the one place that
+forms the logits phi_i + psi_j - |s_i - t_j|^2/eps, in place in a caller's
+buffer. `_gibbs` is the one Gibbs kernel: it max-shifts a block of logits
+along one axis, exponentiates it in place and sums it, so small epsilon never
+overflows.
 
 The solver takes its first f and g half-steps in the log domain through
 `_gibbs`, then iterates in the scaling domain (Cuturi, arXiv:1306.0895): it
@@ -158,19 +160,18 @@ def lse_eps(values, eps: float, axis=None) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _logits(prob: OtProblem, phi: np.ndarray, psi: np.ndarray,
+def _logits(source: np.ndarray, target: np.ndarray, eps: float, phi, psi,
             out: np.ndarray) -> np.ndarray:
-    """Write phi_i + psi_j - c_ij/eps into out (n x m), rebuilding c from the points.
+    """Write phi_i + psi_j - |s_i - t_j|^2/eps into out (n x m); the one logits builder.
 
-    Expands c_ij = |s_i|^2 + |t_j|^2 - 2 s_i.t_j and folds the potentials into
-    the two norm vectors: one product and three passes over out, and no other
-    n x m array.
+    Expands |s_i - t_j|^2 = |s_i|^2 + |t_j|^2 - 2 s_i.t_j and folds the
+    potentials (arrays, or the scalar 0.0) into the two norm vectors: one
+    product and three passes over out, and no other n x m array.
     """
-    src, tgt, eps = prob.source, prob.target, prob.epsilon
-    np.matmul(src, tgt.T, out=out)
+    np.matmul(source, target.T, out=out)
     out *= 2.0 / eps
-    out += (phi - (src * src).sum(axis=1) / eps)[:, None]
-    out += (psi - (tgt * tgt).sum(axis=1) / eps)[None, :]
+    out += (phi - (source * source).sum(axis=1) / eps)[:, None]
+    out += (psi - (target * target).sum(axis=1) / eps)[None, :]
     return out
 
 
@@ -182,7 +183,7 @@ def _kernel(prob: OtProblem, phi: np.ndarray, psi: np.ndarray,
     both exp and the matrix-vector products several-fold, and with scalings
     bounded by exp(_ABSORB_LOG) they weigh nothing in any row or column sum.
     """
-    logits = _logits(prob, phi, psi, out)
+    logits = _logits(prob.source, prob.target, prob.epsilon, phi, psi, out)
     logits[logits < _LOG_TINY] = -np.inf
     return np.exp(logits, out=out)
 
@@ -217,8 +218,8 @@ def sinkhorn_solve(prob: OtProblem, tol: float = DEFAULT_TOL,
     n, m = prob.n, prob.m
     eps = float(prob.epsilon)
     kernel = np.empty((n, m))  # the one n x m array: logits first, then K
-    phi = -_gibbs(_logits(prob, np.zeros(n), np.zeros(m), kernel), axis=1)[0]
-    psi = -_gibbs(_logits(prob, phi, np.zeros(m), kernel), axis=0)[0]
+    phi = -_gibbs(_logits(prob.source, prob.target, eps, 0.0, 0.0, kernel), axis=1)[0]
+    psi = -_gibbs(_logits(prob.source, prob.target, eps, phi, 0.0, kernel), axis=0)[0]
     _kernel(prob, phi, psi, kernel)
     a, b = np.ones(n), np.ones(m)
     trace = [] if track_objective else None
@@ -261,9 +262,10 @@ def sinkhorn_solve(prob: OtProblem, tol: float = DEFAULT_TOL,
 
 def coupling_log_matrix(pot: DualPotentials) -> np.ndarray:
     """log P_ij of the implied coupling P = (1/(nm)) exp((f+g-c)/eps)."""
-    prob = pot.problem
-    c = pairwise_sq_dists(prob.source, prob.target)
-    return (pot.f[:, None] + pot.g[None, :] - c) / pot.epsilon - np.log(prob.n * prob.m)
+    prob, eps = pot.problem, pot.epsilon
+    return _logits(prob.source, prob.target, eps,
+                   pot.f / eps - np.log(prob.n * prob.m), pot.g / eps,
+                   np.empty((prob.n, prob.m)))
 
 
 def coupling_matrix(pot: DualPotentials) -> np.ndarray:
@@ -282,9 +284,7 @@ def coupling_marginal_error(pot: DualPotentials) -> float:
 
 def dual_objective(pot: DualPotentials) -> float:
     """Dual value <f,1/n> + <g,1/m> - eps*mean_ij exp((f_i+g_j-c_ij)/eps)."""
-    prob = pot.problem
-    eps = pot.epsilon
-    logits = (pot.f[:, None] + pot.g[None, :]
-              - pairwise_sq_dists(prob.source, prob.target)) / eps
-    kernel_term = float(np.exp(_gibbs(logits.ravel(), axis=0)[0]))
-    return float(pot.f.mean()) + float(pot.g.mean()) - eps * kernel_term
+    log_p = coupling_log_matrix(pot)
+    # mean_ij exp((f_i+g_j-c_ij)/eps) is the total mass of P, sum_ij P_ij
+    kernel_term = float(np.exp(_gibbs(log_p.ravel(), axis=0)[0])) * log_p.size
+    return float(pot.f.mean()) + float(pot.g.mean()) - pot.epsilon * kernel_term

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -203,6 +204,19 @@ def test_report_files_written(tmp_path):
     assert (tmp_path / "out" / "models" / "merge_l2.json").exists()
 
 
+def _csv_widths(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return {len(row) for row in csv.reader(fh)}
+
+
+def test_failure_message_with_comma_keeps_report_columns(tmp_path):
+    cfg = _small_cfg(methods=("mcp_max", "merge_l2"), mcp={"k": 100000},
+                     output_dir=str(tmp_path))
+    report = run_benchmark(cfg)
+    assert "," in report.rows[0].status
+    assert _csv_widths(tmp_path / "report.csv") == {8}
+
+
 def test_config_validation_and_json(tmp_path):
     with pytest.raises(ParamError):
         BenchConfig(alpha=1.5)
@@ -235,6 +249,20 @@ def test_sweep_single_cell_matches_run(tmp_path):
     assert records[0]["mean_region_size"] == direct.mean_region_size
     text = (tmp_path / "sweep.csv").read_text()
     assert text.splitlines()[0] == "epsilon,m,seed,status,coverage,mean_region_size,time_ms"
+
+
+def test_sweep_failure_message_with_comma_keeps_columns(tmp_path, monkeypatch):
+    failed = bench.BenchReport([bench.MethodResult("otcp", 0, "failed: a, b")])
+    monkeypatch.setattr(bench, "run_benchmark", lambda cell: failed)
+    sweep(_small_cfg(output_dir=str(tmp_path)), eps_list=[0.1, 1.0], m_list=[256])
+    assert _csv_widths(tmp_path / "sweep.csv") == {7}
+
+
+@pytest.mark.parametrize("axes", [{"eps_list": []}, {"m_list": []}])
+def test_sweep_rejects_empty_axis(axes, monkeypatch):
+    monkeypatch.setattr(bench, "run_benchmark", lambda cell: pytest.fail("ran a cell"))
+    with pytest.raises(ParamError):
+        sweep(_small_cfg(), **axes)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ from otcp import (
     SphericalGrid,
     Standardizer,
     build_spherical_grid,
+    dual_objective,
     fit_entropic_map,
     lse_eps,
     sinkhorn_solve,
     squared_cost,
 )
 from otcp import entropic
+from otcp.sinkhorn import coupling_log_matrix
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +124,29 @@ def test_kernel_matches_dense_reference(n, m, d, q, chunk, eps, seed):
     np.testing.assert_allclose(
         lse_eps(values, eps, axis=1),
         -eps * np.log(np.exp(-values / eps).mean(axis=1)), rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.integers(2, 40), st.integers(1, 3),
+       st.floats(0.05, 5.0), st.integers(0, 2**32 - 1))
+def test_logits_consumers_match_direct_differences(n, m, d, eps, seed):
+    # dense references from direct differences, not from the expanded cost
+    rng = np.random.default_rng(seed)
+    source = rng.uniform(-1, 1, (n, d))
+    grid = build_spherical_grid(m, d)
+    pot = DualPotentials(rng.uniform(-1, 1, n), rng.uniform(-1, 1, m), eps,
+                         OtProblem(source, grid.points, eps), 0, 0.0, True)
+    c = ((source[:, None] - grid.points[None]) ** 2).sum(-1)
+    logits = (pot.f[:, None] + pot.g[None] - c) / eps
+    np.testing.assert_allclose(coupling_log_matrix(pot), logits - np.log(n * m),
+                               rtol=1e-12, atol=1e-11)
+    dual = pot.f.mean() + pot.g.mean() - eps * np.exp(logits).mean()
+    assert dual_objective(pot) == pytest.approx(dual, rel=1e-12, abs=1e-12)
+    emap = EntropicMap(pot, grid, Standardizer.identity(d))
+    z = rng.uniform(-1, 1, d)
+    d2 = ((z - grid.points) ** 2).sum(-1)
+    potential = -0.5 * eps * np.log(np.exp((pot.g - d2) / eps).mean())
+    assert emap.forward_potential(z) == pytest.approx(potential, rel=1e-12, abs=1e-12)
 
 
 def test_weights_dimension_error(small_map_2d):

@@ -162,6 +162,10 @@ def _edit(doc, path, fn):
     (("score", "map"), lambda m: None),
     (("score", "kind"), lambda k: "no_such_kind"),
     (("cal_scores",), lambda c: c + [math.nan]),
+    (("residual_low",), lambda v: v + [0.0]),
+    (("residual_high",), lambda v: [math.inf, v[1]]),
+    (("residual_high",), lambda v: None),
+    (("residual_low",), lambda v: [x + 100.0 for x in v]),
 ])
 def test_load_rejects_inconsistent_artifacts(fitted, tmp_path, path, fn):
     kind = "merge_mahalanobis" if "whitener" in path else "otcp"

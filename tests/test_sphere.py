@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import ndtri
 
+import otcp
 from otcp import (
     DomainError,
     FactorizationError,
@@ -203,3 +208,15 @@ def test_grid_radius_matches_exhaustive_search_sample():
                     j, r = grid_radius_index(n_total, n_r, n_s, n_o, float(alpha))
                     assert j == j_star
                     assert r == j_star / n_r
+
+
+def test_import_loads_no_scipy_stats_or_spatial():
+    # both raise the resident size of every run (scipy.stats 53 -> 99 MB)
+    src = str(Path(otcp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, otcp; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.spatial'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
