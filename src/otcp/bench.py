@@ -35,12 +35,13 @@ from .data import (
     fit_quantile_predictor,
     fit_regressor,
     load_dataset_csv,
+    regressor_params,
     residuals,
     split_dataset,
     synth_dataset,
 )
 from .entropic import fit_entropic_map
-from .errors import MethodError, ParamError
+from .errors import MethodError, NotFittedError, ParamError, ProvenanceError
 from .sphere import build_spherical_grid
 
 # appendix-style ablation axes used when a sweep is run without explicit lists
@@ -49,6 +50,24 @@ DEFAULT_SWEEP_TARGETS = (4096, 8192, 16384, 32768)
 
 REPORT_COLUMNS = ("method", "seed", "status", "coverage", "mean_region_size")
 TIMING_COLUMNS = ("fit_ms", "calibrate_ms", "predict_ms")
+
+# the keys each config section reads; the dataset's depend on its kind
+DATASET_KEYS = {"synthetic": ("kind", "generator", "n", "d", "params"),
+                "csv": ("kind", "path", "d_out")}
+OTCP_KEYS = ("epsilon", "m", "grid_mode", "tol", "max_iter")
+MCP_KEYS = ("k", "alpha_lo", "alpha_hi")
+
+# expected failures of one (seed, method) cell, recorded in its report row:
+# ValueError covers otcp's own value errors and numpy.linalg.LinAlgError, and
+# MemoryError keeps an oversized cell to its own row. Anything else (TypeError,
+# AttributeError, ...) is a bug and propagates.
+CELL_FAILURES = (ValueError, NotFittedError, ProvenanceError, MethodError, MemoryError)
+
+
+def _check_keys(section: str, given: dict, known) -> None:
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ParamError(f"{section} section: unknown keys {unknown}")
 
 
 @dataclass
@@ -83,6 +102,17 @@ class BenchConfig:
             raise ParamError("otcp m must be >= 2")
         if self.mc_samples < 1:
             raise ParamError("mc_samples must be >= 1")
+        kind = self.dataset.get("kind")
+        if kind not in DATASET_KEYS:
+            raise ParamError(f"unknown dataset kind {kind!r}")
+        _check_keys("dataset", self.dataset, DATASET_KEYS[kind])
+        if kind == "csv" and not {"path", "d_out"} <= set(self.dataset):
+            raise ParamError("a csv dataset needs path and d_out")
+        # rejects a regressor kind or parameter that fit_regressor would
+        regressor_params(self.regressor.get("kind", "knn_mean"),
+                         {k: v for k, v in self.regressor.items() if k != "kind"})
+        _check_keys("otcp", self.otcp, OTCP_KEYS)
+        _check_keys("mcp", self.mcp, MCP_KEYS)
         self.methods = tuple(self.methods)
         self.seeds = tuple(int(s) for s in self.seeds)
         self.fractions = tuple(float(f) for f in self.fractions)
@@ -102,20 +132,18 @@ class BenchConfig:
 
     def load_dataset(self, seed: int) -> Dataset:
         spec = self.dataset
-        if spec.get("kind") == "synthetic":
+        if spec["kind"] == "synthetic":
             return synth_dataset(spec.get("generator", "gaussian"),
                                  int(spec.get("n", 2000)), int(spec.get("d", 2)),
                                  spec.get("params", {}), seed=seed)
-        if spec.get("kind") == "csv":
-            return load_dataset_csv(spec["path"], int(spec["d_out"]), tag=spec["path"])
-        raise ParamError(f"unknown dataset kind {spec.get('kind')!r}")
+        return load_dataset_csv(spec["path"], int(spec["d_out"]), tag=spec["path"])
 
 
 @dataclass
 class MethodResult:
     method: str
     seed: int
-    status: str  # "ok" or "failed: ..."
+    status: str  # "ok" or "failed: <ExceptionType>: <message>"
     coverage: float = math.nan
     mean_region_size: float = math.nan
     fit_ms: float = math.nan
@@ -269,7 +297,11 @@ def _evaluate(pred: CalibratedPredictor, test: Dataset, cfg: BenchConfig,
 
 
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
-    """Run every (seed, method) cell; failures mark their row and spare the rest."""
+    """Run every (seed, method) cell; failures mark their row and spare the rest.
+
+    Only the expected failures in CELL_FAILURES are recorded in a row; any other
+    exception is a programming error and propagates.
+    """
     rows = []
     saved_models = set()
     for seed in cfg.seeds:
@@ -289,8 +321,9 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
                     model_dir.mkdir(parents=True, exist_ok=True)
                     serialize.save_predictor(pred, model_dir / f"{method}.json")
                     saved_models.add(method)
-            except Exception as exc:  # noqa: BLE001 - isolate per-method failures
-                rows.append(MethodResult(method, seed, f"failed: {exc}"))
+            except CELL_FAILURES as exc:
+                rows.append(MethodResult(method, seed,
+                                         f"failed: {type(exc).__name__}: {exc}"))
     report = BenchReport(rows)
     if cfg.output_dir:
         report.write(cfg.output_dir)

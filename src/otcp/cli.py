@@ -5,8 +5,10 @@
     otcp contour --model model.json --x ... --alphas ... [--out DIR]
     otcp synth --kind gaussian --n 1000 --d 2 --seed 0 --out data.csv
 
-Exit codes: 0 on success, 2 when some benchmark methods failed while others
-completed (a partial report is still written).
+Exit codes: 0 on success, 2 when some benchmark methods failed with an
+expected error (each failed row reads "failed: <ExceptionType>: <message>" and
+the partial report is still written). A programming error is not caught: it
+ends the run with a traceback and exit code 1.
 """
 
 from __future__ import annotations

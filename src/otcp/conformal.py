@@ -11,6 +11,7 @@ machinery applies unchanged.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,23 +46,30 @@ class ScoreFunction:
     kind = "base"
     components: tuple[str, ...] = ()
 
-    def __init__(self, d: int, fit_tags=()):
+    def __init__(self, d: int):
         self.d = int(d)
-        self.fit_tags = frozenset(t for t in fit_tags if t)
+
+    @property
+    def fit_tags(self) -> frozenset:
+        """Tags of the data any fitted component saw; calibration refuses them."""
+        parts = (getattr(self, name) for name in self.components)
+        return frozenset(tag for part in parts if (tag := getattr(part, "fit_tag", None)))
 
     def _check_pair(self, x, y):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
         if y.shape[1] != self.d:
             raise DimensionError(f"expected {self.d}-dimensional responses")
+        if x.shape[0] not in (1, y.shape[0]):
+            raise DimensionError(
+                f"{x.shape[0]} input rows for {y.shape[0]} responses; need 1 or one each")
         return x, y
 
     def score(self, x, y) -> float:
-        X, Y = self._check_pair(x, y)
-        return float(self.score_rows(X, Y)[0])
+        return float(self.score_rows(x, y)[0])
 
     def score_rows(self, X, Y) -> np.ndarray:
-        """Scores of paired rows (X_i, Y_i)."""
+        """Scores of paired rows (X_i, Y_i), or of every Y row at a single X row."""
         return self.score_center_rows(X, Y)[0]
 
     def score_center_rows(self, X, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -69,11 +77,6 @@ class ScoreFunction:
         X, Y = self._check_pair(X, Y)
         pred = self._predict_rows(X)
         return self._scores(pred, Y), self._centers(pred)
-
-    def score_candidates(self, x, Y) -> np.ndarray:
-        """Scores of many candidate responses for a single input."""
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        return self._scores(self._predict_rows(np.atleast_2d(x)), Y)
 
     def center(self, x) -> np.ndarray:
         """Representative center of the region at x (used for sizing bounds)."""
@@ -94,7 +97,7 @@ class _RegressionScore(ScoreFunction):
     def __init__(self, regressor: Regressor):
         if regressor.d is None:
             raise NotFittedError("regressor must be fitted first")
-        super().__init__(regressor.d, [regressor.fit_tag])
+        super().__init__(regressor.d)
         self.regressor = regressor
 
     def _predict_rows(self, X):
@@ -166,7 +169,7 @@ class MaxIntervalScore(ScoreFunction):
     def __init__(self, quantile_predictor: KnnQuantilePredictor):
         if quantile_predictor.d is None:
             raise NotFittedError("quantile predictor must be fitted first")
-        super().__init__(quantile_predictor.d, [quantile_predictor.fit_tag])
+        super().__init__(quantile_predictor.d)
         self.quantile_predictor = quantile_predictor
 
     def _predict_rows(self, X):
@@ -205,8 +208,6 @@ class TransportRankScore(_RegressionScore):
         if transport_map.dim != self.d:
             raise DimensionError("transport map dimension does not match targets")
         self.transport_map = transport_map
-        self.fit_tags = self.fit_tags | frozenset(
-            t for t in [transport_map.origin] if t)
 
     def _score_residuals(self, resid):
         return np.atleast_1d(self.transport_map.rank(resid))
@@ -304,6 +305,12 @@ def pit_values(cal_scores, test_score):
     return float(ranks[0]) if t.ndim == 0 else ranks
 
 
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+        raise ParamError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(eq=False)
 class CalibratedPredictor:
     """A score function plus its calibrated threshold and diagnostics."""
@@ -315,6 +322,22 @@ class CalibratedPredictor:
     residual_low: np.ndarray | None  # per-dim bounds of y - center(x) on calib
     residual_high: np.ndarray | None
     band: tuple[float, float] | None = None  # two-sided PIT band, optional
+
+    def __post_init__(self):
+        # calibrate and artifact loading both build predictors, so both pass here
+        self.alpha = _real(self.alpha, "alpha")
+        if not 0.0 < self.alpha < 1.0:
+            raise ParamError(f"alpha must lie in (0, 1), got {self.alpha}")
+        self.threshold = _real(self.threshold, "threshold")
+        if self.threshold == -math.inf:
+            raise ParamError("threshold must be finite or +inf")
+        if self.band is not None:
+            if not isinstance(self.band, (tuple, list)) or len(self.band) != 2:
+                raise ParamError(f"band must be two numbers, got {self.band!r}")
+            lo, hi = (_real(b, "band") for b in self.band)
+            if not 0.0 <= lo <= hi <= 1.0:
+                raise ParamError(f"band needs 0 <= lo <= hi <= 1, got {self.band!r}")
+            self.band = (lo, hi)
 
     def __repr__(self):
         return (f"CalibratedPredictor(kind={self.score_fn.kind!r}, "
@@ -346,7 +369,7 @@ class CalibratedPredictor:
         return self._accepts(self.score_fn.score_rows(X, Y))
 
     def contains_candidates(self, x, Y) -> np.ndarray:
-        return self._accepts(self.score_fn.score_candidates(x, Y))
+        return self._accepts(self.score_fn.score_rows(np.atleast_2d(x), Y))
 
     def threshold_at(self, alpha: float) -> float:
         """Threshold recomputed at a different miscoverage level from the same scores."""
@@ -358,8 +381,9 @@ def calibrate(score_fn: ScoreFunction, calib: Dataset, alpha: float,
               ) -> CalibratedPredictor:
     """Score every calibration pair and keep the conformal threshold.
 
-    Refuses calibration data whose provenance tag matches a tag the score
-    function was fitted on, unless allow_same_data is set (the
+    Refuses calibration data whose provenance tag matches the data any fitted
+    component saw (regressor, quantile predictor or transport map: the
+    score's fit_tags), unless allow_same_data is set (the
     permutation-invariant single-split variant).
     """
     if calib.d != score_fn.d:

@@ -279,15 +279,7 @@ class Regressor:
     """Base point predictor; subclasses fill predict_rows."""
 
     kind = "base"
-
-    def __init__(self):
-        self.fit_tag: str | None = None
-        self.p: int | None = None
-        self.d: int | None = None
-
-    def _check_fitted(self):
-        if self.p is None:
-            raise NotFittedError(f"{self.kind} regressor is not fitted")
+    p = d = fit_tag = None  # feature and target widths and data tag, set by fit
 
     def predict(self, x) -> np.ndarray:
         return self.predict_rows(np.atleast_2d(np.asarray(x, dtype=float)))[0]
@@ -296,35 +288,51 @@ class Regressor:
         raise NotImplementedError
 
 
+def _fitted_rows(model, X) -> np.ndarray:
+    """X as float rows, once `model` is fitted on as many features as X has."""
+    if model.p is None:
+        raise NotFittedError(f"{model.kind} model is not fitted")
+    X = np.asarray(X, dtype=float)
+    if X.shape[1] != model.p:
+        raise DimensionError(f"expected {model.p} features, got {X.shape[1]}")
+    return X
+
+
 def _knn_indices(train_X: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     # squared distances, stable argsort so equal distances favor lower index
     d2 = ((X[:, None, :] - train_X[None, :, :]) ** 2).sum(axis=2)
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
-class KnnMeanRegressor(Regressor):
-    kind = "knn_mean"
+class _KnnModel:
+    """A k-nearest-neighbor model: the training Dataset, kept once, and the search."""
 
     def __init__(self, k: int):
-        super().__init__()
         self.k = int(k)
-        self._X = None
-        self._Y = None
+        self.train: Dataset | None = None
 
-    def fit(self, train: Dataset) -> "KnnMeanRegressor":
+    def fit(self, train: Dataset):
         if self.k < 1 or self.k > train.n:
             raise ParamError(f"k={self.k} outside [1, n_train={train.n}]")
-        self._X, self._Y = train.features, train.targets
-        self.p, self.d, self.fit_tag = train.p, train.d, train.tag
+        self.train = train
         return self
 
+    # feature and target widths and data tag, read from the fitted Dataset
+    p = property(lambda self: None if self.train is None else self.train.p)
+    d = property(lambda self: None if self.train is None else self.train.d)
+    fit_tag = property(lambda self: None if self.train is None else self.train.tag)
+
+    def _neighbor_targets(self, X) -> np.ndarray:
+        """Targets of the k nearest training rows to each row of X, (q, k, d)."""
+        X = _fitted_rows(self, X)
+        return self.train.targets[_knn_indices(self.train.features, X, self.k)]
+
+
+class KnnMeanRegressor(_KnnModel, Regressor):
+    kind = "knn_mean"
+
     def predict_rows(self, X) -> np.ndarray:
-        self._check_fitted()
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.p:
-            raise DimensionError(f"expected {self.p} features, got {X.shape[1]}")
-        idx = _knn_indices(self._X, X, self.k)
-        return self._Y[idx].mean(axis=1)
+        return self._neighbor_targets(X).mean(axis=1)
 
 
 class RidgeRegressor(Regressor):
@@ -333,7 +341,6 @@ class RidgeRegressor(Regressor):
     kind = "ridge_linear"
 
     def __init__(self, lam: float = 0.0):
-        super().__init__()
         if lam < 0:
             raise ParamError("ridge penalty must be >= 0")
         self.lam = float(lam)
@@ -348,22 +355,32 @@ class RidgeRegressor(Regressor):
         return self
 
     def predict_rows(self, X) -> np.ndarray:
-        self._check_fitted()
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.p:
-            raise DimensionError(f"expected {self.p} features, got {X.shape[1]}")
+        X = _fitted_rows(self, X)
         return np.column_stack([X, np.ones(X.shape[0])]) @ self.coef
 
 
+# regressor kind -> (class, every parameter it takes with its default)
+_REGRESSORS = {"knn_mean": (KnnMeanRegressor, {"k": 25}),
+               "ridge_linear": (RidgeRegressor, {"lam": 0.0})}
+
+
+def regressor_params(kind: str, params: dict) -> dict:
+    """The defaults of regressor `kind` updated by `params`, which it must all take."""
+    if kind not in _REGRESSORS:
+        raise ParamError(f"unknown regressor kind {kind!r}")
+    unknown = sorted(set(params) - set(_REGRESSORS[kind][1]))
+    if unknown:
+        raise ParamError(f"{kind} regressor takes no parameters {unknown}")
+    return {**_REGRESSORS[kind][1], **params}
+
+
 def fit_regressor(train: Dataset, kind: str = "knn_mean", **params) -> Regressor:
-    if kind == "knn_mean":
-        return KnnMeanRegressor(params.get("k", 10)).fit(train)
-    if kind == "ridge_linear":
-        return RidgeRegressor(params.get("lam", 0.0)).fit(train)
-    raise ParamError(f"unknown regressor kind {kind!r}")
+    """Fit a point predictor: knn_mean takes k (default 25), ridge_linear lam (default 0)."""
+    params = regressor_params(kind, params)
+    return _REGRESSORS[kind][0](**params).fit(train)
 
 
-class KnnQuantilePredictor:
+class KnnQuantilePredictor(_KnnModel):
     """Per-dimension empirical quantiles of the k nearest neighbors' targets."""
 
     kind = "knn_quantile"
@@ -372,34 +389,16 @@ class KnnQuantilePredictor:
         # closed endpoints allowed: (0, 1) degrades to per-dimension min/max
         if not (0.0 <= alpha_lo < alpha_hi <= 1.0):
             raise ParamError(f"need 0 <= alpha_lo < alpha_hi <= 1, got ({alpha_lo}, {alpha_hi})")
-        self.k = int(k)
+        super().__init__(k)
         self.alpha_lo = float(alpha_lo)
         self.alpha_hi = float(alpha_hi)
-        self._X = None
-        self._Y = None
-        self.fit_tag = None
-        self.p = None
-        self.d = None
-
-    def fit(self, train: Dataset) -> "KnnQuantilePredictor":
-        if self.k < 1 or self.k > train.n:
-            raise ParamError(f"k={self.k} outside [1, n_train={train.n}]")
-        self._X, self._Y = train.features, train.targets
-        self.p, self.d, self.fit_tag = train.p, train.d, train.tag
-        return self
 
     def predict_bounds(self, x):
         lo, hi = self.bounds_rows(np.atleast_2d(np.asarray(x, dtype=float)))
         return lo[0], hi[0]
 
     def bounds_rows(self, X):
-        if self._X is None:
-            raise NotFittedError("quantile predictor is not fitted")
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.p:
-            raise DimensionError(f"expected {self.p} features, got {X.shape[1]}")
-        idx = _knn_indices(self._X, X, self.k)
-        neigh = self._Y[idx]  # (q, k, d)
+        neigh = self._neighbor_targets(X)  # (q, k, d)
         # linear interpolation of order statistics (type-7 quantile)
         lo = np.quantile(neigh, self.alpha_lo, axis=1, method="linear")
         hi = np.quantile(neigh, self.alpha_hi, axis=1, method="linear")
@@ -412,8 +411,8 @@ def fit_quantile_predictor(train: Dataset, k: int, alpha_lo: float,
 
 
 def residuals(ds: Dataset, reg: Regressor) -> ScoreMatrix:
-    """Signed residual vectors y_i - yhat(x_i), tagged with their provenance."""
+    """Signed residual vectors y_i - yhat(x_i), tagged with the rows' dataset tag."""
     pred = reg.predict_rows(ds.features)
     if pred.shape != ds.targets.shape:
         raise DimensionError("regressor output dimension does not match targets")
-    return ScoreMatrix(ds.targets - pred, origin=f"{ds.tag or 'ds'}|{reg.kind}")
+    return ScoreMatrix(ds.targets - pred, origin=ds.tag or "")

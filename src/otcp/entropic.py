@@ -38,7 +38,7 @@ class EntropicMap:
     potentials: DualPotentials
     grid: SphericalGrid
     standardizer: Standardizer
-    origin: str = ""
+    fit_tag: str = ""  # tag of the residual rows the map was fitted on
 
     def __repr__(self):
         return (f"EntropicMap(dim={self.dim}, n={self.source_std.shape[0]}, "
@@ -146,10 +146,10 @@ def fit_entropic_map(scores, grid: SphericalGrid | None = None, *, m: int = 4096
     is built with m points in the matching dimension.
     """
     if isinstance(scores, ScoreMatrix):
-        z, origin = scores.scores, scores.origin
+        z, fit_tag = scores.scores, scores.origin
     else:
         z = np.atleast_2d(np.asarray(scores, dtype=float))
-        origin = ""
+        fit_tag = ""
     if grid is None:
         grid = build_spherical_grid(m, z.shape[1], mode=mode, seed=seed)
     if grid.dim != z.shape[1]:
@@ -158,4 +158,4 @@ def fit_entropic_map(scores, grid: SphericalGrid | None = None, *, m: int = 4096
     zs = std.transform(z)
     pot = sinkhorn_solve(OtProblem(zs, grid.points, epsilon), tol=tol,
                          max_iter=max_iter)
-    return EntropicMap(pot, grid, std, origin)
+    return EntropicMap(pot, grid, std, fit_tag)

@@ -10,7 +10,10 @@ Files are strict JSON (format v2): an infinite threshold, which calibration
 returns when alpha < 1/(n+1), is written as null. v1 files, which wrote it as
 the bare token Infinity, still load. Loading checks every map array's shape
 against the others and the residual bounding box against the score's
-dimension, and requires finite values, raising ParamError.
+dimension, and requires finite values, raising ParamError; alpha, threshold
+and band are checked where calibration checks them, in CalibratedPredictor.
+Both k-NN models go through one codec, and a map's `origin` key holds its
+fit_tag, the tag of the residual rows it was fitted on.
 """
 
 from __future__ import annotations
@@ -61,10 +64,20 @@ def _check_header(doc: dict, expected: str):
 # Regressor / quantile predictor state
 # ---------------------------------------------------------------------------
 
+def _knn_to_dict(model, params: dict) -> dict:
+    """A k-NN model: its own parameters, then the training rows and their tag."""
+    return {**params, "X": _arr(model.train.features), "Y": _arr(model.train.targets),
+            "tag": model.fit_tag}
+
+
+def _knn_from_dict(model, doc: dict):
+    X, Y = (_array(doc[key], f"k-NN {key}", (None, None)) for key in ("X", "Y"))
+    return model.fit(Dataset(X, Y, tag=doc.get("tag")))
+
+
 def _regressor_to_dict(reg) -> dict:
     if isinstance(reg, KnnMeanRegressor):
-        return {"kind": reg.kind, "k": reg.k, "X": _arr(reg._X), "Y": _arr(reg._Y),
-                "tag": reg.fit_tag}
+        return _knn_to_dict(reg, {"kind": reg.kind, "k": reg.k})
     if isinstance(reg, RidgeRegressor):
         return {"kind": reg.kind, "lam": reg.lam, "coef": _arr(reg.coef),
                 "p": reg.p, "d": reg.d, "tag": reg.fit_tag}
@@ -73,8 +86,7 @@ def _regressor_to_dict(reg) -> dict:
 
 def _regressor_from_dict(doc: dict):
     if doc["kind"] == "knn_mean":
-        X, Y = np.asarray(doc["X"]), np.asarray(doc["Y"])
-        return KnnMeanRegressor(doc["k"]).fit(Dataset(X, Y, tag=doc.get("tag")))
+        return _knn_from_dict(KnnMeanRegressor(doc["k"]), doc)
     if doc["kind"] == "ridge_linear":
         reg = RidgeRegressor(doc["lam"])
         reg.coef = _array(doc["coef"], "ridge coef", (doc["p"] + 1, doc["d"]))
@@ -84,13 +96,12 @@ def _regressor_from_dict(doc: dict):
 
 
 def _quantile_to_dict(qp: KnnQuantilePredictor) -> dict:
-    return {"k": qp.k, "alpha_lo": qp.alpha_lo, "alpha_hi": qp.alpha_hi,
-            "X": _arr(qp._X), "Y": _arr(qp._Y), "tag": qp.fit_tag}
+    return _knn_to_dict(qp, {"k": qp.k, "alpha_lo": qp.alpha_lo, "alpha_hi": qp.alpha_hi})
 
 
 def _quantile_from_dict(doc: dict) -> KnnQuantilePredictor:
-    ds = Dataset(np.asarray(doc["X"]), np.asarray(doc["Y"]), tag=doc.get("tag"))
-    return KnnQuantilePredictor(doc["k"], doc["alpha_lo"], doc["alpha_hi"]).fit(ds)
+    return _knn_from_dict(KnnQuantilePredictor(doc["k"], doc["alpha_lo"], doc["alpha_hi"]),
+                          doc)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +123,7 @@ def map_to_dict(emap: EntropicMap) -> dict:
         "grid": {"dim": grid.dim, "n_r": grid.n_r, "n_s": grid.n_s, "n_o": grid.n_o,
                  "points": _arr(grid.points), "radii": _arr(grid.radii),
                  "directions": _arr(grid.directions)},
-        "origin": emap.origin,
+        "origin": emap.fit_tag,
     }
 
 
@@ -201,11 +212,10 @@ def predictor_from_dict(doc: dict) -> CalibratedPredictor:
         high = _array(high, "residual_high", (score_fn.d,))
         if (low > high).any():
             raise ParamError("residual_low exceeds residual_high")
-    band = doc.get("band")
     return CalibratedPredictor(
         score_fn, doc["alpha"], math.inf if threshold is None else threshold,
         _array(doc["cal_scores"], "cal_scores", (None,)), low, high,
-        tuple(band) if band else None)
+        doc.get("band"))
 
 
 def save_predictor(pred: CalibratedPredictor, path) -> None:

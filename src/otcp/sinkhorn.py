@@ -275,10 +275,10 @@ def coupling_matrix(pot: DualPotentials) -> np.ndarray:
 
 def coupling_marginal_error(pot: DualPotentials) -> float:
     """Worst absolute deviation of coupling row sums from 1/n and column sums from 1/m."""
-    log_p = coupling_log_matrix(pot)
+    # one n x m logits array alive at a time: each reduction builds its own
     n, m = pot.problem.n, pot.problem.m
-    rows = np.exp(_gibbs(log_p.copy(), axis=1)[0]) * m
-    cols = np.exp(_gibbs(log_p, axis=0)[0]) * n
+    rows = np.exp(_gibbs(coupling_log_matrix(pot), axis=1)[0]) * m
+    cols = np.exp(_gibbs(coupling_log_matrix(pot), axis=0)[0]) * n
     return float(max(np.abs(rows - 1.0 / n).max(), np.abs(cols - 1.0 / m).max()))
 
 

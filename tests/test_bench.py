@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from otcp import (
     sweep,
     synth_dataset,
 )
-from otcp import bench
+from otcp import bench, data
 from otcp.bench import DEFAULT_SWEEP_EPSILONS, DEFAULT_SWEEP_TARGETS
 
 
@@ -180,9 +181,18 @@ def test_method_failure_isolated():
     cfg = _small_cfg(methods=("abs_univariate", "merge_l2"))  # abs needs d=1
     report = run_benchmark(cfg)
     by_method = {r.method: r for r in report.rows}
-    assert by_method["abs_univariate"].status.startswith("failed")
+    assert by_method["abs_univariate"].status.startswith("failed: DimensionError: ")
     assert by_method["merge_l2"].status == "ok"
     assert report.any_failed
+
+
+def test_programming_error_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AttributeError("no such attribute")
+
+    monkeypatch.setattr(bench, "fit_method", broken)
+    with pytest.raises(AttributeError):
+        run_benchmark(_small_cfg())
 
 
 def test_aggregate_standard_error_formula():
@@ -229,6 +239,46 @@ def test_config_validation_and_json(tmp_path):
                                 "methods": ["merge_l2"]}))
     cfg = BenchConfig.from_json_file(path)
     assert cfg.alpha == 0.2 and cfg.seeds == (3,)
+
+
+@pytest.mark.parametrize("over", [
+    {"otcp": {"eps": 0.01}},
+    {"mcp": {"alpha": 0.1}},
+    {"regressor": {"kind": "knn_mean", "lam": 3}},
+    {"regressor": {"kind": "ridge_linear", "k": 5}},
+    {"regressor": {"kind": "no_such_kind"}},
+    {"dataset": {"kind": "synthetic", "generator": "gaussian", "nn": 5}},
+    {"dataset": {"kind": "synthetic", "path": "data.csv"}},
+    {"dataset": {"kind": "csv", "path": "data.csv", "d_out": 2, "n": 10}},
+    {"dataset": {"kind": "csv", "d_out": 2}},
+    {"dataset": {"kind": "csv", "path": "data.csv"}},
+    {"dataset": {"kind": "parquet"}},
+])
+def test_config_rejects_keys_nothing_reads(over):
+    with pytest.raises(ParamError):
+        BenchConfig(**over)
+    with pytest.raises(ParamError):
+        BenchConfig.from_dict(over)
+
+
+def test_knn_fits_default_to_k_25(monkeypatch):
+    seen = []
+    fit = data._KnnModel.fit
+
+    def spy(model, train):
+        seen.append((model.kind, model.k))
+        return fit(model, train)
+
+    monkeypatch.setattr(data._KnnModel, "fit", spy)
+    run_benchmark(_small_cfg(methods=("mcp_max",), regressor={"kind": "knn_mean"}))
+    assert seen == [("knn_mean", 25), ("knn_quantile", 25)]
+
+
+def test_readme_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = BenchConfig.from_dict(json.loads(block))
+    assert cfg.regressor == {"kind": "knn_mean", "k": 25}
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,59 @@ def test_provenance_guard(gaussian_pipeline):
     assert math.isfinite(pred.threshold)
 
 
+def test_provenance_guard_covers_the_transport_map_split(gaussian_pipeline):
+    gp = gaussian_pipeline
+    fn = make_score_function("otcp", regressor=gp["reg"], transport_map=gp["emap"])
+    assert fn.fit_tags == {gp["train"].tag, gp["ot_fit"].tag}
+    with pytest.raises(ProvenanceError):
+        calibrate(fn, gp["ot_fit"], alpha=0.1)
+    # a map fitted on the calibration residuals leaves no split to calibrate on
+    own = make_score_function("otcp", regressor=gp["reg"], transport_map=fit_entropic_map(
+        residuals(gp["calib"], gp["reg"]), build_spherical_grid(64, 2), epsilon=0.5))
+    with pytest.raises(ProvenanceError):
+        calibrate(own, gp["calib"], alpha=0.1)
+
+
+def test_fit_tags_read_from_every_tagged_component(gaussian_pipeline):
+    gp = gaussian_pipeline
+    qp = fit_quantile_predictor(gp["train"], 10, 0.05, 0.95)
+    assert make_score_function("mcp_max", quantile_predictor=qp).fit_tags == {
+        gp["train"].tag}
+    # the whitener is a bare matrix and carries no tag
+    mh = make_score_function("merge_mahalanobis", regressor=gp["reg"], whitener=np.eye(2))
+    assert mh.fit_tags == {gp["train"].tag}
+    untagged = fit_regressor(Dataset(gp["train"].features, gp["train"].targets),
+                             "knn_mean", k=5)
+    assert make_score_function("merge_l2", regressor=untagged).fit_tags == frozenset()
+
+
+@pytest.mark.parametrize("kind", ["merge_l2", "mcp_max", "otcp"])
+def test_contains_candidates_checks_response_width(gaussian_pipeline, kind):
+    gp = gaussian_pipeline
+    parts = {"regressor": gp["reg"], "transport_map": gp["emap"],
+             "quantile_predictor": fit_quantile_predictor(gp["train"], 10, 0.05, 0.95)}
+    pred = calibrate(make_score_function(kind, **parts), gp["calib"], alpha=0.1)
+    x = gp["test"].features[0]
+    Y = np.random.default_rng(0).standard_normal((7, 2))
+    expected = [pred.contains(x, y) for y in Y]
+    assert pred.contains_candidates(x, Y).tolist() == expected
+    for width in (1, 3):
+        with pytest.raises(DimensionError):
+            pred.contains_candidates(x, np.zeros((7, width)))
+
+
+def test_score_rows_takes_one_x_row_or_one_per_response(gaussian_pipeline):
+    gp = gaussian_pipeline
+    fn = make_score_function("merge_l2", regressor=gp["reg"])
+    X, Y = gp["test"].features[:4], gp["test"].targets[:4]
+    assert fn.score_rows(X[:1], Y).shape == (4,)
+    assert np.array_equal(fn.score_rows(X[:1], Y)[1:2], fn.score_rows(X[:1], Y[1:2]))
+    with pytest.raises(DimensionError):
+        fn.score_rows(X[:3], Y)
+    with pytest.raises(DimensionError):
+        fn.score_rows(X, Y[:1])
+
+
 def test_contains_infinite_threshold(gaussian_pipeline):
     gp = gaussian_pipeline
     fn = make_score_function("merge_l2", regressor=gp["reg"])

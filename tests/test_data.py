@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from otcp import (
     Dataset,
     DimensionError,
+    KnnQuantilePredictor,
+    NotFittedError,
     ParamError,
     ParseError,
+    Regressor,
     SplitError,
     SplitSpec,
     fit_quantile_predictor,
@@ -213,6 +216,60 @@ def test_knn_prediction_in_neighbor_hull():
         assert (pred <= neigh.max(axis=0) + 1e-12).all()
 
 
+def test_fit_regressor_rejects_params_its_kind_does_not_take():
+    ds = synth_dataset("gaussian", 30, 2, seed=1)
+    with pytest.raises(ParamError):
+        fit_regressor(ds, "knn_mean", k=5, lam=3.0)
+    with pytest.raises(ParamError):
+        fit_regressor(ds, "ridge_linear", k=5)
+    with pytest.raises(ParamError):
+        fit_regressor(ds, "no_such_kind")
+
+
+def test_knn_mean_default_k_is_25():
+    ds = synth_dataset("gaussian", 60, 2, seed=1)
+    assert fit_regressor(ds, "knn_mean").k == 25
+
+
+def test_knn_models_keep_the_training_dataset_once():
+    ds = synth_dataset("gaussian", 30, 2, {"p": 3}, seed=1, tag="tr")
+    for model in (fit_regressor(ds, "knn_mean", k=5),
+                  fit_quantile_predictor(ds, 5, 0.1, 0.9)):
+        assert model.train is ds
+        assert (model.p, model.d, model.fit_tag) == (3, 2, "tr")
+    unfitted = KnnQuantilePredictor(5, 0.1, 0.9)
+    assert (unfitted.p, unfitted.d, unfitted.fit_tag) == (None, None, None)
+    with pytest.raises(NotFittedError):
+        unfitted.bounds_rows(np.zeros((1, 3)))
+    with pytest.raises(DimensionError):
+        model.bounds_rows(np.zeros((1, 2)))
+    assert not isinstance(model, Regressor)
+
+
+def _knn_reference(train_X, train_Y, X, k):
+    # direct differences per query, stable sort: ties go to the lower index
+    return np.stack([train_Y[np.argsort(((train_X - x) ** 2).sum(axis=1),
+                                        kind="stable")[:k]] for x in X])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 3), st.integers(1, 3), st.integers(1, 12),
+       st.floats(0.0, 0.49), st.floats(0.51, 1.0), st.integers(0, 2**31 - 1))
+def test_knn_models_match_direct_reference(n, p, d, q, a_lo, a_hi, seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, n + 1))
+    # integer-valued features on a small range force tied distances
+    train = Dataset(rng.integers(-2, 3, size=(n, p)).astype(float),
+                    rng.standard_normal((n, d)))
+    X = rng.integers(-2, 3, size=(q, p)).astype(float)
+    neigh = _knn_reference(train.features, train.targets, X, k)
+    assert np.array_equal(fit_regressor(train, "knn_mean", k=k).predict_rows(X),
+                          neigh.mean(axis=1))
+    lo, hi = fit_quantile_predictor(train, k, a_lo, a_hi).bounds_rows(X)
+    assert np.array_equal(lo, np.quantile(neigh, a_lo, axis=1))
+    assert np.array_equal(hi, np.quantile(neigh, a_hi, axis=1))
+
+
 # ---------------------------------------------------------------------------
 # Quantile predictor
 # ---------------------------------------------------------------------------
@@ -285,6 +342,12 @@ def test_knn1_training_residuals_zero():
     ds = synth_dataset("gaussian", 25, 2, seed=9)
     reg = fit_regressor(ds, "knn_mean", k=1)
     assert np.abs(residuals(ds, reg).scores).max() == 0.0
+
+
+def test_residuals_carry_the_rows_dataset_tag():
+    ds = synth_dataset("gaussian", 20, 2, seed=7, tag="fit_rows")
+    reg = fit_regressor(synth_dataset("gaussian", 20, 2, seed=8), "knn_mean", k=5)
+    assert residuals(ds, reg).origin == "fit_rows"
 
 
 def test_dataset_rejects_nonfinite():

@@ -32,7 +32,7 @@ def fitted():
     emap = fit_entropic_map(residuals(ot_fit, reg), build_spherical_grid(256, 2),
                             epsilon=0.2)
     return {"reg": reg, "emap": emap, "calib": calib, "test": test,
-            "train": train}
+            "train": train, "ot_fit": ot_fit}
 
 
 def test_map_round_trip(fitted, tmp_path):
@@ -166,6 +166,12 @@ def _edit(doc, path, fn):
     (("residual_high",), lambda v: [math.inf, v[1]]),
     (("residual_high",), lambda v: None),
     (("residual_low",), lambda v: [x + 100.0 for x in v]),
+    (("alpha",), lambda a: 7.0),
+    (("threshold",), lambda t: math.nan),
+    (("threshold",), lambda t: "x"),
+    (("band",), lambda b: [0.9, 0.1]),
+    (("band",), lambda b: ["a", 1]),
+    (("band",), lambda b: [0.1, 0.5, 0.9]),
 ])
 def test_load_rejects_inconsistent_artifacts(fitted, tmp_path, path, fn):
     kind = "merge_mahalanobis" if "whitener" in path else "otcp"
@@ -178,3 +184,19 @@ def test_load_rejects_inconsistent_artifacts(fitted, tmp_path, path, fn):
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     with pytest.raises(ParamError):
         load_predictor(tmp_path / "bad.json")
+
+
+def test_artifacts_keep_their_keys_and_the_map_tag(fitted, tmp_path):
+    fn = make_score_function("otcp", regressor=fitted["reg"], transport_map=fitted["emap"])
+    save_predictor(calibrate(fn, fitted["calib"], alpha=0.1), tmp_path / "otcp.json")
+    score = json.loads((tmp_path / "otcp.json").read_text())["score"]
+    assert list(score["regressor"]) == ["kind", "k", "X", "Y", "tag"]
+    # the map is tagged with the residual rows' dataset tag, which calibration matches
+    assert score["map"]["origin"] == fitted["emap"].fit_tag == fitted["ot_fit"].tag
+    back = load_predictor(tmp_path / "otcp.json").score_fn
+    assert back.fit_tags == {fitted["train"].tag, fitted["ot_fit"].tag}
+    qp = fit_quantile_predictor(fitted["train"], 10, 0.05, 0.95)
+    mcp = make_score_function("mcp_max", quantile_predictor=qp)
+    save_predictor(calibrate(mcp, fitted["calib"], alpha=0.1), tmp_path / "mcp.json")
+    doc = json.loads((tmp_path / "mcp.json").read_text())["score"]["quantile_predictor"]
+    assert list(doc) == ["k", "alpha_lo", "alpha_hi", "X", "Y", "tag"]

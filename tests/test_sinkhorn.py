@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,25 @@ def test_convergence_reports_consistent_error():
     pot = sinkhorn_solve(prob, tol=1e-7)
     assert pot.converged
     assert coupling_marginal_error(pot) <= 1e-7
+
+
+def test_coupling_marginal_error_holds_one_logits_array():
+    rng = np.random.default_rng(23)
+    n, m = 200, 1024
+    pot = sinkhorn_solve(OtProblem(rng.standard_normal((n, 2)),
+                                   rng.standard_normal((m, 2)), 0.1))
+    tracemalloc.start()
+    try:
+        err = coupling_marginal_error(pot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * m * 8
+    # the same value as reducing one logits array twice
+    log_p = sinkhorn.coupling_log_matrix(pot)
+    rows = np.exp(sinkhorn._gibbs(log_p.copy(), axis=1)[0]) * m
+    cols = np.exp(sinkhorn._gibbs(log_p, axis=0)[0]) * n
+    assert err == max(np.abs(rows - 1.0 / n).max(), np.abs(cols - 1.0 / m).max())
 
 
 def _log_domain_solve(prob, tol=1e-6, max_iter=2000):
