@@ -39,6 +39,7 @@ from .data import (
     residuals,
     split_dataset,
     synth_dataset,
+    synth_params,
 )
 from .entropic import fit_entropic_map
 from .errors import MethodError, NotFittedError, ParamError, ProvenanceError
@@ -108,6 +109,9 @@ class BenchConfig:
         _check_keys("dataset", self.dataset, DATASET_KEYS[kind])
         if kind == "csv" and not {"path", "d_out"} <= set(self.dataset):
             raise ParamError("a csv dataset needs path and d_out")
+        if kind == "synthetic":  # rejects a generator or param synth_dataset would
+            synth_params(self.dataset.get("generator", "gaussian"),
+                         self.dataset.get("params"))
         # rejects a regressor kind or parameter that fit_regressor would
         regressor_params(self.regressor.get("kind", "knn_mean"),
                          {k: v for k, v in self.regressor.items() if k != "kind"})

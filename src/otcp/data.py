@@ -211,21 +211,40 @@ def _check_spd(cov: np.ndarray, d: int) -> np.ndarray:
         raise ParamError("covariance must be positive definite") from None
 
 
+# synthetic kind -> the params it reads besides p and slope, which every kind reads
+_SYNTH_PARAMS = {"gaussian": ("cov",),
+                 "banana": ("spread", "curvature", "noise"),
+                 "mixture": ("means", "weights", "covs", "cov")}
+
+
+def synth_params(kind: str, params: dict | None) -> dict:
+    """A copy of `params`, once synthetic `kind` exists and reads every key in it."""
+    if kind not in _SYNTH_PARAMS:
+        raise ParamError(f"unknown synthetic kind {kind!r}")
+    params = dict(params or {})
+    unknown = sorted(set(params) - {"p", "slope", *_SYNTH_PARAMS[kind]})
+    if unknown:
+        raise ParamError(f"{kind} generator reads no params {unknown}")
+    return params
+
+
 def synth_dataset(kind: str, n: int, d: int = 2, params: dict | None = None,
                   seed: int = 0, tag: str | None = None) -> Dataset:
     """Seeded synthetic data: uniform features, mean function plus shaped noise.
 
-    kinds:
-      gaussian -- noise ~ N(0, cov) (params: cov (default I), slope, p)
+    kinds (every kind also reads params p, default 1, and slope, default 1):
+      gaussian -- noise ~ N(0, cov) (params: cov (default I))
       banana   -- d=2 curved residuals: (t, c*(t^2 - spread^2)) + vertical noise
+                  (params: spread, curvature, noise)
       mixture  -- Gaussian mixture noise (params: means, weights, covs|cov)
 
-    Feature, noise, and mixture-assignment streams are seeded independently, so
-    a one-component zero-mean mixture reproduces the gaussian case bit-for-bit.
+    A params key the kind does not read raises ParamError. Feature, noise, and
+    mixture-assignment streams are seeded independently, so a one-component
+    zero-mean mixture reproduces the gaussian case bit-for-bit.
     """
     if n < 1:
         raise ParamError("n must be >= 1")
-    params = dict(params or {})
+    params = synth_params(kind, params)
     p = int(params.get("p", 1))
     slope = float(params.get("slope", 1.0))
     ss_x, ss_noise, ss_assign = np.random.SeedSequence(seed).spawn(3)
@@ -246,7 +265,7 @@ def synth_dataset(kind: str, n: int, d: int = 2, params: dict | None = None,
         Z = rng_noise.standard_normal((n, 2))
         t = spread * Z[:, 0]
         noise = np.column_stack([t, curvature * (t**2 - spread**2) + vnoise * Z[:, 1]])
-    elif kind == "mixture":
+    else:  # mixture
         means = np.asarray(params.get("means", np.zeros((1, d))), dtype=float)
         if means.ndim != 2 or means.shape[1] != d:
             raise ParamError(f"mixture means must be k x {d}")
@@ -264,8 +283,6 @@ def synth_dataset(kind: str, n: int, d: int = 2, params: dict | None = None,
         for comp in range(k):
             rows = assign == comp
             noise[rows] = means[comp] + Z[rows] @ Ls[comp].T
-    else:
-        raise ParamError(f"unknown synthetic kind {kind!r}")
 
     Y = _mean_function(X, d, slope) + noise
     return Dataset(X, Y, tag=tag or f"synth:{kind}:{seed}")
@@ -295,13 +312,53 @@ def _fitted_rows(model, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.shape[1] != model.p:
         raise DimensionError(f"expected {model.p} features, got {X.shape[1]}")
+    if not np.isfinite(X).all():
+        raise ParamError("query features contain NaN or Inf")
     return X
 
 
+_KNN_BLOCK_ENTRIES = 1 << 18  # cap on query rows * training rows per distance block
+
+
 def _knn_indices(train_X: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
-    # squared distances, stable argsort so equal distances favor lower index
-    d2 = ((X[:, None, :] - train_X[None, :, :]) ** 2).sum(axis=2)
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    """Indices of the k nearest training rows to each row of X, nearest first, (q, k).
+
+    Equal distances favor the lower training index, exactly as a stable sort of
+    each row's distances would order them. A squared distance is summed one
+    feature at a time, (x_0 - t_0)^2 + (x_1 - t_1)^2 + ..., which for p <= 7
+    equals numpy's ((x - t) ** 2).sum() bit for bit; from p = 8 on numpy sums
+    pairwise, so the two can differ in the last bit and a near-tie can go the
+    other way. Each row is partitioned at its k-th smallest distance and only
+    the k kept columns are sorted. Queries run in blocks of at most
+    _KNN_BLOCK_ENTRIES distances, so memory does not grow with q.
+    """
+    n, p = train_X.shape
+    q = X.shape[0]
+    step = max(1, min(q, _KNN_BLOCK_ENTRIES // n))
+    columns = np.ascontiguousarray(train_X.T)
+    d2_buf, sq_buf = np.empty((step, n)), np.empty((step, n))
+    out = np.empty((q, k), dtype=np.intp)
+    for lo in range(0, q, step):
+        rows = X[lo:lo + step]
+        d2, sq = d2_buf[:len(rows)], sq_buf[:len(rows)]
+        np.subtract(rows[:, :1], columns[0], out=d2)
+        d2 *= d2
+        for j in range(1, p):
+            np.subtract(rows[:, j:j + 1], columns[j], out=sq)
+            sq *= sq
+            d2 += sq
+        # the k-th smallest distance per row, copied so the partition is freed
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k].copy()
+        keep = d2 < kth
+        # fill each row up to k with its lowest-index columns at the k-th distance
+        ties = d2 == kth
+        ties &= (np.cumsum(ties, axis=1, dtype=np.int32)
+                 <= k - np.count_nonzero(keep, axis=1)[:, None])
+        keep |= ties
+        cand = (np.flatnonzero(keep) % n).reshape(-1, k)  # ascending per row
+        order = np.argsort(np.take_along_axis(d2, cand, axis=1), axis=1, kind="stable")
+        out[lo:lo + len(rows)] = np.take_along_axis(cand, order, axis=1)
+    return out
 
 
 class _KnnModel:

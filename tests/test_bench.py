@@ -253,6 +253,9 @@ def test_config_validation_and_json(tmp_path):
     {"dataset": {"kind": "csv", "d_out": 2}},
     {"dataset": {"kind": "csv", "path": "data.csv"}},
     {"dataset": {"kind": "parquet"}},
+    {"dataset": {"kind": "synthetic", "generator": "gaussian", "params": {"nosie": 1.0}}},
+    {"dataset": {"kind": "synthetic", "generator": "banana", "params": {"cov": [[1.0]]}}},
+    {"dataset": {"kind": "synthetic", "generator": "no_such_generator"}},
 ])
 def test_config_rejects_keys_nothing_reads(over):
     with pytest.raises(ParamError):

@@ -1,0 +1,23 @@
+"""scripts/bench_snapshot.py: the per-metric summary and a failed run."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_snapshot.py"
+_SPEC = importlib.util.spec_from_file_location("bench_snapshot", _PATH)
+snapshot = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(snapshot)
+
+
+def test_summary_is_median_and_inclusive_quartiles():
+    values = [3.0, 1.0, 2.0, 4.0, 5.0]
+    assert snapshot.summarize(values) == {"median": 3.0, "q1": 2.0, "q3": 4.0,
+                                          "values": values}
+    assert snapshot.summarize([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0,
+                                         "values": [2.0]}
+
+
+def test_a_run_that_exits_nonzero_gives_an_error_and_no_result():
+    env, result, error = snapshot.run_workload("no_such_workload", 0, 1.0, 0, True)
+    assert result is None
+    assert error.startswith("exit 2:") and "--workload must be one of" in error

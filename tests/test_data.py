@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otcp import data
 from otcp import (
     Dataset,
     DimensionError,
@@ -167,6 +170,23 @@ def test_banana_requires_d2():
         synth_dataset("banana", 10, 3, seed=0)
 
 
+def test_synth_rejects_params_its_kind_does_not_read():
+    for kind, params in [("gaussian", {"nosie": 1.0}), ("gaussian", {"slop": 3}),
+                         ("gaussian", {"noise": 0.3}), ("banana", {"cov": [[1.0]]}),
+                         ("mixture", {"spread": 1.0})]:
+        with pytest.raises(ParamError, match="reads no params"):
+            synth_dataset(kind, 10, 2, params, seed=0)
+    with pytest.raises(ParamError, match="unknown synthetic kind"):
+        synth_dataset("no_such_kind", 10, 2, seed=0)
+    # every key a kind reads is accepted
+    synth_dataset("gaussian", 10, 2, {"p": 2, "slope": 0.5, "cov": np.eye(2)}, seed=0)
+    synth_dataset("banana", 10, 2, {"p": 2, "slope": 0.5, "spread": 1.0,
+                                    "curvature": 0.5, "noise": 0.1}, seed=0)
+    synth_dataset("mixture", 10, 2, {"p": 2, "slope": 0.5, "means": [[0.0, 0.0]],
+                                     "weights": [1.0], "covs": [np.eye(2)]}, seed=0)
+    synth_dataset("mixture", 10, 2, {"cov": np.eye(2)}, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # Regressors
 # ---------------------------------------------------------------------------
@@ -252,22 +272,64 @@ def _knn_reference(train_X, train_Y, X, k):
                                         kind="stable")[:k]] for x in X])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 30), st.integers(1, 3), st.integers(1, 3), st.integers(1, 12),
-       st.floats(0.0, 0.49), st.floats(0.51, 1.0), st.integers(0, 2**31 - 1))
-def test_knn_models_match_direct_reference(n, p, d, q, a_lo, a_hi, seed):
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 10), st.integers(1, 3), st.integers(1, 40),
+       st.sampled_from(["integer", "decimal", "continuous"]), st.booleans(),
+       st.integers(1, 1000), st.floats(0.0, 0.49), st.floats(0.51, 1.0),
+       st.integers(0, 2**31 - 1))
+def test_knn_models_match_direct_reference(n, p, d, q, features, all_rows, block,
+                                           a_lo, a_hi, seed):
     rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, n + 1))
-    # integer-valued features on a small range force tied distances
-    train = Dataset(rng.integers(-2, 3, size=(n, p)).astype(float),
-                    rng.standard_normal((n, d)))
-    X = rng.integers(-2, 3, size=(q, p)).astype(float)
+    k = n if all_rows else int(rng.integers(1, n + 1))
+    if features == "integer" or p >= 8:
+        # integer values on a small range force tied distances and sum exactly
+        # in any order, so p >= 8 compares bit for bit as well
+        def draw(rows):
+            return rng.integers(-2, 3, size=(rows, p)).astype(float)
+    elif features == "decimal":
+        # one-decimal values give distances that tie in exact arithmetic but
+        # round by the order of the sum, so the summation order must match
+        def draw(rows):
+            return rng.integers(-10, 11, size=(rows, p)) / 10
+    else:
+        def draw(rows):
+            return rng.standard_normal((rows, p))
+    train = Dataset(draw(n), rng.standard_normal((n, d)))
+    X = draw(q)
     neigh = _knn_reference(train.features, train.targets, X, k)
-    assert np.array_equal(fit_regressor(train, "knn_mean", k=k).predict_rows(X),
-                          neigh.mean(axis=1))
-    lo, hi = fit_quantile_predictor(train, k, a_lo, a_hi).bounds_rows(X)
+    # small block caps push q through several distance blocks
+    with mock.patch.object(data, "_KNN_BLOCK_ENTRIES", block):
+        mean = fit_regressor(train, "knn_mean", k=k).predict_rows(X)
+        lo, hi = fit_quantile_predictor(train, k, a_lo, a_hi).bounds_rows(X)
+    assert np.array_equal(mean, neigh.mean(axis=1))
     assert np.array_equal(lo, np.quantile(neigh, a_lo, axis=1))
     assert np.array_equal(hi, np.quantile(neigh, a_hi, axis=1))
+
+
+def test_knn_search_memory_stays_within_a_few_blocks():
+    rng = np.random.default_rng(0)
+    train_X, X = rng.uniform(size=(1200, 3)), rng.uniform(size=(4000, 3))
+    block_bytes = data._KNN_BLOCK_ENTRIES * 8
+    tracemalloc.start()
+    try:
+        idx = data._knn_indices(train_X, X, 25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idx.shape == (4000, 25)
+    # two distance buffers, the partitioned copy, tie masks and the output come
+    # to about 3.7 blocks; a (q, n, p) difference tensor alone would be 115 MB
+    assert peak < 5 * block_bytes
+
+
+def test_predictors_reject_nonfinite_queries():
+    ds = synth_dataset("gaussian", 30, 2, {"p": 2}, seed=1)
+    for query in (fit_regressor(ds, "knn_mean", k=5).predict_rows,
+                  fit_regressor(ds, "ridge_linear").predict_rows,
+                  fit_quantile_predictor(ds, 5, 0.1, 0.9).bounds_rows):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParamError):
+                query(np.array([[0.5, 0.5], [0.2, bad]]))
 
 
 # ---------------------------------------------------------------------------
