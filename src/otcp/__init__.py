@@ -13,7 +13,6 @@ from .bench import (
     MethodResult,
     export_contours,
     marginal_coverage,
-    read_region_csv,
     region_size_mc,
     run_benchmark,
     sweep,
@@ -29,6 +28,7 @@ from .conformal import (
     SCORE_KINDS,
     ScoreFunction,
     TransportRankScore,
+    Whitener,
     calibrate,
     conformal_threshold,
     default_mahalanobis_ridge,
@@ -67,24 +67,18 @@ from .errors import (
     SinkhornNotConverged,
     SplitError,
 )
-from .serialize import load_map, load_predictor, save_map, save_predictor
+from .serialize import load_predictor, save_predictor
 from .sinkhorn import (
     DualPotentials,
     OtProblem,
     Standardizer,
     coupling_marginal_error,
-    coupling_matrix,
-    dual_objective,
-    lse_eps,
-    pairwise_sq_dists,
     sinkhorn_solve,
-    squared_cost,
 )
 from .sphere import (
     SphericalGrid,
     build_spherical_grid,
     grid_radius_index,
-    grid_to_csv,
     halton_sequence,
     inverse_normal_cdf,
     sphere_directions,

@@ -380,11 +380,6 @@ def write_region_csv(region, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_region_csv(path) -> np.ndarray:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()[1:]
-    return np.asarray([[float(v) for v in line.split(",")] for line in lines])
-
-
 def export_contours(pred: CalibratedPredictor, xs, alphas, out_dir,
                     n_angles: int = 128) -> list[Path]:
     """One polygon CSV per (query point, alpha), plus a manifest with areas.

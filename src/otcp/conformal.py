@@ -145,18 +145,18 @@ class MahalanobisResidualScore(_RegressionScore):
     kind = "merge_mahalanobis"
     components = ("regressor", "whitener")
 
-    def __init__(self, regressor, whitener: np.ndarray):
+    def __init__(self, regressor, whitener: Whitener | np.ndarray):
         super().__init__(regressor)
-        W = np.asarray(whitener, dtype=float)
-        if W.shape != (self.d, self.d):
+        W = whitener if isinstance(whitener, Whitener) else Whitener(whitener)
+        if W.matrix.shape != (self.d, self.d):
             raise DimensionError(f"whitener must be {self.d}x{self.d}")
         self.whitener = W
 
     def _score_residuals(self, resid):
-        return np.linalg.norm(resid @ self.whitener.T, axis=1)
+        return np.linalg.norm(resid @ self.whitener.matrix.T, axis=1)
 
     def contour_2d(self, x, r, circle):
-        half = np.linalg.inv(self.whitener)  # maps the unit ball to the ellipse
+        half = np.linalg.inv(self.whitener.matrix)  # maps the unit ball to the ellipse
         return self.center(x)[None, :] + (r * circle) @ half.T, False
 
 
@@ -245,10 +245,37 @@ def make_score_function(kind: str, regressor=None, quantile_predictor=None,
     return cls(*(given[name] for name in cls.components))
 
 
-def estimate_covariance(resid, ridge: float = 0.0) -> np.ndarray:
-    """Inverse square root of (sample covariance + ridge*I) via eigendecomposition."""
+@dataclass(frozen=True, eq=False)
+class Whitener:
+    """A whitening matrix and the tag of the residual rows it was estimated on.
+
+    numpy reads it as the plain matrix (`z @ W.T`, `np.linalg.inv(W)`), and
+    `fit_tag` lets calibration refuse those rows.
+    """
+
+    matrix: np.ndarray
+    fit_tag: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.matrix, dtype=dtype)
+
+    @property
+    def T(self) -> np.ndarray:
+        return self.matrix.T
+
+
+def estimate_covariance(resid, ridge: float = 0.0) -> Whitener:
+    """Inverse square root of (sample covariance + ridge*I) via eigendecomposition.
+
+    A ScoreMatrix's origin becomes the whitener's fit_tag; a plain array
+    gives an untagged whitener.
+    """
+    fit_tag = ""
     if isinstance(resid, ScoreMatrix):
-        resid = resid.scores
+        resid, fit_tag = resid.scores, resid.origin
     Z = np.atleast_2d(np.asarray(resid, dtype=float))
     if ridge < 0:
         raise ParamError("ridge must be >= 0")
@@ -259,7 +286,7 @@ def estimate_covariance(resid, ridge: float = 0.0) -> np.ndarray:
     if vals.min() <= 1e-12:
         raise SingularError(
             f"covariance singular: smallest eigenvalue {vals.min():.3e} after ridge={ridge}")
-    return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
+    return Whitener((vecs * (1.0 / np.sqrt(vals))) @ vecs.T, fit_tag)
 
 
 def default_mahalanobis_ridge(resid) -> float:
@@ -382,8 +409,8 @@ def calibrate(score_fn: ScoreFunction, calib: Dataset, alpha: float,
     """Score every calibration pair and keep the conformal threshold.
 
     Refuses calibration data whose provenance tag matches the data any fitted
-    component saw (regressor, quantile predictor or transport map: the
-    score's fit_tags), unless allow_same_data is set (the
+    component saw (regressor, whitener, quantile predictor or transport map:
+    the score's fit_tags), unless allow_same_data is set (the
     permutation-invariant single-split variant).
     """
     if calib.d != score_fn.d:

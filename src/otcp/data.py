@@ -457,8 +457,8 @@ class KnnQuantilePredictor(_KnnModel):
     def bounds_rows(self, X):
         neigh = self._neighbor_targets(X)  # (q, k, d)
         # linear interpolation of order statistics (type-7 quantile)
-        lo = np.quantile(neigh, self.alpha_lo, axis=1, method="linear")
-        hi = np.quantile(neigh, self.alpha_hi, axis=1, method="linear")
+        lo, hi = np.quantile(neigh, [self.alpha_lo, self.alpha_hi], axis=1,
+                             method="linear")
         return lo, hi
 
 

@@ -68,13 +68,10 @@ class EntropicMap:
             raise ParamError("query contains non-finite values")
         return z, single
 
-    def _gibbs_average(self, queries, points, potential, values=None) -> np.ndarray:
-        """Per query row, softmax_j((potential_j - ||q - points_j||^2)/eps) @ values.
-
-        With values None, returns the softmax weights themselves.
-        """
+    def _gibbs_average(self, queries, points, potential, values) -> np.ndarray:
+        """Per query row, softmax_j((potential_j - ||q - points_j||^2)/eps) @ values."""
         q, m = queries.shape[0], points.shape[0]
-        out = np.empty((q, m if values is None else values.shape[1]))
+        out = np.empty((q, values.shape[1]))
         step = max(1, min(q, _CHUNK_ENTRIES // m))
         psi = potential / self.epsilon
         buf = np.empty((step, m))
@@ -83,19 +80,8 @@ class EntropicMap:
             logits = _logits(block, points, self.epsilon, 0.0, psi,
                              buf[:block.shape[0]])
             total = _gibbs(logits, axis=1)[1][:, None]
-            out[lo:lo + block.shape[0]] = (logits if values is None
-                                           else logits @ values) / total
+            out[lo:lo + block.shape[0]] = (logits @ values) / total
         return out
-
-    def gibbs_weights(self, z) -> np.ndarray:
-        """Softmin weights over grid points: p_j(z) prop exp(-(||z-u_j||^2 - g_j)/eps).
-
-        Nonnegative and summing to one per query row; z is standardized first.
-        """
-        z, single = self._queries(z)
-        out = self._gibbs_average(self.standardizer.transform(z), self.grid.points,
-                                  self.potentials.g)
-        return out[0] if single else out
 
     def forward_std(self, z_std) -> np.ndarray:
         """Forward map of standardized queries (no input transform), one row each."""

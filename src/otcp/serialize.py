@@ -6,14 +6,20 @@ score and contour without refitting: regressor state, whitener, quantile
 predictor, or the full transport map (potentials, grid, standardized source,
 standardizer).
 
-Files are strict JSON (format v2): an infinite threshold, which calibration
-returns when alpha < 1/(n+1), is written as null. v1 files, which wrote it as
-the bare token Infinity, still load. Loading checks every map array's shape
-against the others and the residual bounding box against the score's
-dimension, and requires finite values, raising ParamError; alpha, threshold
-and band are checked where calibration checks them, in CalibratedPredictor.
-Both k-NN models go through one codec, and a map's `origin` key holds its
-fit_tag, the tag of the residual rows it was fitted on.
+Files are strict JSON (format v3): an infinite threshold, which calibration
+returns when alpha < 1/(n+1), is written as null. A map stores its grid as
+the radius ladder, the unit directions and the origin count, and the grid
+points are rebuilt from them on load; v1 and v2 files, which also stored
+the points, dim, n_r and n_s, load through the same path, which ignores
+those keys. v1 files wrote an infinite threshold as the bare token Infinity.
+A v3 whitener is its matrix plus the tag of the residual rows it was
+estimated on; v1 and v2 stored the bare matrix, which loads untagged.
+Loading checks every map array's shape against the others and the residual
+bounding box against the score's dimension, and requires finite values,
+raising ParamError; alpha, threshold and band are checked where calibration
+checks them, in CalibratedPredictor. Both k-NN models go through one codec,
+and a map's `origin` key holds its fit_tag, the tag of the residual rows it
+was fitted on.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import CalibratedPredictor, make_score_function
+from .conformal import CalibratedPredictor, Whitener, make_score_function
 from .data import Dataset, KnnMeanRegressor, KnnQuantilePredictor, RidgeRegressor
 from .entropic import EntropicMap
 from .errors import DimensionError, ParamError
@@ -33,7 +39,7 @@ from .sphere import SphericalGrid
 
 MAP_FORMAT = "entropic-map"
 PREDICTOR_FORMAT = "conformal-predictor"
-VERSION = 2
+VERSION = 3
 
 
 def _arr(a) -> list:
@@ -54,9 +60,9 @@ def _array(value, name: str, shape: tuple) -> np.ndarray:
 
 
 def _check_header(doc: dict, expected: str):
-    if doc.get("format") != expected or doc.get("version") not in (1, VERSION):
+    if doc.get("format") != expected or doc.get("version") not in (1, 2, VERSION):
         raise ParamError(
-            f"expected {expected} v1 or v{VERSION}, "
+            f"expected {expected} v1 to v{VERSION}, "
             f"got {doc.get('format')} v{doc.get('version')}")
 
 
@@ -120,8 +126,7 @@ def map_to_dict(emap: EntropicMap) -> dict:
         "source_std": _arr(emap.source_std),
         "standardizer": {"mean": _arr(emap.standardizer.mean),
                          "scale": _arr(emap.standardizer.scale)},
-        "grid": {"dim": grid.dim, "n_r": grid.n_r, "n_s": grid.n_s, "n_o": grid.n_o,
-                 "points": _arr(grid.points), "radii": _arr(grid.radii),
+        "grid": {"n_o": grid.n_o, "radii": _arr(grid.radii),
                  "directions": _arr(grid.directions)},
         "origin": emap.fit_tag,
     }
@@ -130,16 +135,15 @@ def map_to_dict(emap: EntropicMap) -> dict:
 def map_from_dict(doc: dict) -> EntropicMap:
     _check_header(doc, MAP_FORMAT)
     g = doc["grid"]
-    dim = g["dim"]
-    grid = SphericalGrid(dim, g["n_r"], g["n_s"], g["n_o"],
-                         _array(g["points"], "grid points", (None, dim)),
-                         _array(g["radii"], "grid radii", (g["n_r"],)),
-                         _array(g["directions"], "grid directions", (g["n_s"], dim)))
-    source = _array(doc["source_std"], "source_std", (None, dim))
-    prob = OtProblem(source, grid.points, doc["epsilon"])
-    pot = DualPotentials(_array(doc["f"], "f", (prob.n,)), _array(doc["g"], "g", (prob.m,)),
-                         doc["epsilon"], prob, doc["iterations"],
-                         doc["marginal_error"], doc["converged"])
+    # the points, dim, n_r and n_s that v1 and v2 also stored follow from these
+    grid = SphericalGrid(_array(g["radii"], "grid radii", (None,)),
+                         _array(g["directions"], "grid directions", (None, None)),
+                         g["n_o"])
+    dim = grid.dim
+    prob = OtProblem(_array(doc["source_std"], "source_std", (None, dim)), grid.points,
+                     doc["epsilon"])
+    pot = DualPotentials(_array(doc["f"], "f", (prob.n,)), _array(doc["g"], "g", (grid.m,)),
+                         prob, doc["iterations"], doc["marginal_error"], doc["converged"])
     scale = _array(doc["standardizer"]["scale"], "standardizer scale", (dim,))
     if (scale <= 0).any():
         raise ParamError("standardizer scale must be positive")
@@ -147,13 +151,14 @@ def map_from_dict(doc: dict) -> EntropicMap:
     return EntropicMap(pot, grid, std, doc.get("origin", ""))
 
 
-def save_map(emap: EntropicMap, path) -> None:
-    text = json.dumps(map_to_dict(emap), allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+def _whitener_to_dict(w: Whitener) -> dict:
+    return {"matrix": _arr(w.matrix), "tag": w.fit_tag}
 
 
-def load_map(path) -> EntropicMap:
-    return map_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+def _whitener_from_dict(doc) -> Whitener:
+    if not isinstance(doc, dict):  # v1 and v2 stored the bare matrix, untagged
+        doc = {"matrix": doc}
+    return Whitener(_array(doc["matrix"], "whitener", (None, None)), doc.get("tag", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +169,7 @@ def load_map(path) -> EntropicMap:
 _COMPONENTS = {
     "regressor": ("regressor", _regressor_to_dict, _regressor_from_dict),
     "quantile_predictor": ("quantile_predictor", _quantile_to_dict, _quantile_from_dict),
-    "whitener": ("whitener", _arr, lambda w: _array(w, "whitener", (None, None))),
+    "whitener": ("whitener", _whitener_to_dict, _whitener_from_dict),
     "transport_map": ("map", map_to_dict, map_from_dict),
 }
 

@@ -76,6 +76,7 @@ class OtProblem:
             raise ParamError("OT problem contains non-finite points")
         if self.epsilon <= 0:
             raise ParamError("epsilon must be > 0")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", tgt)
 
@@ -90,11 +91,10 @@ class OtProblem:
 
 @dataclass(eq=False)
 class DualPotentials:
-    """Converged dual vectors (f, g) with solve diagnostics."""
+    """Converged dual vectors (f, g) of `problem` with solve diagnostics."""
 
     f: np.ndarray
     g: np.ndarray
-    epsilon: float
     problem: OtProblem
     iterations: int
     marginal_error: float
@@ -107,25 +107,9 @@ class DualPotentials:
                 f"marginal_error={self.marginal_error:.3e}, "
                 f"converged={self.converged})")
 
-
-def squared_cost(z, u) -> float:
-    """Squared Euclidean distance between two vectors."""
-    z = np.asarray(z, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if z.shape != u.shape:
-        raise DimensionError(f"shape mismatch {z.shape} vs {u.shape}")
-    diff = z - u
-    return float(diff @ diff)
-
-
-def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All squared distances between rows of A (n x d) and B (m x d)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[1] != B.shape[1]:
-        raise DimensionError(f"dim mismatch {A.shape[1]} vs {B.shape[1]}")
-    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
-    return np.maximum(sq, 0.0)
+    @property
+    def epsilon(self) -> float:
+        return self.problem.epsilon
 
 
 def _gibbs(logits: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,22 +126,6 @@ def _gibbs(logits: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     np.exp(logits, out=logits)
     total = logits.sum(axis=axis)
     return np.log(total / logits.shape[axis]) + np.squeeze(top, axis=axis), total
-
-
-def lse_eps(values, eps: float, axis=None) -> float | np.ndarray:
-    """Soft minimum -eps*log(mean(exp(-values/eps))), max-shifted for stability.
-
-    Lies between min(values) and min(values) + eps*log(s); reduces to the value
-    itself for a single entry. With axis given, reduces a matrix along it.
-    """
-    if eps <= 0:
-        raise ParamError("eps must be > 0")
-    v = np.asarray(values, dtype=float)
-    if axis is None:
-        v = v.ravel()
-        axis = 0
-    out = -eps * _gibbs(-v / eps, axis)[0]
-    return float(out) if out.ndim == 0 else out
 
 
 def _logits(source: np.ndarray, target: np.ndarray, eps: float, phi, psi,
@@ -216,7 +184,7 @@ def sinkhorn_solve(prob: OtProblem, tol: float = DEFAULT_TOL,
     if max_iter < 1:
         raise ParamError("max_iter must be >= 1")
     n, m = prob.n, prob.m
-    eps = float(prob.epsilon)
+    eps = prob.epsilon
     kernel = np.empty((n, m))  # the one n x m array: logits first, then K
     phi = -_gibbs(_logits(prob.source, prob.target, eps, 0.0, 0.0, kernel), axis=1)[0]
     psi = -_gibbs(_logits(prob.source, prob.target, eps, phi, 0.0, kernel), axis=0)[0]
@@ -252,7 +220,7 @@ def sinkhorn_solve(prob: OtProblem, tol: float = DEFAULT_TOL,
     f = (phi + shift) * eps
     g = (psi - shift) * eps
     converged = err <= tol
-    pot = DualPotentials(f, g, eps, prob, it, err, converged, trace)
+    pot = DualPotentials(f, g, prob, it, err, converged, trace)
     if not converged:
         warnings.warn(
             f"Sinkhorn stopped at max_iter={max_iter} with marginal error "
@@ -268,11 +236,6 @@ def coupling_log_matrix(pot: DualPotentials) -> np.ndarray:
                    np.empty((prob.n, prob.m)))
 
 
-def coupling_matrix(pot: DualPotentials) -> np.ndarray:
-    """Dense coupling matrix; intended for small diagnostic problems."""
-    return np.exp(coupling_log_matrix(pot))
-
-
 def coupling_marginal_error(pot: DualPotentials) -> float:
     """Worst absolute deviation of coupling row sums from 1/n and column sums from 1/m."""
     # one n x m logits array alive at a time: each reduction builds its own
@@ -280,11 +243,3 @@ def coupling_marginal_error(pot: DualPotentials) -> float:
     rows = np.exp(_gibbs(coupling_log_matrix(pot), axis=1)[0]) * m
     cols = np.exp(_gibbs(coupling_log_matrix(pot), axis=0)[0]) * n
     return float(max(np.abs(rows - 1.0 / n).max(), np.abs(cols - 1.0 / m).max()))
-
-
-def dual_objective(pot: DualPotentials) -> float:
-    """Dual value <f,1/n> + <g,1/m> - eps*mean_ij exp((f_i+g_j-c_ij)/eps)."""
-    log_p = coupling_log_matrix(pot)
-    # mean_ij exp((f_i+g_j-c_ij)/eps) is the total mass of P, sum_ij P_ij
-    kernel_term = float(np.exp(_gibbs(log_p.ravel(), axis=0)[0])) * log_p.size
-    return float(pot.f.mean()) + float(pot.g.mean()) - pot.epsilon * kernel_term

@@ -8,7 +8,6 @@ the normal quantile function and normalized, or from normalized iid Gaussians.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,14 +74,11 @@ def sphere_directions(n_s: int, dim: int, mode: str = "low_discrepancy",
         signs = np.where(np.arange(n_s) % 2 == 0, 1.0, -1.0)
         return signs[:, None]
     if mode == "low_discrepancy":
-        skip = 64
-        raw = inverse_normal_cdf(halton_sequence(n_s, dim, skip=skip))
+        # no norm falls below 1e-12: that needs the base-2 coordinate within
+        # 4e-13 of 0.5, and the base-2 radical inverse of an index i > 1 is
+        # at least 2^-bitlength(i) away from 0.5, so not before index 2^41
+        raw = inverse_normal_cdf(halton_sequence(n_s, dim, skip=64))
         norms = np.linalg.norm(raw, axis=1)
-        while (norms < 1e-12).any():  # pragma: no cover - essentially unreachable
-            bad = norms < 1e-12
-            skip += n_s
-            raw[bad] = inverse_normal_cdf(halton_sequence(int(bad.sum()), dim, skip=skip))
-            norms = np.linalg.norm(raw, axis=1)
     elif mode == "iid":
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal((n_s, dim))
@@ -98,23 +94,52 @@ def sphere_directions(n_s: int, dim: int, mode: str = "low_discrepancy",
 
 @dataclass(frozen=True, eq=False)
 class SphericalGrid:
-    """Discrete spherical-uniform measure: m = n_R * n_S + n_o equal-mass points."""
+    """Discrete spherical-uniform measure: m = n_R * n_S + n_o equal-mass points.
 
-    dim: int
-    n_r: int
-    n_s: int
-    n_o: int
-    points: np.ndarray      # (m, dim), origin rows first, then shells by radius
+    The radius ladder, the unit directions and the origin count fix the
+    measure; `points` (m x dim: origin rows first, then shells by radius) is
+    built from them once, at construction.
+    """
+
     radii: np.ndarray       # (n_r,), {1/n_r, ..., 1}
     directions: np.ndarray  # (n_s, dim) unit vectors
+    n_o: int
+
+    def __post_init__(self):
+        radii = np.asarray(self.radii, dtype=float)
+        dirs = np.asarray(self.directions, dtype=float)
+        if radii.ndim != 1 or radii.size == 0:
+            raise ParamError(f"radii must be a non-empty vector, got shape {radii.shape}")
+        if dirs.ndim != 2 or dirs.size == 0:
+            raise ParamError(
+                f"directions must be a non-empty matrix, got shape {dirs.shape}")
+        if not isinstance(self.n_o, (int, np.integer)) or self.n_o < 0:
+            raise ParamError(f"n_o must be an integer >= 0, got {self.n_o!r}")
+        shells = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1])
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "directions", dirs)
+        object.__setattr__(self, "points",
+                           np.vstack([np.zeros((self.n_o, dirs.shape[1])), shells]))
 
     def __repr__(self):
         return (f"SphericalGrid(dim={self.dim}, m={self.m}, n_R={self.n_r}, "
                 f"n_S={self.n_s}, n_o={self.n_o})")
 
     @property
+    def dim(self) -> int:
+        return self.directions.shape[1]
+
+    @property
+    def n_r(self) -> int:
+        return self.radii.size
+
+    @property
+    def n_s(self) -> int:
+        return self.directions.shape[0]
+
+    @property
     def m(self) -> int:
-        return self.points.shape[0]
+        return self.n_r * self.n_s + self.n_o
 
 
 def build_spherical_grid(m: int, dim: int, factorization=None,
@@ -138,11 +163,8 @@ def build_spherical_grid(m: int, dim: int, factorization=None,
         if n_r < 1 or n_s < 1 or n_o < 0 or n_r * n_s + n_o != m:
             raise FactorizationError(
                 f"factorization {factorization} inconsistent with m={m}")
-    dirs = sphere_directions(n_s, dim, mode=mode, seed=seed)
-    radii = np.arange(1, n_r + 1, dtype=float) / n_r
-    shells = (radii[:, None, None] * dirs[None, :, :]).reshape(n_r * n_s, dim)
-    points = np.vstack([np.zeros((n_o, dim)), shells])
-    return SphericalGrid(dim, n_r, n_s, n_o, points, radii, dirs)
+    return SphericalGrid(np.arange(1, n_r + 1, dtype=float) / n_r,
+                         sphere_directions(n_s, dim, mode=mode, seed=seed), n_o)
 
 
 def grid_radius_index(n_total: int, n_r: int, n_s: int, n_o: int, alpha: float):
@@ -159,12 +181,3 @@ def grid_radius_index(n_total: int, n_r: int, n_s: int, n_o: int, alpha: float):
     target = n_total * (1 - Fraction(alpha)) - n_o
     j = min(max(math.ceil(target / n_s), 0), n_r)
     return j, j / n_r
-
-
-def grid_to_csv(grid: SphericalGrid, path) -> None:
-    """One grid point per row, coordinate columns c0..c{dim-1}."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"c{j}" for j in range(grid.dim)])
-        for row in grid.points:
-            writer.writerow([repr(float(v)) for v in row])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from otcp import load_dataset_csv, read_region_csv
+from otcp import load_dataset_csv
 from otcp.cli import main
 
 
@@ -70,7 +70,7 @@ def test_contour_command(tmp_path, capsys):
     assert rc == 0
     files = sorted((tmp_path / "ct").glob("contour_*.csv"))
     assert len(files) == 2
-    verts = read_region_csv(files[0])
+    verts = np.loadtxt(files[0], delimiter=",", skiprows=1)
     assert verts.shape[1] == 2 and np.isfinite(verts).all()
 
 

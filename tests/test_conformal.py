@@ -1,15 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otcp import (
-    CalibratedPredictor,
     Dataset,
     DimensionError,
     MethodError,
-    ParamError,
     ProvenanceError,
     SingularError,
     SplitSpec,
@@ -24,11 +24,9 @@ from otcp import (
     pit_values,
     region_contour_2d,
     residuals,
-    sinkhorn_solve,
     split_dataset,
     synth_dataset,
 )
-from otcp.sinkhorn import OtProblem
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +126,37 @@ def test_threshold_examples():
     assert conformal_threshold([4.0, 1.0, 3.0, 2.0], 0.5) == 3.0       # k=ceil(2.5)=3
 
 
+_ALPHAS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-20, 20).map(float) | st.floats(-1e6, 1e6), min_size=1,
+                max_size=60), _ALPHAS)
+def test_threshold_is_the_exact_order_statistic(scores, alpha):
+    scores = np.asarray(scores)
+    k = math.ceil((scores.size + 1) * (1 - Fraction(alpha)))
+    thr = conformal_threshold(scores, alpha)
+    if k > scores.size:
+        assert thr == math.inf
+    else:
+        assert thr in scores
+        assert (scores <= thr).sum() >= k
+        assert (scores < thr).sum() < k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=60),
+       st.lists(st.integers(-50, 50), min_size=1, max_size=20), _ALPHAS,
+       st.sampled_from([lambda s: 2.0 * s - 7.0, lambda s: s ** 3 + s,
+                        lambda s: np.exp(s / 10.0)]))
+def test_membership_invariant_under_increasing_transforms(cal, test, alpha, transform):
+    # integer scores keep each transform strictly increasing in floating point
+    cal, test = np.asarray(cal, dtype=float), np.asarray(test, dtype=float)
+    inside = test <= conformal_threshold(cal, alpha)
+    moved = transform(test) <= conformal_threshold(transform(cal), alpha)
+    assert np.array_equal(moved, inside)
+
+
 def test_threshold_monotone_in_alpha():
     rng = np.random.default_rng(4)
     scores = rng.exponential(size=200)
@@ -211,12 +240,22 @@ def test_provenance_guard_covers_the_transport_map_split(gaussian_pipeline):
         calibrate(own, gp["calib"], alpha=0.1)
 
 
+def test_provenance_guard_covers_the_whitener_split(gaussian_pipeline):
+    gp = gaussian_pipeline
+    W = estimate_covariance(residuals(gp["calib"], gp["reg"]))
+    assert W.fit_tag == gp["calib"].tag
+    fn = make_score_function("merge_mahalanobis", regressor=gp["reg"], whitener=W)
+    assert fn.fit_tags == {gp["train"].tag, gp["calib"].tag}
+    with pytest.raises(ProvenanceError):
+        calibrate(fn, gp["calib"], alpha=0.1)
+
+
 def test_fit_tags_read_from_every_tagged_component(gaussian_pipeline):
     gp = gaussian_pipeline
     qp = fit_quantile_predictor(gp["train"], 10, 0.05, 0.95)
     assert make_score_function("mcp_max", quantile_predictor=qp).fit_tags == {
         gp["train"].tag}
-    # the whitener is a bare matrix and carries no tag
+    # a whitener given as a plain matrix carries no tag
     mh = make_score_function("merge_mahalanobis", regressor=gp["reg"], whitener=np.eye(2))
     assert mh.fit_tags == {gp["train"].tag}
     untagged = fit_regressor(Dataset(gp["train"].features, gp["train"].targets),

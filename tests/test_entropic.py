@@ -14,11 +14,7 @@ from otcp import (
     SphericalGrid,
     Standardizer,
     build_spherical_grid,
-    dual_objective,
     fit_entropic_map,
-    lse_eps,
-    sinkhorn_solve,
-    squared_cost,
 )
 from otcp import entropic
 from otcp.sinkhorn import coupling_log_matrix
@@ -42,25 +38,34 @@ def small_map_2d():
 
 
 # ---------------------------------------------------------------------------
-# Gibbs weights
+# Gibbs weights: forward is the dense softmax weights @ grid points
 # ---------------------------------------------------------------------------
 
+def _dense_softmax(potential, queries, points, eps):
+    # reference: plain exp of the logits, then normalise; no shift, no chunks
+    d2 = ((queries[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    w = np.exp((potential[None, :] - d2) / eps)
+    return w / w.sum(axis=1, keepdims=True)
+
+
 def test_weights_single_grid_point():
-    grid = SphericalGrid(2, 1, 1, 0, np.array([[1.0, 0.0]]), np.array([1.0]),
-                         np.array([[1.0, 0.0]]))
+    grid = SphericalGrid(np.array([1.0]), np.array([[1.0, 0.0]]), 0)
     emap = fit_entropic_map(np.random.default_rng(0).standard_normal((5, 2)),
                             grid, epsilon=0.5)
-    w = emap.gibbs_weights([0.3, 0.3])
-    assert w.shape == (1,)
-    assert w[0] == pytest.approx(1.0, abs=1e-15)
+    out = emap.forward([0.3, 0.3])
+    assert out.shape == (2,)
+    np.testing.assert_allclose(out, [1.0, 0.0], rtol=0, atol=1e-15)
 
 
 def test_weights_uniform_limit_large_epsilon():
     rng = np.random.default_rng(1)
     grid = build_spherical_grid(64, 2)
     emap = fit_entropic_map(rng.standard_normal((40, 2)), grid, epsilon=1e9)
-    w = emap.gibbs_weights([2.0, -1.0])
+    z = np.array([[2.0, -1.0]])
+    w = _dense_softmax(emap.potentials.g, emap.standardizer.transform(z), grid.points,
+                       1e9)
     assert np.abs(w - 1.0 / 64).max() <= 1e-9
+    np.testing.assert_allclose(emap.forward(z), w @ grid.points, rtol=0, atol=1e-12)
 
 
 def test_weights_match_direct_formula():
@@ -72,10 +77,10 @@ def test_weights_match_direct_formula():
     zq = np.array([0.4, -0.7])
     zs = emap.standardizer.transform(zq)
     raw = np.array([
-        np.exp(-(squared_cost(zs, u) - gj) / 0.5)
+        np.exp(-(((zs - u) ** 2).sum() - gj) / 0.5)
         for u, gj in zip(grid.points, emap.potentials.g)
     ])
-    assert np.abs(emap.gibbs_weights(zq) - raw / raw.sum()).max() <= 1e-10
+    assert np.abs(emap.forward(zq) - raw / raw.sum() @ grid.points).max() <= 1e-10
 
 
 def test_weights_normalized_even_for_extreme_queries(small_map_2d):
@@ -83,18 +88,17 @@ def test_weights_normalized_even_for_extreme_queries(small_map_2d):
     rng = np.random.default_rng(3)
     queries = np.vstack([rng.standard_normal((50, 2)),
                          rng.standard_normal((50, 2)) * 1e6])
-    w = emap.gibbs_weights(queries)
-    assert (w >= 0).all()
-    assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
+    # the dense weights shifted by each row's top logit, so that far queries
+    # do not underflow to 0/0
+    d2 = ((emap.standardizer.transform(queries)[:, None, :]
+           - emap.grid.points[None, :, :]) ** 2).sum(axis=2)
+    logits = (emap.potentials.g[None, :] - d2) / emap.epsilon
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(emap.forward(queries), w @ emap.grid.points,
+                               rtol=0, atol=1e-9)
     wi = emap.inverse(queries[:3])  # inverse weights share the code path
     assert np.isfinite(wi).all()
-
-
-def _dense_softmax(potential, queries, points, eps):
-    # reference: plain exp of the logits, then normalise; no shift, no chunks
-    d2 = ((queries[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    w = np.exp((potential[None, :] - d2) / eps)
-    return w / w.sum(axis=1, keepdims=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,7 +108,7 @@ def test_kernel_matches_dense_reference(n, m, d, q, chunk, eps, seed):
     rng = np.random.default_rng(seed)
     source = rng.uniform(-1, 1, (n, d))
     grid = build_spherical_grid(m, d)
-    pot = DualPotentials(rng.uniform(-1, 1, n), rng.uniform(-1, 1, m), eps,
+    pot = DualPotentials(rng.uniform(-1, 1, n), rng.uniform(-1, 1, m),
                          OtProblem(source, grid.points, eps), 0, 0.0, True)
     std = Standardizer(rng.uniform(-0.5, 0.5, d), rng.uniform(0.5, 2.0, d))
     emap = EntropicMap(pot, grid, std)
@@ -112,18 +116,13 @@ def test_kernel_matches_dense_reference(n, m, d, q, chunk, eps, seed):
     u = rng.uniform(-1, 1, (q, d))
     w = _dense_softmax(pot.g, std.transform(z), grid.points, eps)
     w_inv = _dense_softmax(pot.f, u, source, eps)
-    values = rng.uniform(-3, 3, (q, m))
     # chunk caps of a few rows push every query count through several blocks
     with mock.patch.object(entropic, "_CHUNK_ENTRIES", chunk):
-        np.testing.assert_allclose(emap.gibbs_weights(z), w, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(emap.forward(z), w @ grid.points,
                                    rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(emap.inverse(u),
                                    std.inverse_transform(w_inv @ source),
                                    rtol=1e-12, atol=1e-13)
-    np.testing.assert_allclose(
-        lse_eps(values, eps, axis=1),
-        -eps * np.log(np.exp(-values / eps).mean(axis=1)), rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,14 +133,12 @@ def test_logits_consumers_match_direct_differences(n, m, d, eps, seed):
     rng = np.random.default_rng(seed)
     source = rng.uniform(-1, 1, (n, d))
     grid = build_spherical_grid(m, d)
-    pot = DualPotentials(rng.uniform(-1, 1, n), rng.uniform(-1, 1, m), eps,
+    pot = DualPotentials(rng.uniform(-1, 1, n), rng.uniform(-1, 1, m),
                          OtProblem(source, grid.points, eps), 0, 0.0, True)
     c = ((source[:, None] - grid.points[None]) ** 2).sum(-1)
     logits = (pot.f[:, None] + pot.g[None] - c) / eps
     np.testing.assert_allclose(coupling_log_matrix(pot), logits - np.log(n * m),
                                rtol=1e-12, atol=1e-11)
-    dual = pot.f.mean() + pot.g.mean() - eps * np.exp(logits).mean()
-    assert dual_objective(pot) == pytest.approx(dual, rel=1e-12, abs=1e-12)
     emap = EntropicMap(pot, grid, Standardizer.identity(d))
     z = rng.uniform(-1, 1, d)
     d2 = ((z - grid.points) ** 2).sum(-1)
@@ -152,7 +149,7 @@ def test_logits_consumers_match_direct_differences(n, m, d, eps, seed):
 def test_weights_dimension_error(small_map_2d):
     emap, _ = small_map_2d
     with pytest.raises(DimensionError):
-        emap.gibbs_weights([1.0, 2.0, 3.0])
+        emap.forward([1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otcp import (
+    SCORE_KINDS,
     ParamError,
     SplitSpec,
     build_spherical_grid,
@@ -13,15 +17,14 @@ from otcp import (
     fit_entropic_map,
     fit_quantile_predictor,
     fit_regressor,
-    load_map,
     load_predictor,
     make_score_function,
     residuals,
-    save_map,
     save_predictor,
     split_dataset,
     synth_dataset,
 )
+from otcp.serialize import map_from_dict, map_to_dict, predictor_from_dict, predictor_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -35,15 +38,41 @@ def fitted():
             "train": train, "ot_fit": ot_fit}
 
 
-def test_map_round_trip(fitted, tmp_path):
+def _json_round_trip(doc: dict) -> dict:
+    return json.loads(json.dumps(doc, allow_nan=False))
+
+
+def _as_version(doc: dict, version: int, pred) -> dict:
+    """A v3 predictor document as v1 or v2 wrote it.
+
+    Those versions also stored each map grid's points, dim, n_r and n_s, and a
+    whitener as its bare matrix.
+    """
+    doc = copy.deepcopy(doc)
+    doc["version"] = version
+    score = doc["score"]
+    if "whitener" in score:
+        score["whitener"] = score["whitener"]["matrix"]
+    if "map" in score:
+        grid = pred.score_fn.transport_map.grid
+        score["map"]["version"] = version
+        score["map"]["grid"].update(dim=grid.dim, n_r=grid.n_r, n_s=grid.n_s,
+                                    points=grid.points.tolist())
+    return doc
+
+
+def test_map_round_trip(fitted):
     emap = fitted["emap"]
-    path = tmp_path / "map.json"
-    save_map(emap, path)
-    back = load_map(path)
+    back = map_from_dict(_json_round_trip(map_to_dict(emap)))
+    assert np.array_equal(back.grid.points, emap.grid.points)
     queries = np.random.default_rng(0).standard_normal((20, 2))
     assert np.array_equal(back.forward(queries), emap.forward(queries))
     assert np.array_equal(back.inverse(queries / 3), emap.inverse(queries / 3))
     assert back.potentials.iterations == emap.potentials.iterations
+    # v1 and v2 also stored the points, dim, n_r and n_s; loading ignores them
+    old = {**map_to_dict(emap), "version": 2}
+    old["grid"].update(points=[[0.0]], dim=7, n_r=1, n_s=1)
+    assert np.array_equal(map_from_dict(old).grid.points, emap.grid.points)
 
 
 @pytest.mark.parametrize("kind", ["merge_l2", "merge_mahalanobis", "mcp_max", "otcp"])
@@ -53,7 +82,7 @@ def test_predictor_round_trip_scores(fitted, tmp_path, kind):
         fn = make_score_function(kind, quantile_predictor=fit_quantile_predictor(
             fitted["train"], 10, 0.05, 0.95))
     elif kind == "merge_mahalanobis":
-        W = estimate_covariance(residuals(fitted["calib"], fitted["reg"]))
+        W = estimate_covariance(residuals(fitted["ot_fit"], fitted["reg"]))
         fn = make_score_function(kind, regressor=fitted["reg"], whitener=W)
     elif kind == "otcp":
         fn = make_score_function(kind, regressor=fitted["reg"],
@@ -93,7 +122,7 @@ def test_version_check(tmp_path):
     with pytest.raises(ParamError):
         load_predictor(path)
     with pytest.raises(ParamError):
-        load_map(path)
+        map_from_dict(json.loads(path.read_text()))
 
 
 def _strict_loads(text):
@@ -110,7 +139,7 @@ def test_infinite_threshold_is_standard_json(fitted, tmp_path):
     path = tmp_path / "inf.json"
     save_predictor(pred, path)
     doc = _strict_loads(path.read_text())
-    assert doc["version"] == 2 and doc["threshold"] is None
+    assert doc["version"] == 3 and doc["threshold"] is None
     back = load_predictor(path)
     assert back.threshold == math.inf
     X, Y = fitted["test"].features, fitted["test"].targets
@@ -121,10 +150,9 @@ def test_loads_version_1_documents(fitted, tmp_path):
     fn = make_score_function("otcp", regressor=fitted["reg"],
                              transport_map=fitted["emap"])
     pred = calibrate(fn, fitted["calib"].take(np.arange(40)), alpha=0.001)
-    save_predictor(pred, tmp_path / "v2.json")
-    doc = json.loads((tmp_path / "v2.json").read_text())
-    # v1 wrote the same fields, the bare token Infinity for an infinite threshold
-    doc["version"] = doc["score"]["map"]["version"] = 1
+    save_predictor(pred, tmp_path / "v3.json")
+    doc = _as_version(json.loads((tmp_path / "v3.json").read_text()), 1, pred)
+    # v1 wrote the bare token Infinity for an infinite threshold
     doc["threshold"] = math.inf
     (tmp_path / "v1.json").write_text(json.dumps(doc))
     assert "Infinity" in (tmp_path / "v1.json").read_text()
@@ -152,13 +180,15 @@ def _edit(doc, path, fn):
     (("score", "map", "g"), lambda g: [math.nan] + g[1:]),
     (("score", "map", "f"), lambda f: [math.inf] + f[1:]),
     (("score", "map", "source_std"), lambda z: [row + [0.0] for row in z]),
-    (("score", "map", "grid", "points"), lambda p: [row[:1] for row in p]),
+    (("score", "map", "grid", "directions"), lambda d: [row[:1] for row in d]),
+    (("score", "map", "grid", "radii"), lambda r: r[:-1]),
     (("score", "map", "standardizer", "mean"), lambda v: v + [0.0]),
     (("score", "map", "standardizer", "scale"), lambda v: v[:1]),
     (("score", "map", "standardizer", "scale"), lambda v: [math.nan, 1.0]),
     (("score", "map", "standardizer", "scale"), lambda v: [0.0, 1.0]),
-    (("score", "whitener"), lambda w: [row + [0.0] for row in w] + [[0.0, 0.0, 1.0]]),
-    (("score", "whitener"), lambda w: [[math.nan, 0.0], [0.0, 1.0]]),
+    (("score", "whitener", "matrix"),
+     lambda w: [row + [0.0] for row in w] + [[0.0, 0.0, 1.0]]),
+    (("score", "whitener", "matrix"), lambda w: [[math.nan, 0.0], [0.0, 1.0]]),
     (("score", "map"), lambda m: None),
     (("score", "kind"), lambda k: "no_such_kind"),
     (("cal_scores",), lambda c: c + [math.nan]),
@@ -175,7 +205,7 @@ def _edit(doc, path, fn):
 ])
 def test_load_rejects_inconsistent_artifacts(fitted, tmp_path, path, fn):
     kind = "merge_mahalanobis" if "whitener" in path else "otcp"
-    W = estimate_covariance(residuals(fitted["calib"], fitted["reg"]))
+    W = estimate_covariance(residuals(fitted["ot_fit"], fitted["reg"]))
     score = make_score_function(kind, regressor=fitted["reg"],
                                 transport_map=fitted["emap"], whitener=W)
     save_predictor(calibrate(score, fitted["calib"], alpha=0.1), tmp_path / "p.json")
@@ -193,6 +223,8 @@ def test_artifacts_keep_their_keys_and_the_map_tag(fitted, tmp_path):
     assert list(score["regressor"]) == ["kind", "k", "X", "Y", "tag"]
     # the map is tagged with the residual rows' dataset tag, which calibration matches
     assert score["map"]["origin"] == fitted["emap"].fit_tag == fitted["ot_fit"].tag
+    # the grid is stored once, as its ladder; the points are rebuilt on load
+    assert list(score["map"]["grid"]) == ["n_o", "radii", "directions"]
     back = load_predictor(tmp_path / "otcp.json").score_fn
     assert back.fit_tags == {fitted["train"].tag, fitted["ot_fit"].tag}
     qp = fit_quantile_predictor(fitted["train"], 10, 0.05, 0.95)
@@ -200,3 +232,46 @@ def test_artifacts_keep_their_keys_and_the_map_tag(fitted, tmp_path):
     save_predictor(calibrate(mcp, fitted["calib"], alpha=0.1), tmp_path / "mcp.json")
     doc = json.loads((tmp_path / "mcp.json").read_text())["score"]["quantile_predictor"]
     assert list(doc) == ["k", "alpha_lo", "alpha_hi", "X", "Y", "tag"]
+    W = estimate_covariance(residuals(fitted["ot_fit"], fitted["reg"]))
+    mh = make_score_function("merge_mahalanobis", regressor=fitted["reg"], whitener=W)
+    save_predictor(calibrate(mh, fitted["calib"], alpha=0.1), tmp_path / "mh.json")
+    doc = json.loads((tmp_path / "mh.json").read_text())["score"]["whitener"]
+    assert list(doc) == ["matrix", "tag"] and doc["tag"] == fitted["ot_fit"].tag
+    back = load_predictor(tmp_path / "mh.json").score_fn
+    assert back.fit_tags == {fitted["train"].tag, fitted["ot_fit"].tag}
+
+
+def _random_predictor(kind, d, n, m, seed):
+    ds = synth_dataset("gaussian", n, d, seed=seed)
+    train, ot_fit, calib, test = split_dataset(ds, SplitSpec(seed=seed))
+    reg = fit_regressor(train, "knn_mean", k=3)
+    fit_resid = residuals(ot_fit, reg)
+    parts = {"regressor": reg}
+    if kind == "merge_mahalanobis":
+        parts["whitener"] = estimate_covariance(fit_resid, ridge=1e-3)
+    elif kind == "mcp_max":
+        parts = {"quantile_predictor": fit_quantile_predictor(train, 3, 0.1, 0.9)}
+    elif kind == "otcp":
+        parts["transport_map"] = fit_entropic_map(
+            fit_resid, build_spherical_grid(m, d, mode="iid", seed=seed), epsilon=0.5)
+    return calibrate(make_score_function(kind, **parts), calib, alpha=0.2), test
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SCORE_KINDS), st.integers(1, 3), st.integers(20, 80),
+       st.integers(2, 40), st.integers(0, 2**32 - 1))
+def test_round_trip_is_bit_identical_for_random_shapes(kind, d, n, m, seed):
+    if kind == "abs_univariate":
+        d = 1
+    pred, test = _random_predictor(kind, d, n, m, seed)
+    doc = _json_round_trip(predictor_to_dict(pred))
+    X, Y = test.features, test.targets
+    scores, inside = pred.score_fn.score_rows(X, Y), pred.contains_rows(X, Y)
+    for back in (predictor_from_dict(doc), predictor_from_dict(_as_version(doc, 2, pred))):
+        assert np.array_equal(back.score_fn.score_rows(X, Y), scores)
+        assert np.array_equal(back.contains_rows(X, Y), inside)
+        assert back.threshold == pred.threshold
+    if kind == "merge_mahalanobis":
+        # a v2 whitener is a bare matrix, so it loads untagged
+        assert predictor_from_dict(doc).score_fn.whitener.fit_tag
+        assert not predictor_from_dict(_as_version(doc, 2, pred)).score_fn.whitener.fit_tag

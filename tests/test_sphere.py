@@ -14,9 +14,9 @@ from otcp import (
     DomainError,
     FactorizationError,
     ParamError,
+    SphericalGrid,
     build_spherical_grid,
     grid_radius_index,
-    grid_to_csv,
     halton_sequence,
     inverse_normal_cdf,
     sphere_directions,
@@ -159,14 +159,26 @@ def test_grid_iid_mean_small(dim):
     assert np.linalg.norm(g.points.mean(axis=0)) <= 3.0 / np.sqrt(1024)
 
 
-def test_grid_csv_export(tmp_path):
-    g = build_spherical_grid(20, 2)
-    path = tmp_path / "grid.csv"
-    grid_to_csv(g, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "c0,c1"
-    parsed = np.asarray([[float(v) for v in r.split(",")] for r in rows[1:]])
-    assert np.array_equal(parsed, g.points)
+def test_grid_points_follow_from_the_ladder():
+    g = build_spherical_grid(100, 2, factorization=(9, 11, 1))
+    assert np.array_equal(g.points[:1], np.zeros((1, 2)))
+    assert np.array_equal(g.points[1 + 3 * 11:1 + 4 * 11], g.radii[3] * g.directions)
+    back = SphericalGrid(g.radii.tolist(), g.directions.tolist(), g.n_o)
+    assert np.array_equal(back.points, g.points)
+    assert (back.dim, back.n_r, back.n_s, back.m) == (2, 9, 11, 100)
+
+
+@pytest.mark.parametrize("radii, directions, n_o", [
+    ([], [[1.0, 0.0]], 1),
+    ([[1.0]], [[1.0, 0.0]], 1),
+    ([1.0], [1.0, 0.0], 1),
+    ([1.0], np.zeros((0, 2)), 1),
+    ([1.0], [[1.0, 0.0]], -1),
+    ([1.0], [[1.0, 0.0]], 1.5),
+])
+def test_grid_rejects_malformed_ladder(radii, directions, n_o):
+    with pytest.raises(ParamError):
+        SphericalGrid(radii, directions, n_o)
 
 
 # ---------------------------------------------------------------------------
