@@ -6,21 +6,27 @@
 Run it from anywhere; it runs the command that BENCHMARK.json names
 (``perfbench/run.py``) from the root of this checkout, one run at a time. Every
 workload runs once per seed with ``--trace 0`` and then once with ``--trace 1``
-at the first seed. The file holds the runs' environment line, each end-to-end
-metric's median, quartiles and per-seed values, and the traced run's per-layer
-values. ``worktree_changes`` lists the tracked files that differ from the
-commit the environment line names. ``--smoke`` is passed through to every run.
-The script exits non-zero, after writing what it has, when a run exits
-non-zero, prints no result line, or fails its correctness checks.
+at the first seed. Then ``otcp bench run`` runs once, end to end, on the
+README's config at that config's first seed. The file holds the runs'
+environment line, each end-to-end metric's median, quartiles and per-seed
+values, the traced run's per-layer values, and the README run's wall time
+and report summary. ``worktree_changes`` lists the tracked files that differ
+from the commit the environment line names. ``--smoke`` is passed through to
+every run and shrinks the README run (n=400, m=128, 200 samples at 5
+points). The script exits non-zero, after writing what it has, when a run
+exits non-zero, prints no result line, or fails its correctness checks.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +52,39 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int,
     result = json.loads(lines[-1])
     error = "" if result["correct"] else f"failed checks: {proc.stderr.strip()[-2000:]}"
     return env, result, error
+
+
+def readme_config(smoke: bool) -> dict:
+    """The README's `bench run` config at its first seed; tiny under --smoke."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    cfg = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg["seeds"] = cfg["seeds"][:1]
+    cfg.pop("output_dir", None)
+    if smoke:
+        cfg["dataset"] = {**cfg["dataset"], "n": 400}
+        cfg["otcp"] = {**cfg["otcp"], "m": 128}
+        cfg.update(mc_samples=200, region_size_points=5)
+    return cfg
+
+
+def readme_run(smoke: bool) -> tuple[dict | None, str]:
+    """One `otcp bench run` on the README config: (wall time and summary, error text)."""
+    cfg = readme_config(smoke)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "otcp", "bench", "run", "--config",
+                               str(config), "--output-dir", str(out)],
+                              cwd=ROOT, env=env, capture_output=True, text=True,
+                              timeout=1800)
+        wall_s = time.perf_counter() - t0
+        if proc.returncode != 0:
+            return None, f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"
+        summary = json.loads((out / "report_summary.json").read_text(encoding="utf-8"))
+    return {"config": cfg, "wall_s": wall_s, "summary": summary}, ""
 
 
 def worktree_changes() -> list[str] | None:
@@ -105,6 +144,9 @@ def snapshot(seeds: list[int], seconds: float, smoke: bool) -> tuple[dict, list[
             entry["per_layer"] = {"seed": seeds[0], "correct": result["correct"],
                                   "metrics": result["metrics"]}
         out["workloads"][name] = entry
+    out["readme_run"], error = readme_run(smoke)
+    if error:
+        errors.append(f"README config bench run: {error}")
     return out, errors
 
 

@@ -36,6 +36,7 @@ from .conformal import (
     make_score_function,
     pit_values,
     region_contour_2d,
+    region_volumes,
 )
 from .data import (
     Dataset,

@@ -2,10 +2,20 @@
 
 A run takes one config, loops over seeds, and for each seed splits the data,
 fits the shared point predictor, builds and calibrates every requested score
-function, and measures marginal coverage plus a Monte-Carlo region size.
-Reports aggregate mean and standard error across seeds and serialize as
-long-format CSV plus a JSON summary; bytes are reproducible for a fixed config
-once the timing columns are set aside.
+function, and measures marginal coverage plus the mean region size over the
+first `region_size_points` test inputs. Each score kind sizes its own set in
+one call: `merge_l2`, `merge_mahalanobis` and `abs_univariate` sets are a ball,
+an ellipse and an interval of the same size at every input, and `mcp_max` sets
+are boxes, all with exact volumes (so `region_size_points` matters only to
+`mcp_max`). An `otcp` set is one residual-space set moved to each input, so it
+is sized once, by `mc_samples` randomized Halton points in the calibration
+residuals' bounding box inflated by `bounds_inflation`, with a standard error
+taken over independent random shifts. Reports aggregate mean and standard
+error across seeds and serialize as long-format CSV plus a JSON summary, which
+also holds each method's region-size standard error and each otcp seed's
+Sinkhorn diagnostics; bytes are reproducible for a fixed config once the
+timing columns are set aside. `region_size_mc` is plain Monte Carlo at one
+input, kept as an oracle for the exact volumes.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from .conformal import (
     estimate_covariance,
     make_score_function,
     region_contour_2d,
+    region_volumes,
 )
 from .data import (
     Dataset,
@@ -43,7 +54,7 @@ from .data import (
 )
 from .entropic import fit_entropic_map
 from .errors import MethodError, NotFittedError, ParamError, ProvenanceError
-from .sphere import build_spherical_grid
+from .sphere import build_spherical_grid, halton_sequence
 
 # appendix-style ablation axes used when a sweep is run without explicit lists
 DEFAULT_SWEEP_EPSILONS = (0.001, 0.01, 0.1, 1.0)
@@ -63,6 +74,10 @@ MCP_KEYS = ("k", "alpha_lo", "alpha_hi")
 # MemoryError keeps an oversized cell to its own row. Anything else (TypeError,
 # AttributeError, ...) is a bug and propagates.
 CELL_FAILURES = (ValueError, NotFittedError, ProvenanceError, MethodError, MemoryError)
+
+# independent random shifts of one sampled volume; its standard error is
+# their spread, so this is fixed rather than a config key
+VOLUME_SHIFTS = 8
 
 
 def _check_keys(section: str, given: dict, known) -> None:
@@ -97,12 +112,16 @@ class BenchConfig:
             raise ParamError("alpha must lie in (0, 1)")
         if len(self.seeds) < 1:
             raise ParamError("need at least one seed")
-        if self.otcp.get("epsilon", 0.1) <= 0:
+        if not self.otcp.get("epsilon", 0.1) > 0:  # also refuses NaN
             raise ParamError("otcp epsilon must be > 0")
         if self.otcp.get("m", 4096) < 2:
             raise ParamError("otcp m must be >= 2")
         if self.mc_samples < 1:
             raise ParamError("mc_samples must be >= 1")
+        if self.region_size_points < 1:
+            raise ParamError("region_size_points must be >= 1")
+        if not (math.isfinite(self.bounds_inflation) and self.bounds_inflation > 0):
+            raise ParamError("bounds_inflation must be finite and > 0")
         kind = self.dataset.get("kind")
         if kind not in DATASET_KEYS:
             raise ParamError(f"unknown dataset kind {kind!r}")
@@ -153,6 +172,8 @@ class MethodResult:
     fit_ms: float = math.nan
     calibrate_ms: float = math.nan
     predict_ms: float = math.nan
+    region_size_stderr: float = math.nan  # of mean_region_size; 0 for exact volumes
+    solver: dict = field(default_factory=dict)  # otcp: Sinkhorn diagnostics
 
 
 @dataclass
@@ -171,7 +192,13 @@ class BenchReport:
         return lines
 
     def aggregates(self) -> dict:
-        """Per-method mean and standard error (std/sqrt(#seeds)) across seeds."""
+        """Per-method mean and standard error (std/sqrt(#seeds)) across seeds.
+
+        Each method with an ok row also gets the sampling standard error of
+        its mean region size (`region_size_stderr`, 0 for exact volumes) and
+        `per_seed` entries with each seed's own one and, for otcp, the
+        Sinkhorn solve's iterations, marginal error and convergence.
+        """
         out = {}
         for method in sorted({r.method for r in self.rows}):
             ok = [r for r in self.rows if r.method == method and r.status == "ok"]
@@ -184,6 +211,12 @@ class BenchReport:
                     arr = np.asarray(values, dtype=float)
                     se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
                     entry[name] = {"mean": float(arr.mean()), "stderr": se}
+            if ok:
+                entry["region_size_stderr"] = (
+                    math.sqrt(sum(r.region_size_stderr ** 2 for r in ok)) / len(ok))
+                entry["per_seed"] = [{"seed": r.seed,
+                                      "region_size_stderr": r.region_size_stderr,
+                                      **r.solver} for r in ok]
             out[method] = entry
         return out
 
@@ -197,8 +230,8 @@ class BenchReport:
         csv_path = out_dir / f"{stem}.csv"
         csv_path.write_text("\n".join(self.csv_lines()) + "\n", encoding="utf-8")
         json_path = out_dir / f"{stem}_summary.json"
-        json_path.write_text(json.dumps(self.aggregates(), indent=2, sort_keys=True)
-                             + "\n", encoding="utf-8")
+        json_path.write_text(json.dumps(self.aggregates(), indent=2, sort_keys=True,
+                                        allow_nan=False) + "\n", encoding="utf-8")
         return csv_path, json_path
 
 
@@ -221,14 +254,28 @@ def marginal_coverage(pred: CalibratedPredictor, test: Dataset) -> float:
     return float(pred.contains_rows(test.features, test.targets).mean())
 
 
-def default_mc_bounds(pred: CalibratedPredictor, x, inflate: float = 1.5):
-    """Per-dim box: calibration-residual bounding box inflated and recentered at x's center."""
+def residual_box(pred: CalibratedPredictor, inflate: float = 1.5):
+    """Residual-space box: the calibration residuals' bounding box inflated about its middle."""
     if pred.residual_low is None:
         raise ParamError("predictor carries no residual bounding box")
     mid = (pred.residual_low + pred.residual_high) / 2.0
     half = (pred.residual_high - pred.residual_low) / 2.0
+    return mid - inflate * half, mid + inflate * half
+
+
+def default_mc_bounds(pred: CalibratedPredictor, x, inflate: float = 1.5):
+    """Per-dim box: the residual box recentered at x's center."""
+    low, high = residual_box(pred, inflate)
     center = pred.score_fn.center(x)
-    return center + mid - inflate * half, center + mid + inflate * half
+    return center + low, center + high
+
+
+def _checked_box(low, high) -> tuple[np.ndarray, np.ndarray]:
+    low = np.asarray(low, dtype=float)
+    high = np.asarray(high, dtype=float)
+    if not (np.isfinite(low).all() and np.isfinite(high).all() and (high > low).all()):
+        raise ParamError("bounds must be finite with positive side lengths")
+    return low, high
 
 
 def region_size_mc(pred: CalibratedPredictor, x, bounds=None, n_mc: int = 10000,
@@ -236,18 +283,36 @@ def region_size_mc(pred: CalibratedPredictor, x, bounds=None, n_mc: int = 10000,
     """Monte-Carlo volume of the prediction set at x: hit fraction times box volume."""
     if n_mc < 1:
         raise ParamError("n_mc must be >= 1")
-    if bounds is None:
-        low, high = default_mc_bounds(pred, x)
-    else:
-        low = np.asarray(bounds[0], dtype=float)
-        high = np.asarray(bounds[1], dtype=float)
-    if not (np.isfinite(low).all() and np.isfinite(high).all() and (high > low).all()):
-        raise ParamError("bounds must be finite with positive side lengths")
+    low, high = default_mc_bounds(pred, x) if bounds is None else bounds
+    low, high = _checked_box(low, high)
     volume = float(np.prod(high - low))
     rng = np.random.default_rng(seed)
     samples = rng.uniform(low, high, size=(n_mc, low.size))
     hits = pred.contains_candidates(x, samples)
     return float(hits.mean()) * volume
+
+
+def qmc_volume(inside, low, high, n_samples: int, seed: int) -> tuple[float, float]:
+    """Volume of {z in the box [low, high]: inside(z)} by randomized Halton points.
+
+    The box holds VOLUME_SHIFTS copies of the first ceil(n_samples /
+    VOLUME_SHIFTS) Halton points, each moved modulo 1 by its own uniform
+    random shift drawn from `seed` (a Cranley-Patterson rotation), so each
+    copy gives an unbiased estimate. Returns their mean and its standard
+    error, their standard deviation over sqrt(VOLUME_SHIFTS). `inside` maps
+    (N, d) rows to N flags and is called once, on every point.
+    """
+    if n_samples < 1:
+        raise ParamError("n_samples must be >= 1")
+    low, high = _checked_box(low, high)
+    per_shift = -(-n_samples // VOLUME_SHIFTS)
+    shifts = np.random.default_rng(seed).random((VOLUME_SHIFTS, 1, low.size))
+    unit = (halton_sequence(per_shift, low.size)[None] + shifts) % 1.0
+    hits = np.asarray(inside((low + unit * (high - low)).reshape(-1, low.size)))
+    frac = hits.reshape(VOLUME_SHIFTS, per_shift).mean(axis=1)
+    box = float(np.prod(high - low))
+    return (box * float(frac.mean()),
+            box * float(frac.std(ddof=1)) / math.sqrt(VOLUME_SHIFTS))
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +351,32 @@ def fit_method(method: str, cfg: BenchConfig, reg, train: Dataset, ot_fit: Datas
 
 
 def _evaluate(pred: CalibratedPredictor, test: Dataset, cfg: BenchConfig,
-              seed: int, method_index: int) -> tuple[float, float, float]:
+              seed: int, method_index: int) -> tuple[float, float, float, float]:
+    """Coverage, mean region size over the first region_size_points test
+    inputs, that size's standard error, and the milliseconds taken."""
     t0 = time.perf_counter()
     cov = marginal_coverage(pred, test)
-    k = min(cfg.region_size_points, test.n)
     mc_seed = seed * 8191 + method_index  # per-cell stream, schedule independent
-    sizes = [region_size_mc(pred, test.features[i],
-                            default_mc_bounds(pred, test.features[i],
-                                              cfg.bounds_inflation),
-                            n_mc=cfg.mc_samples, seed=mc_seed + 7 * i)
-             for i in range(k)]
+
+    def sample(inside):
+        low, high = residual_box(pred, cfg.bounds_inflation)
+        return qmc_volume(inside, low, high, cfg.mc_samples, mc_seed)
+
+    sizes, stderr = region_volumes(pred, test.features[:cfg.region_size_points], sample)
     t1 = time.perf_counter()
-    return cov, float(np.mean(sizes)), (t1 - t0) * 1e3
+    return cov, float(np.mean(sizes)), stderr, (t1 - t0) * 1e3
+
+
+def _solver_diagnostics(pred: CalibratedPredictor) -> dict:
+    """Sinkhorn iterations, marginal error and convergence of an otcp map's solve."""
+    emap = getattr(pred.score_fn, "transport_map", None)
+    if emap is None:
+        return {}
+    pot = emap.potentials
+    error = float(pot.marginal_error)
+    return {"sinkhorn_iters": int(pot.iterations),
+            "marginal_error": error if math.isfinite(error) else None,
+            "converged": bool(pot.converged)}
 
 
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
@@ -317,9 +396,9 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
             try:
                 pred, fit_ms, cal_ms = fit_method(method, cfg, reg, train, ot_fit,
                                                   calib, seed)
-                cov, size, pred_ms = _evaluate(pred, test, cfg, seed, mi)
-                rows.append(MethodResult(method, seed, "ok", cov, size,
-                                         fit_ms, cal_ms, pred_ms))
+                cov, size, size_se, pred_ms = _evaluate(pred, test, cfg, seed, mi)
+                rows.append(MethodResult(method, seed, "ok", cov, size, fit_ms, cal_ms,
+                                         pred_ms, size_se, _solver_diagnostics(pred)))
                 if cfg.output_dir and cfg.save_models and method not in saved_models:
                     model_dir = Path(cfg.output_dir) / "models"
                     model_dir.mkdir(parents=True, exist_ok=True)

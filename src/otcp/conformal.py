@@ -1,4 +1,4 @@
-"""Conformity scores, split-conformal calibration, and 2-D prediction regions.
+"""Conformity scores, split-conformal calibration, 2-D regions and region volumes.
 
 Every score function maps an (x, y) pair to a scalar; calibration ranks the
 scores of held-out pairs and keeps the ceil((1-alpha)(n+1))-th order statistic
@@ -90,6 +90,26 @@ class ScoreFunction:
         """
         raise MethodError(f"no 2-D region for score kind {self.kind!r}")
 
+    def volume(self, r: float, X, sampler=None) -> tuple[np.ndarray, float]:
+        """Volume of the set {y: score(x, y) <= r} at each row x of X, and its standard error.
+
+        A kind with a closed form returns it with a standard error of 0. A kind
+        without one has the same set, up to translation, at every x, and sizes
+        it once in residual space through `sampler(inside)`: `inside` flags the
+        residual rows that lie in the set, and the sampler returns the set's
+        volume and that estimate's standard error.
+        """
+        raise MethodError(f"no region volume for score kind {self.kind!r}")
+
+
+def _ball_volume(d: int, r: float) -> float:
+    """Volume of the radius-r ball in d dimensions, r^d pi^(d/2) / Gamma(d/2 + 1)."""
+    return max(r, 0.0) ** d * math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+
+
+def _per_row(X, value: float) -> np.ndarray:
+    return np.full(np.atleast_2d(X).shape[0], value)
+
 
 class _RegressionScore(ScoreFunction):
     components = ("regressor",)
@@ -126,6 +146,9 @@ class AbsoluteResidualScore(_RegressionScore):
     def _score_residuals(self, resid):
         return np.abs(resid[:, 0])
 
+    def volume(self, r, X, sampler=None):
+        return _per_row(X, 2.0 * max(r, 0.0)), 0.0
+
 
 class EuclideanResidualScore(_RegressionScore):
     """||yhat(x) - y||_2, collapsing the residual vector to one number."""
@@ -137,6 +160,9 @@ class EuclideanResidualScore(_RegressionScore):
 
     def contour_2d(self, x, r, circle):
         return self.center(x)[None, :] + r * circle, False
+
+    def volume(self, r, X, sampler=None):
+        return _per_row(X, _ball_volume(self.d, r)), 0.0
 
 
 class MahalanobisResidualScore(_RegressionScore):
@@ -158,6 +184,11 @@ class MahalanobisResidualScore(_RegressionScore):
     def contour_2d(self, x, r, circle):
         half = np.linalg.inv(self.whitener.matrix)  # maps the unit ball to the ellipse
         return self.center(x)[None, :] + (r * circle) @ half.T, False
+
+    def volume(self, r, X, sampler=None):
+        # the set is W^-1 times a radius-r ball
+        ball = _ball_volume(self.d, r)
+        return _per_row(X, ball / abs(float(np.linalg.det(self.whitener.matrix)))), 0.0
 
 
 class MaxIntervalScore(ScoreFunction):
@@ -196,6 +227,10 @@ class MaxIntervalScore(ScoreFunction):
             edges.append(a[None, :] * (1 - frac) + b[None, :] * frac)
         return np.vstack(edges), False
 
+    def volume(self, r, X, sampler=None):
+        lo, hi = self.quantile_predictor.bounds_rows(np.atleast_2d(X))
+        return np.prod(np.maximum(hi - lo + 2.0 * r, 0.0), axis=1), 0.0
+
 
 class TransportRankScore(_RegressionScore):
     """Transport rank of the residual vector: ||T(y - yhat(x))|| in [0, 1]."""
@@ -223,6 +258,12 @@ class TransportRankScore(_RegressionScore):
         steps = np.diff(ang, append=ang[:1])
         monotone = (steps < 0).sum() == 1 or (steps > 0).sum() == 1
         return pulled[np.argsort(ang, kind="stable")], not monotone
+
+    def volume(self, r, X, sampler=None):
+        if sampler is None:
+            raise MethodError("otcp regions have no closed-form volume; pass a sampler")
+        vol, stderr = sampler(lambda z: self._score_residuals(z) <= r)
+        return _per_row(X, vol), stderr
 
 
 SCORE_CLASSES = {cls.kind: cls for cls in (
@@ -468,3 +509,18 @@ def region_contour_2d(pred: CalibratedPredictor, x, n_angles: int = 128,
     verts, reordered = pred.score_fn.contour_2d(x, r, circle)
     return Region2D(x, pred.alpha, np.vstack([verts, verts[:1]]), pred.score_fn.kind,
                     reordered)
+
+
+def region_volumes(pred: CalibratedPredictor, X, sampler=None) -> tuple[np.ndarray, float]:
+    """Volume of the prediction set at each row of X, and its standard error.
+
+    Each score kind sizes its own set (see ScoreFunction.volume): interval,
+    ball and ellipse volumes are exact, and transport-rank sets are sampled
+    once through `sampler`. A set with an infinite threshold (the whole space)
+    or a PIT band has no volume here and raises MethodError.
+    """
+    if pred.band is not None:
+        raise MethodError("a PIT-band prediction set has no region volume")
+    if not math.isfinite(pred.threshold):
+        raise MethodError("threshold is infinite (region is the whole space)")
+    return pred.score_fn.volume(pred.threshold, X, sampler)

@@ -15,8 +15,9 @@ those keys. v1 files wrote an infinite threshold as the bare token Infinity.
 A v3 whitener is its matrix plus the tag of the residual rows it was
 estimated on; v1 and v2 stored the bare matrix, which loads untagged.
 Loading checks every map array's shape against the others and the residual
-bounding box against the score's dimension, and requires finite values,
-raising ParamError; alpha, threshold and band are checked where calibration
+bounding box against the score's dimension, and requires finite values and
+every required key, raising ParamError (a missing key is named by its path,
+such as score.map.grid); alpha, threshold and band are checked where calibration
 checks them, in CalibratedPredictor. Both k-NN models go through one codec,
 and a map's `origin` key holds its fit_tag, the tag of the residual rows it
 was fitted on.
@@ -40,6 +41,26 @@ from .sphere import SphericalGrid
 MAP_FORMAT = "entropic-map"
 PREDICTOR_FORMAT = "conformal-predictor"
 VERSION = 3
+
+
+class _Section(dict):
+    """A loaded artifact object whose missing keys raise ParamError naming their path.
+
+    Objects nested in it are read as _Sections too, so a key missing anywhere
+    in a predictor file is reported by its full path from the file's root.
+    """
+
+    def __init__(self, doc, path: str = ""):
+        if not isinstance(doc, dict):
+            raise ParamError(f"artifact {path or 'document'} is not a JSON object")
+        super().__init__(doc)
+        self.path = path
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise ParamError(f"artifact has no {self.path}{key}")
+        value = super().__getitem__(key)
+        return _Section(value, f"{self.path}{key}.") if isinstance(value, dict) else value
 
 
 def _arr(a) -> list:
@@ -133,6 +154,8 @@ def map_to_dict(emap: EntropicMap) -> dict:
 
 
 def map_from_dict(doc: dict) -> EntropicMap:
+    if not isinstance(doc, _Section):
+        doc = _Section(doc)
     _check_header(doc, MAP_FORMAT)
     g = doc["grid"]
     # the points, dim, n_r and n_s that v1 and v2 also stored follow from these
@@ -205,6 +228,7 @@ def predictor_to_dict(pred: CalibratedPredictor) -> dict:
 
 
 def predictor_from_dict(doc: dict) -> CalibratedPredictor:
+    doc = _Section(doc)
     _check_header(doc, PREDICTOR_FORMAT)
     score_fn = _score_fn_from_dict(doc["score"])
     threshold = doc["threshold"]

@@ -74,7 +74,7 @@ class OtProblem:
             raise DimensionError(f"source dim {src.shape[1]} != target dim {tgt.shape[1]}")
         if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
             raise ParamError("OT problem contains non-finite points")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # also refuses NaN
             raise ParamError("epsilon must be > 0")
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "source", src)

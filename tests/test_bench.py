@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -10,15 +11,23 @@ from otcp import (
     BenchConfig,
     CalibratedPredictor,
     Dataset,
+    EntropicMap,
+    KnnQuantilePredictor,
+    MethodError,
     ParamError,
+    SplitSpec,
     calibrate,
     export_contours,
+    fit_entropic_map,
     fit_quantile_predictor,
     fit_regressor,
     make_score_function,
     marginal_coverage,
     region_size_mc,
+    region_volumes,
+    residuals,
     run_benchmark,
+    split_dataset,
     sweep,
     synth_dataset,
 )
@@ -26,15 +35,30 @@ from otcp import bench, data
 from otcp.bench import DEFAULT_SWEEP_EPSILONS, DEFAULT_SWEEP_TARGETS
 
 
-def _zero_center_predictor(threshold: float) -> CalibratedPredictor:
-    """merge_l2 predictor whose center is exactly the origin, with a set radius."""
+def _zero_center_predictor(threshold: float, d: int = 2, kind: str = "merge_l2",
+                           **parts) -> CalibratedPredictor:
+    """A regression-score predictor whose center is exactly the origin, with a set radius."""
     X = np.linspace(0.0, 1.0, 20)[:, None]
-    ds = Dataset(X, np.zeros((20, 2)), tag="zeros")
+    ds = Dataset(X, np.zeros((20, d)), tag="zeros")
     reg = fit_regressor(ds, "ridge_linear", lam=0.0)
-    fn = make_score_function("merge_l2", regressor=reg)
+    fn = make_score_function(kind, regressor=reg, **parts)
     cal = np.linspace(0.1, 2.0, 20)
     return CalibratedPredictor(fn, 0.1, threshold, np.sort(cal),
-                               np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+                               np.full(d, -2.0), np.full(d, 2.0))
+
+
+@pytest.fixture(scope="module")
+def banana_parts():
+    ds = synth_dataset("banana", 800, 2, params={"noise": 0.3}, seed=3)
+    train, ot_fit, calib, test = split_dataset(ds, SplitSpec(seed=3))
+    reg = fit_regressor(train, "knn_mean", k=20)
+    emap = fit_entropic_map(residuals(ot_fit, reg), m=256, epsilon=0.1)
+    otcp_pred = calibrate(make_score_function("otcp", regressor=reg, transport_map=emap),
+                          calib, alpha=0.1)
+    qp = fit_quantile_predictor(train, 20, 0.05, 0.95)
+    mcp_pred = calibrate(make_score_function("mcp_max", quantile_predictor=qp),
+                         calib, alpha=0.1)
+    return {"otcp": otcp_pred, "mcp_max": mcp_pred, "test": test}
 
 
 # ---------------------------------------------------------------------------
@@ -104,24 +128,132 @@ def test_default_bounds_from_calibration_residuals():
     assert abs(est - math.pi) / math.pi < 0.05
 
 
-def test_evaluate_honours_bounds_inflation(monkeypatch):
-    # the config's inflation sets the sizing box: residual box (-2, 2)^2 times 3
+def test_evaluate_honours_bounds_inflation(monkeypatch, banana_parts):
+    # the config's inflation sets otcp's residual-space sampling box: residual
+    # box (-1, 3) x (0, 2), middle (1, 1), half-widths (2, 1), times 3
     boxes = []
-    size_of = bench.region_size_mc
+    size_of = bench.qmc_volume
 
-    def spy(pred, x, bounds=None, **kw):
-        boxes.append(bounds)
-        return size_of(pred, x, bounds, **kw)
+    def spy(inside, low, high, n_samples, seed):
+        boxes.append((low, high))
+        return size_of(inside, low, high, n_samples, seed)
 
-    monkeypatch.setattr(bench, "region_size_mc", spy)
-    test = synth_dataset("gaussian", 10, 2, seed=0)
-    cfg = BenchConfig(methods=("merge_l2",), mc_samples=100, region_size_points=3,
+    monkeypatch.setattr(bench, "qmc_volume", spy)
+    pred = dataclasses.replace(banana_parts["otcp"], residual_low=np.array([-1.0, 0.0]),
+                               residual_high=np.array([3.0, 2.0]))
+    cfg = BenchConfig(methods=("otcp",), mc_samples=100, region_size_points=3,
                       bounds_inflation=3.0)
-    bench._evaluate(_zero_center_predictor(1.0), test, cfg, seed=0, method_index=0)
-    assert len(boxes) == 3
-    for low, high in boxes:
-        np.testing.assert_allclose(low, [-6.0, -6.0], atol=1e-12)
-        np.testing.assert_allclose(high, [6.0, 6.0], atol=1e-12)
+    bench._evaluate(pred, banana_parts["test"], cfg, seed=0, method_index=0)
+    assert len(boxes) == 1
+    np.testing.assert_allclose(boxes[0][0], [-5.0, -2.0], atol=1e-12)
+    np.testing.assert_allclose(boxes[0][1], [7.0, 4.0], atol=1e-12)
+
+
+# each closed form against plain Monte Carlo over a box holding the whole set
+# (criterion 8's sample count and tolerance)
+_WHITENER = np.array([[2.0, 0.5], [0.5, 1.0]])
+_WHITENER_3D = np.array([[1.5, 0.2, 0.0], [0.2, 1.0, 0.3], [0.0, 0.3, 0.5]])
+
+
+@pytest.mark.parametrize("kind, d, parts", [
+    ("abs_univariate", 1, {}),
+    ("merge_l2", 2, {}),
+    ("merge_l2", 3, {}),
+    ("merge_mahalanobis", 2, {"whitener": _WHITENER}),
+    ("merge_mahalanobis", 3, {"whitener": _WHITENER_3D}),
+])
+def test_regression_volumes_match_monte_carlo(kind, d, parts):
+    pred = _zero_center_predictor(0.8, d, kind, **parts)
+    W = parts.get("whitener", np.eye(d))
+    reach = 0.8 / np.linalg.svd(W, compute_uv=False).min()  # the set's radius
+    box = (np.full(d, -1.05 * reach), np.full(d, 1.05 * reach))
+    X = np.array([[0.1], [0.5], [0.9]])
+    volumes, stderr = region_volumes(pred, X)
+    assert stderr == 0.0 and volumes.shape == (3,)
+    assert (volumes == volumes[0]).all()
+    est = region_size_mc(pred, [0.5], bounds=box, n_mc=100000, seed=11)
+    assert abs(est - volumes[0]) / volumes[0] < 0.05
+
+
+def test_interval_volumes_match_monte_carlo_at_each_row(banana_parts):
+    pred = banana_parts["mcp_max"]
+    X = banana_parts["test"].features[:4]
+    volumes, stderr = region_volumes(pred, X)
+    assert stderr == 0.0 and volumes.shape == (4,)
+    r = pred.threshold
+    for x, vol in zip(X, volumes):
+        lo, hi = pred.score_fn.quantile_predictor.predict_bounds(x)
+        est = region_size_mc(pred, x, bounds=(lo - r - 0.5, hi + r + 0.5),
+                             n_mc=100000, seed=12)
+        assert abs(est - vol) / vol < 0.05
+    assert len(set(volumes.tolist())) > 1  # the boxes differ from row to row
+
+
+def test_otcp_volume_matches_pooled_monte_carlo(banana_parts):
+    pred, X = banana_parts["otcp"], banana_parts["test"].features[:3]
+    low, high = bench.residual_box(pred, 1.5)
+    volumes, se = region_volumes(pred, X,
+                                 lambda inside: bench.qmc_volume(inside, low, high, 4000, 5))
+    assert se > 0.0 and (volumes == volumes[0]).all()
+    box = bench.default_mc_bounds(pred, X[0], 1.5)  # the same box, moved to X[0]
+    n, seeds = 50000, range(4)
+    pooled = float(np.mean([region_size_mc(pred, X[0], box, n_mc=n, seed=s) for s in seeds]))
+    box_volume = float(np.prod(box[1] - box[0]))
+    p = pooled / box_volume
+    pooled_se = box_volume * math.sqrt(p * (1 - p) / (n * len(seeds)))
+    assert abs(volumes[0] - pooled) < 4 * math.hypot(se, pooled_se)
+
+
+def test_otcp_volume_is_repeatable_per_seed(banana_parts):
+    pred, test = banana_parts["otcp"], banana_parts["test"]
+    cfg = BenchConfig(methods=("otcp",), mc_samples=500, region_size_points=5)
+    first = bench._evaluate(pred, test, cfg, seed=2, method_index=3)[:3]
+    again = bench._evaluate(pred, test, cfg, seed=2, method_index=3)[:3]
+    other = bench._evaluate(pred, test, cfg, seed=2, method_index=4)[:3]
+    assert repr(first).encode() == repr(again).encode()
+    assert other[0] == first[0] and other[1:] != first[1:]
+
+
+def test_evaluate_sizes_each_cell_in_one_call(monkeypatch, banana_parts):
+    monkeypatch.setattr(bench, "region_size_mc",
+                        lambda *a, **k: pytest.fail("sized one point at a time"))
+    rows = []
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+
+        def spy(self, X):
+            rows.append(np.atleast_2d(X).shape[0])
+            return original(self, X)
+        monkeypatch.setattr(cls, name, spy)
+
+    counting(KnnQuantilePredictor, "bounds_rows")
+    counting(EntropicMap, "rank")
+    test = banana_parts["test"]
+    cfg = BenchConfig(mc_samples=1000, region_size_points=50)
+    bench._evaluate(banana_parts["mcp_max"], test, cfg, seed=0, method_index=2)
+    assert rows == [test.n, 50]  # coverage, then every sized point at once
+    rows.clear()
+    bench._evaluate(banana_parts["otcp"], test, cfg, seed=0, method_index=3)
+    assert rows == [test.n, 1000]  # coverage, then one residual-space sample
+
+
+def test_volume_refuses_infinite_thresholds_and_pit_bands():
+    with pytest.raises(MethodError):
+        region_volumes(_zero_center_predictor(math.inf), [[0.5]])
+    banded = dataclasses.replace(_zero_center_predictor(1.0), band=(0.05, 0.95))
+    with pytest.raises(MethodError):
+        region_volumes(banded, [[0.5]])
+
+
+def test_qmc_volume_rejects_an_empty_sample_or_box():
+    inside = lambda z: np.ones(len(z), dtype=bool)  # noqa: E731
+    with pytest.raises(ParamError):
+        bench.qmc_volume(inside, [0.0], [1.0], 0, seed=0)
+    with pytest.raises(ParamError):
+        bench.qmc_volume(inside, [0.0, 0.0], [1.0, 0.0], 8, seed=0)
+    # the whole box is inside: the exact volume with no spread
+    assert bench.qmc_volume(inside, [0.0, -1.0], [2.0, 1.0], 8, seed=0) == (4.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +306,38 @@ def test_whitening_beats_plain_l2_on_anisotropic_noise():
     # pi*(q*sigma1)^2 = 4*pi*q^2, so whitening must come out smaller
     assert (agg["merge_mahalanobis"]["mean_region_size"]["mean"]
             < agg["merge_l2"]["mean_region_size"]["mean"])
+
+
+def test_infinite_threshold_fails_its_cell(tmp_path):
+    # 120 calibration pairs: alpha < 1/121 puts the threshold at +inf
+    report = run_benchmark(_small_cfg(alpha=0.005, methods=("merge_l2", "otcp"),
+                                      output_dir=str(tmp_path)))
+    for row in report.rows:
+        assert row.status.startswith("failed: MethodError: threshold is infinite")
+    summary = json.loads((tmp_path / "report_summary.json").read_text(),
+                         parse_constant=lambda token: pytest.fail(f"wrote {token}"))
+    assert summary["otcp"]["n_failed"] == 1 and "mean_region_size" not in summary["otcp"]
+
+
+def test_summary_holds_size_errors_and_solver_diagnostics(tmp_path):
+    cfg = _small_cfg(methods=("merge_l2", "otcp"), seeds=(0, 1), output_dir=str(tmp_path))
+    report = run_benchmark(cfg)
+    summary = json.loads((tmp_path / "report_summary.json").read_text(),
+                         parse_constant=lambda token: pytest.fail(f"wrote {token}"))
+    assert summary["merge_l2"]["region_size_stderr"] == 0.0
+    otcp_rows = [r for r in report.rows if r.method == "otcp"]
+    entry = summary["otcp"]
+    assert entry["region_size_stderr"] == pytest.approx(
+        math.hypot(*(r.region_size_stderr for r in otcp_rows)) / 2)
+    assert [s["seed"] for s in entry["per_seed"]] == [0, 1]
+    for seed_entry, row in zip(entry["per_seed"], otcp_rows):
+        assert seed_entry["region_size_stderr"] == row.region_size_stderr > 0.0
+        assert isinstance(seed_entry["sinkhorn_iters"], int)
+        assert isinstance(seed_entry["converged"], bool)
+        assert 0.0 <= seed_entry["marginal_error"]
+    # the CSV report keeps its columns
+    header = (tmp_path / "report.csv").read_text().splitlines()[0]
+    assert header == ",".join(bench.REPORT_COLUMNS + bench.TIMING_COLUMNS)
 
 
 def test_method_failure_isolated():
@@ -261,6 +425,19 @@ def test_config_rejects_keys_nothing_reads(over):
         BenchConfig(**over)
     with pytest.raises(ParamError):
         BenchConfig.from_dict(over)
+
+
+@pytest.mark.parametrize("over", [
+    {"otcp": {"epsilon": math.nan}},
+    {"region_size_points": 0},
+    {"bounds_inflation": 0.0},
+    {"bounds_inflation": -1.5},
+    {"bounds_inflation": math.inf},
+    {"bounds_inflation": math.nan},
+])
+def test_config_rejects_values_no_run_can_use(over):
+    with pytest.raises(ParamError):
+        BenchConfig(**over)
 
 
 def test_knn_fits_default_to_k_25(monkeypatch):

@@ -21,3 +21,11 @@ def test_a_run_that_exits_nonzero_gives_an_error_and_no_result():
     env, result, error = snapshot.run_workload("no_such_workload", 0, 1.0, 0, True)
     assert result is None
     assert error.startswith("exit 2:") and "--workload must be one of" in error
+
+
+def test_the_readme_run_reports_every_method():
+    result, error = snapshot.readme_run(smoke=True)
+    assert error == ""
+    assert result["config"]["seeds"] == [0] and result["wall_s"] > 0
+    assert sorted(result["summary"]) == sorted(result["config"]["methods"])
+    assert all(entry["n_failed"] == 0 for entry in result["summary"].values())

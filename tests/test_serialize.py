@@ -202,6 +202,7 @@ def _edit(doc, path, fn):
     (("band",), lambda b: [0.9, 0.1]),
     (("band",), lambda b: ["a", 1]),
     (("band",), lambda b: [0.1, 0.5, 0.9]),
+    (("score", "map", "epsilon"), lambda e: math.nan),
 ])
 def test_load_rejects_inconsistent_artifacts(fitted, tmp_path, path, fn):
     kind = "merge_mahalanobis" if "whitener" in path else "otcp"
@@ -275,3 +276,28 @@ def test_round_trip_is_bit_identical_for_random_shapes(kind, d, n, m, seed):
         # a v2 whitener is a bare matrix, so it loads untagged
         assert predictor_from_dict(doc).score_fn.whitener.fit_tag
         assert not predictor_from_dict(_as_version(doc, 2, pred)).score_fn.whitener.fit_tag
+
+
+def _key_paths(doc, prefix=()):
+    """The path of every key in a JSON object, nested objects included."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@pytest.mark.parametrize("kind", SCORE_KINDS)
+def test_a_missing_key_is_a_param_error_naming_it(kind):
+    pred, _ = _random_predictor(kind, 1 if kind == "abs_univariate" else 2, 60, 16, 0)
+    doc = _json_round_trip(predictor_to_dict(pred))
+    optional = {"tag", "origin", "band"}
+    paths = [path for path in _key_paths(doc) if path[-1] not in optional]
+    assert ("score", "kind") in paths and ("alpha",) in paths
+    for path in paths:
+        bad = copy.deepcopy(doc)
+        _edit(bad, path, lambda value: None)
+        with pytest.raises(ParamError) as exc:
+            predictor_from_dict(bad)
+        # the header check and a missing component report the file's own way
+        if path[-1] not in ("format", "version") and path[:-1] != ("score",):
+            assert ".".join(path) in str(exc.value), (path, str(exc.value))

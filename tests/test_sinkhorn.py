@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -291,3 +292,10 @@ def test_problem_validation():
         OtProblem([[0.0, 1.0]], [[1.0]], 0.5)
     with pytest.raises(ParamError):
         OtProblem([[np.inf]], [[1.0]], 0.5)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, -0.5])
+def test_problem_rejects_an_epsilon_that_is_not_positive(epsilon):
+    # NaN fails every comparison, so only `not epsilon > 0` refuses it
+    with pytest.raises(ParamError):
+        OtProblem([[0.0]], [[1.0]], epsilon)
