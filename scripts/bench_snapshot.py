@@ -6,20 +6,25 @@
 Run it from anywhere; it runs the command that BENCHMARK.json names
 (``perfbench/run.py``) from the root of this checkout, one run at a time. Every
 workload runs once per seed with ``--trace 0`` and then once with ``--trace 1``
-at the first seed. Then ``otcp bench run`` runs once, end to end, on the
-README's config at that config's first seed. The file holds the runs'
+at the first seed. Then ``otcp bench run`` and ``otcp bench sweep`` (over the
+README's ``--eps 0.01 0.1 1 --targets 1024 4096``) run once each, end to end,
+on the README's config at that config's first seed. The file holds the runs'
 environment line, each end-to-end metric's median, quartiles and per-seed
-values, the traced run's per-layer values, and the README run's wall time
-and report summary. ``worktree_changes`` lists the tracked files that differ
+values, the traced run's per-layer values, the README run's wall time and
+report summary, and the README sweep's wall time and each cell's status,
+coverage and size. ``worktree_changes`` lists the tracked files that differ
 from the commit the environment line names. ``--smoke`` is passed through to
-every run and shrinks the README run (n=400, m=128, 200 samples at 5
-points). The script exits non-zero, after writing what it has, when a run
-exits non-zero, prints no result line, or fails its correctness checks.
+every run and shrinks the README run and sweep (n=400, m=128, 200 samples at
+5 points; the sweep over ``--eps 0.1 1 --targets 128``). The script exits
+non-zero, after writing what it has, when a run exits non-zero, prints no
+result line, or fails its correctness checks, or when a README sweep cell
+fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import statistics
@@ -33,6 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 SEEDS = (0, 1, 2, 3, 4)
 ENV_PREFIX = "# env "
+# the README's `bench sweep` axes, and a tiny pair of cells for --smoke
+README_SWEEP_AXES = ["--eps", "0.01", "0.1", "1", "--targets", "1024", "4096"]
+SMOKE_SWEEP_AXES = ["--eps", "0.1", "1", "--targets", "128"]
 
 
 def run_workload(workload: str, seed: int, seconds: float, trace: int,
@@ -67,8 +75,9 @@ def readme_config(smoke: bool) -> dict:
     return cfg
 
 
-def readme_run(smoke: bool) -> tuple[dict | None, str]:
-    """One `otcp bench run` on the README config: (wall time and summary, error text)."""
+def _readme_command(smoke: bool, command: list[str], read) -> tuple[dict | None, str]:
+    """One `otcp bench ...` command on the README config: (wall time, config and
+    what `read` takes from the output dir, error text)."""
     cfg = readme_config(smoke)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
@@ -76,15 +85,38 @@ def readme_run(smoke: bool) -> tuple[dict | None, str]:
         config, out = Path(tmp) / "config.json", Path(tmp) / "out"
         config.write_text(json.dumps(cfg), encoding="utf-8")
         t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "otcp", "bench", "run", "--config",
+        proc = subprocess.run([sys.executable, "-m", "otcp", "bench", *command, "--config",
                                str(config), "--output-dir", str(out)],
                               cwd=ROOT, env=env, capture_output=True, text=True,
                               timeout=1800)
         wall_s = time.perf_counter() - t0
-        if proc.returncode != 0:
-            return None, f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"
-        summary = json.loads((out / "report_summary.json").read_text(encoding="utf-8"))
-    return {"config": cfg, "wall_s": wall_s, "summary": summary}, ""
+        if proc.returncode != 0:  # exit 2 prints the failed cells on stdout
+            output = proc.stderr.strip() or proc.stdout.strip()
+            return None, f"exit {proc.returncode}: {output[-2000:]}"
+        return {"config": cfg, "wall_s": wall_s, **read(out)}, ""
+
+
+def readme_run(smoke: bool) -> tuple[dict | None, str]:
+    """One `otcp bench run` on the README config: (wall time and summary, error text)."""
+    return _readme_command(smoke, ["run"], lambda out: {"summary": json.loads(
+        (out / "report_summary.json").read_text(encoding="utf-8"))})
+
+
+def readme_sweep(smoke: bool) -> tuple[dict | None, str]:
+    """One `otcp bench sweep` on the README config over the README's axes:
+    (wall time and each cell's status, coverage and size, error text). A failed
+    cell makes the sweep exit 2, so it is an error too."""
+    axes = SMOKE_SWEEP_AXES if smoke else README_SWEEP_AXES
+
+    def read(out):
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+            return {"axes": axes, "cells": [
+                {"epsilon": float(r["epsilon"]), "m": int(r["m"]), "seed": int(r["seed"]),
+                 "status": r["status"], "coverage": float(r["coverage"]),
+                 "mean_region_size": float(r["mean_region_size"])}
+                for r in csv.DictReader(fh)]}
+
+    return _readme_command(smoke, ["sweep", *axes], read)
 
 
 def worktree_changes() -> list[str] | None:
@@ -147,6 +179,9 @@ def snapshot(seeds: list[int], seconds: float, smoke: bool) -> tuple[dict, list[
     out["readme_run"], error = readme_run(smoke)
     if error:
         errors.append(f"README config bench run: {error}")
+    out["readme_sweep"], error = readme_sweep(smoke)
+    if error:
+        errors.append(f"README config bench sweep: {error}")
     return out, errors
 
 

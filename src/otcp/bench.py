@@ -3,10 +3,13 @@
 A run takes one config, loops over seeds, and for each seed splits the data,
 fits the shared point predictor, builds and calibrates every requested score
 function, and measures marginal coverage plus the mean region size over the
-first `region_size_points` test inputs. Each score kind sizes its own set in
-one call: `merge_l2`, `merge_mahalanobis` and `abs_univariate` sets are a ball,
-an ellipse and an interval of the same size at every input, and `mcp_max` sets
-are boxes, all with exact volumes (so `region_size_points` matters only to
+first `region_size_points` test inputs. A sweep prepares each seed the same
+way, once, and runs one otcp cell per (epsilon, m) on those parts; one
+per-seed function serves both, and it alone turns an expected failure into a
+failed row. Each score kind sizes its own set in one call: `merge_l2`,
+`merge_mahalanobis` and `abs_univariate` sets are a ball, an ellipse and an
+interval of the same size at every input, and `mcp_max` sets are boxes, all
+with exact volumes (so `region_size_points` matters only to
 `mcp_max`). An `otcp` set is one residual-space set moved to each input, so it
 is sized once, by `mc_samples` randomized Halton points in the calibration
 residuals' bounding box inflated by `bounds_inflation`, with a standard error
@@ -32,6 +35,7 @@ import numpy as np
 
 from . import serialize
 from .conformal import (
+    SCORE_KINDS,
     CalibratedPredictor,
     calibrate,
     default_mahalanobis_ridge,
@@ -137,8 +141,14 @@ class BenchConfig:
         _check_keys("otcp", self.otcp, OTCP_KEYS)
         _check_keys("mcp", self.mcp, MCP_KEYS)
         self.methods = tuple(self.methods)
+        if not self.methods:
+            raise ParamError("need at least one method")
+        unknown = [m for m in self.methods if m not in SCORE_KINDS]
+        if unknown:
+            raise ParamError(f"unknown score kinds {unknown}; choose from {SCORE_KINDS}")
         self.seeds = tuple(int(s) for s in self.seeds)
         self.fractions = tuple(float(f) for f in self.fractions)
+        SplitSpec(self.fractions)  # rejects fractions split_dataset would
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BenchConfig":
@@ -379,34 +389,40 @@ def _solver_diagnostics(pred: CalibratedPredictor) -> dict:
             "converged": bool(pot.converged)}
 
 
-def run_benchmark(cfg: BenchConfig) -> BenchReport:
-    """Run every (seed, method) cell; failures mark their row and spare the rest.
+def _run_seed(cfg: BenchConfig, seed: int, cells):
+    """Load, split and fit the regressor for one seed once, then run each (method,
+    config, method index) cell on those parts, yielding (row, predictor or None,
+    cell ms). Only CELL_FAILURES become failed rows; other exceptions propagate."""
+    train, ot_fit, calib, test = split_dataset(cfg.load_dataset(seed),
+                                               SplitSpec(cfg.fractions, seed))
+    reg = fit_regressor(train, cfg.regressor.get("kind", "knn_mean"),
+                        **{k: v for k, v in cfg.regressor.items() if k != "kind"})
+    for method, cell, mi in cells:
+        t0 = time.perf_counter()
+        try:
+            pred, fit_ms, cal_ms = fit_method(method, cell, reg, train, ot_fit, calib, seed)
+            cov, size, size_se, pred_ms = _evaluate(pred, test, cell, seed, mi)
+            row = MethodResult(method, seed, "ok", cov, size, fit_ms, cal_ms, pred_ms,
+                               size_se, _solver_diagnostics(pred))
+        except CELL_FAILURES as exc:
+            pred, row = None, MethodResult(method, seed, f"failed: {type(exc).__name__}: {exc}")
+        yield row, pred, (time.perf_counter() - t0) * 1e3
 
-    Only the expected failures in CELL_FAILURES are recorded in a row; any other
-    exception is a programming error and propagates.
-    """
-    rows = []
-    saved_models = set()
+
+def run_benchmark(cfg: BenchConfig) -> BenchReport:
+    """Run every (seed, method) cell; a failure marks its row and spares the rest.
+    With an output dir, each method's first ok predictor is saved under models/
+    (unless save_models is off) and the report is written there."""
+    cells = [(method, cfg, mi) for mi, method in enumerate(cfg.methods)]
+    rows, saved_models = [], set()
     for seed in cfg.seeds:
-        ds = cfg.load_dataset(seed)
-        train, ot_fit, calib, test = split_dataset(ds, SplitSpec(cfg.fractions, seed))
-        reg = fit_regressor(train, cfg.regressor.get("kind", "knn_mean"),
-                            **{k: v for k, v in cfg.regressor.items() if k != "kind"})
-        for mi, method in enumerate(cfg.methods):
-            try:
-                pred, fit_ms, cal_ms = fit_method(method, cfg, reg, train, ot_fit,
-                                                  calib, seed)
-                cov, size, size_se, pred_ms = _evaluate(pred, test, cfg, seed, mi)
-                rows.append(MethodResult(method, seed, "ok", cov, size, fit_ms, cal_ms,
-                                         pred_ms, size_se, _solver_diagnostics(pred)))
-                if cfg.output_dir and cfg.save_models and method not in saved_models:
-                    model_dir = Path(cfg.output_dir) / "models"
-                    model_dir.mkdir(parents=True, exist_ok=True)
-                    serialize.save_predictor(pred, model_dir / f"{method}.json")
-                    saved_models.add(method)
-            except CELL_FAILURES as exc:
-                rows.append(MethodResult(method, seed,
-                                         f"failed: {type(exc).__name__}: {exc}"))
+        for row, pred, _ in _run_seed(cfg, seed, cells):
+            rows.append(row)
+            if pred and cfg.output_dir and cfg.save_models and row.method not in saved_models:
+                model_dir = Path(cfg.output_dir) / "models"
+                model_dir.mkdir(parents=True, exist_ok=True)
+                serialize.save_predictor(pred, model_dir / f"{row.method}.json")
+                saved_models.add(row.method)
     report = BenchReport(rows)
     if cfg.output_dir:
         report.write(cfg.output_dir)
@@ -416,27 +432,23 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
 def sweep(cfg: BenchConfig, eps_list=None, m_list=None) -> list[dict]:
     """Cross-product ablation of the transport method over (epsilon, m).
 
-    Returns long-format records (epsilon, m, seed, coverage, size, time_ms) and
-    writes sweep.csv under the config's output dir when one is set.
+    Every cell's config is built, and so checked, before any data is loaded;
+    each seed is then prepared once for all cells. Returns long-format records
+    (epsilon, m, seed, status, coverage, mean_region_size, and time_ms, the
+    cell's own milliseconds) in (epsilon, m, seed) order, and writes them as
+    sweep.csv under the config's output dir when one is set.
     """
     eps_list = DEFAULT_SWEEP_EPSILONS if eps_list is None else tuple(eps_list)
     m_list = DEFAULT_SWEEP_TARGETS if m_list is None else tuple(m_list)
     if not eps_list or not m_list:
         raise ParamError("sweep lists must be nonempty")
-    records = []
-    for eps in eps_list:
-        for m in m_list:
-            cell = replace(cfg, methods=("otcp",),
-                           otcp={**cfg.otcp, "epsilon": float(eps), "m": int(m)},
-                           output_dir=None, save_models=False)
-            t0 = time.perf_counter()
-            report = run_benchmark(cell)
-            elapsed = (time.perf_counter() - t0) * 1e3
-            for row in report.rows:
-                records.append({"epsilon": float(eps), "m": int(m), "seed": row.seed,
-                                "status": row.status, "coverage": row.coverage,
-                                "mean_region_size": row.mean_region_size,
-                                "time_ms": elapsed / max(len(report.rows), 1)})
+    cells = [("otcp", replace(cfg, otcp={**cfg.otcp, "epsilon": float(eps), "m": int(m)}), 0)
+             for eps in eps_list for m in m_list]
+    runs = [[(row, ms) for row, _, ms in _run_seed(cfg, seed, cells)] for seed in cfg.seeds]
+    records = [{"epsilon": cell.otcp["epsilon"], "m": cell.otcp["m"], "seed": row.seed,
+                "status": row.status, "coverage": row.coverage,
+                "mean_region_size": row.mean_region_size, "time_ms": ms}
+               for (_, cell, _), per_seed in zip(cells, zip(*runs)) for row, ms in per_seed]
     if cfg.output_dir:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)

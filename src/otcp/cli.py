@@ -66,13 +66,18 @@ def _cmd_bench_run(args) -> int:
     if args.output_dir:
         cfg.output_dir = args.output_dir
     report = bench.run_benchmark(cfg)
+    nan = float("nan")
     for method, agg in sorted(report.aggregates().items()):
         cov = agg.get("coverage", {})
         size = agg.get("mean_region_size", {})
-        print(f"{method}: coverage {cov.get('mean', float('nan')):.4f} "
-              f"+/- {cov.get('stderr', float('nan')):.4f}, "
-              f"size {size.get('mean', float('nan')):.4f} "
-              f"+/- {size.get('stderr', float('nan')):.4f} "
+        solver = ""
+        if method == "otcp":
+            converged = [entry["converged"] for entry in agg.get("per_seed", [])]
+            solver = f", sinkhorn converged {sum(converged)}/{len(converged)}"
+        print(f"{method}: coverage {cov.get('mean', nan):.4f} "
+              f"+/- {cov.get('stderr', nan):.4f}, "
+              f"size {size.get('mean', nan):.4f} +/- {size.get('stderr', nan):.4f}, "
+              f"region_size_stderr {agg.get('region_size_stderr', nan):.4f}{solver} "
               f"({agg['n_seeds']} seeds, {agg['n_failed']} failed)")
     if cfg.output_dir:
         print(f"report written to {cfg.output_dir}")

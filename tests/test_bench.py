@@ -434,6 +434,12 @@ def test_config_rejects_keys_nothing_reads(over):
     {"bounds_inflation": -1.5},
     {"bounds_inflation": math.inf},
     {"bounds_inflation": math.nan},
+    {"methods": ()},
+    {"methods": ("merge_l3",)},
+    {"methods": ("merge_l2", "no_such_kind")},
+    {"fractions": (0.5, 0.5)},
+    {"fractions": (0.4, 0.2, 0.2, 0.3)},
+    {"fractions": (1.2, -0.2, 0.0, 0.0)},
 ])
 def test_config_rejects_values_no_run_can_use(over):
     with pytest.raises(ParamError):
@@ -480,18 +486,71 @@ def test_sweep_single_cell_matches_run(tmp_path):
     assert text.splitlines()[0] == "epsilon,m,seed,status,coverage,mean_region_size,time_ms"
 
 
+def test_sweep_records_match_run_benchmark_rows():
+    cfg = _small_cfg(methods=("otcp",), seeds=(0, 1))
+    records = sweep(cfg, eps_list=[1.0, 0.1], m_list=[128, 256])
+    expected = []
+    for eps in (1.0, 0.1):
+        for m in (128, 256):
+            cell = dataclasses.replace(cfg, otcp={**cfg.otcp, "epsilon": eps, "m": m})
+            expected += [(eps, m, r.seed, r.status, r.coverage, r.mean_region_size)
+                         for r in run_benchmark(cell).rows]
+    assert [(r["epsilon"], r["m"], r["seed"], r["status"], r["coverage"],
+             r["mean_region_size"]) for r in records] == expected
+    assert all(r["time_ms"] > 0 for r in records)
+
+
+def test_sweep_prepares_each_seed_once(monkeypatch):
+    calls = []
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+
+    for owner, name in ((BenchConfig, "load_dataset"), (bench, "split_dataset"),
+                        (bench, "fit_regressor"), (bench, "fit_method")):
+        counted(owner, name)
+    records = sweep(_small_cfg(methods=("otcp",), seeds=(0, 1)),
+                    eps_list=[1.0, 0.1], m_list=[128, 256])
+    assert len(records) == 8 and all(r["status"] == "ok" for r in records)
+    assert sorted(calls) == sorted(["load_dataset", "split_dataset", "fit_regressor"] * 2
+                                   + ["fit_method"] * 8)
+
+
 def test_sweep_failure_message_with_comma_keeps_columns(tmp_path, monkeypatch):
-    failed = bench.BenchReport([bench.MethodResult("otcp", 0, "failed: a, b")])
-    monkeypatch.setattr(bench, "run_benchmark", lambda cell: failed)
+    def failing(*args, **kwargs):
+        raise ValueError("a, b")
+
+    monkeypatch.setattr(bench, "fit_method", failing)
     sweep(_small_cfg(output_dir=str(tmp_path)), eps_list=[0.1, 1.0], m_list=[256])
     assert _csv_widths(tmp_path / "sweep.csv") == {7}
+    with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:
+        statuses = [row["status"] for row in csv.DictReader(fh)]
+    assert statuses == ["failed: ValueError: a, b"] * 2
+
+
+def _no_loading(monkeypatch):
+    monkeypatch.setattr(BenchConfig, "load_dataset",
+                        lambda cfg, seed: pytest.fail("loaded a dataset"))
 
 
 @pytest.mark.parametrize("axes", [{"eps_list": []}, {"m_list": []}])
 def test_sweep_rejects_empty_axis(axes, monkeypatch):
-    monkeypatch.setattr(bench, "run_benchmark", lambda cell: pytest.fail("ran a cell"))
+    _no_loading(monkeypatch)
     with pytest.raises(ParamError):
         sweep(_small_cfg(), **axes)
+
+
+@pytest.mark.parametrize("axes", [{"eps_list": [0.1, -1.0]}, {"eps_list": [0.1, math.nan]},
+                                  {"m_list": [256, 1]}])
+def test_sweep_rejects_a_bad_axis_value_before_loading(axes, monkeypatch):
+    _no_loading(monkeypatch)
+    with pytest.raises(ParamError):
+        sweep(_small_cfg(methods=("otcp",)), **axes)
 
 
 # ---------------------------------------------------------------------------

@@ -29,3 +29,13 @@ def test_the_readme_run_reports_every_method():
     assert result["config"]["seeds"] == [0] and result["wall_s"] > 0
     assert sorted(result["summary"]) == sorted(result["config"]["methods"])
     assert all(entry["n_failed"] == 0 for entry in result["summary"].values())
+
+
+def test_the_readme_sweep_reports_every_cell():
+    result, error = snapshot.readme_sweep(smoke=True)
+    assert error == ""
+    assert result["axes"] == snapshot.SMOKE_SWEEP_AXES and result["wall_s"] > 0
+    cells = [(c["epsilon"], c["m"], c["seed"], c["status"]) for c in result["cells"]]
+    assert cells == [(0.1, 128, 0, "ok"), (1.0, 128, 0, "ok")]
+    assert all(0.0 <= c["coverage"] <= 1.0 and c["mean_region_size"] > 0
+               for c in result["cells"])

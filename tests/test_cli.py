@@ -32,12 +32,20 @@ def test_synth_then_load(tmp_path, capsys):
 
 
 def test_bench_run_success(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path / "cfg.json")
+    cfg = _write_cfg(tmp_path / "cfg.json", methods=["merge_l2", "otcp"], seeds=[0, 1])
     rc = main(["bench", "run", "--config", str(cfg),
                "--output-dir", str(tmp_path / "out")])
     assert rc == 0
     assert (tmp_path / "out" / "report.csv").exists()
-    assert "merge_l2: coverage" in capsys.readouterr().out
+    lines = {line.split(":", 1)[0]: line for line in capsys.readouterr().out.splitlines()}
+    summary = json.loads((tmp_path / "out" / "report_summary.json").read_text())
+    for method in ("merge_l2", "otcp"):
+        assert lines[method].startswith(f"{method}: coverage")
+        stderr = summary[method]["region_size_stderr"]
+        assert f", region_size_stderr {stderr:.4f}" in lines[method]
+    assert "sinkhorn" not in lines["merge_l2"]
+    converged = sum(entry["converged"] for entry in summary["otcp"]["per_seed"])
+    assert f", sinkhorn converged {converged}/2 (2 seeds, 0 failed)" in lines["otcp"]
 
 
 def test_bench_run_partial_failure_exit_code(tmp_path, capsys):
