@@ -18,7 +18,8 @@ error across seeds and serialize as long-format CSV plus a JSON summary, which
 also holds each method's region-size standard error and each otcp seed's
 Sinkhorn diagnostics; bytes are reproducible for a fixed config once the
 timing columns are set aside. `region_size_mc` is plain Monte Carlo at one
-input, kept as an oracle for the exact volumes.
+input, kept as an oracle for the exact volumes. BenchConfig resolves and checks
+a config once, when built, so a value no run can use fails before data loads.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .conformal import (
 )
 from .data import (
     Dataset,
+    KnnQuantilePredictor,
     SplitSpec,
     fit_quantile_predictor,
     fit_regressor,
@@ -57,8 +59,9 @@ from .data import (
     synth_params,
 )
 from .entropic import fit_entropic_map
-from .errors import MethodError, NotFittedError, ParamError, ProvenanceError
-from .sphere import build_spherical_grid, halton_sequence
+from .errors import MethodError, NotFittedError, ParamError, ProvenanceError, _integer, _real
+from .sinkhorn import DEFAULT_MAX_ITER, DEFAULT_TOL
+from .sphere import DIRECTION_MODES, build_spherical_grid, halton_sequence
 
 # appendix-style ablation axes used when a sweep is run without explicit lists
 DEFAULT_SWEEP_EPSILONS = (0.001, 0.01, 0.1, 1.0)
@@ -67,11 +70,12 @@ DEFAULT_SWEEP_TARGETS = (4096, 8192, 16384, 32768)
 REPORT_COLUMNS = ("method", "seed", "status", "coverage", "mean_region_size")
 TIMING_COLUMNS = ("fit_ms", "calibrate_ms", "predict_ms")
 
-# the keys each config section reads; the dataset's depend on its kind
-DATASET_KEYS = {"synthetic": ("kind", "generator", "n", "d", "params"),
-                "csv": ("kind", "path", "d_out")}
-OTCP_KEYS = ("epsilon", "m", "grid_mode", "tol", "max_iter")
-MCP_KEYS = ("k", "alpha_lo", "alpha_hi")
+# every key a config section reads and its default (None: required), by kind for a dataset
+DATASET_DEFAULTS = {
+    "synthetic": {"kind": "synthetic", "generator": "gaussian", "n": 2000, "d": 2, "params": {}},
+    "csv": {"kind": "csv", "path": None, "d_out": None}}
+OTCP_DEFAULTS = {"epsilon": 0.1, "m": 4096, "grid_mode": "low_discrepancy",
+                 "tol": DEFAULT_TOL, "max_iter": DEFAULT_MAX_ITER}
 
 # expected failures of one (seed, method) cell, recorded in its report row:
 # ValueError covers otcp's own value errors and numpy.linalg.LinAlgError, and
@@ -84,26 +88,30 @@ CELL_FAILURES = (ValueError, NotFittedError, ProvenanceError, MethodError, Memor
 VOLUME_SHIFTS = 8
 
 
-def _check_keys(section: str, given: dict, known) -> None:
-    unknown = sorted(set(given) - set(known))
+def _filled(section: str, given: dict, defaults: dict) -> dict:
+    """`defaults` updated by `given`; refuses any other key and a required one left unset."""
+    unknown = sorted(set(given) - set(defaults))
     if unknown:
         raise ParamError(f"{section} section: unknown keys {unknown}")
+    filled = {**defaults, **given}
+    missing = sorted(k for k, v in defaults.items() if v is None and filled[k] is None)
+    if missing:
+        raise ParamError(f"{section} section needs {missing}")
+    return filled
 
 
 @dataclass
 class BenchConfig:
-    """Everything one benchmark run needs; loadable from JSON."""
+    """Everything one benchmark run needs; loadable from JSON. Construction fills each
+    section with every key it reads (idempotently) and refuses any value no run can use."""
 
-    dataset: dict = field(default_factory=lambda: {
-        "kind": "synthetic", "generator": "gaussian", "n": 2000, "d": 2, "params": {}})
+    dataset: dict = field(default_factory=dict)
     methods: tuple = ("merge_l2", "merge_mahalanobis", "mcp_max", "otcp")
     alpha: float = 0.1
     fractions: tuple = (0.4, 0.2, 0.2, 0.2)
-    regressor: dict = field(default_factory=lambda: {"kind": "knn_mean", "k": 25})
-    otcp: dict = field(default_factory=lambda: {
-        "epsilon": 0.1, "m": 4096, "grid_mode": "low_discrepancy",
-        "tol": 1e-6, "max_iter": 2000})
-    mcp: dict = field(default_factory=dict)  # k, alpha_lo, alpha_hi
+    regressor: dict = field(default_factory=dict)
+    otcp: dict = field(default_factory=dict)
+    mcp: dict = field(default_factory=dict)
     seeds: tuple = (0,)
     mc_samples: int = 10000
     region_size_points: int = 200
@@ -112,43 +120,55 @@ class BenchConfig:
     save_models: bool = True
 
     def __post_init__(self):
+        self.alpha = _real(self.alpha, "alpha")
         if not (0.0 < self.alpha < 1.0):
             raise ParamError("alpha must lie in (0, 1)")
-        if len(self.seeds) < 1:
+        self.seeds = tuple(_integer(s, "seed", 0) for s in self.seeds)
+        if not self.seeds:
             raise ParamError("need at least one seed")
-        if not self.otcp.get("epsilon", 0.1) > 0:  # also refuses NaN
-            raise ParamError("otcp epsilon must be > 0")
-        if self.otcp.get("m", 4096) < 2:
-            raise ParamError("otcp m must be >= 2")
-        if self.mc_samples < 1:
-            raise ParamError("mc_samples must be >= 1")
-        if self.region_size_points < 1:
-            raise ParamError("region_size_points must be >= 1")
+        self.mc_samples = _integer(self.mc_samples, "mc_samples", 1)
+        self.region_size_points = _integer(self.region_size_points, "region_size_points", 1)
+        self.bounds_inflation = _real(self.bounds_inflation, "bounds_inflation")
         if not (math.isfinite(self.bounds_inflation) and self.bounds_inflation > 0):
             raise ParamError("bounds_inflation must be finite and > 0")
-        kind = self.dataset.get("kind")
-        if kind not in DATASET_KEYS:
-            raise ParamError(f"unknown dataset kind {kind!r}")
-        _check_keys("dataset", self.dataset, DATASET_KEYS[kind])
-        if kind == "csv" and not {"path", "d_out"} <= set(self.dataset):
-            raise ParamError("a csv dataset needs path and d_out")
-        if kind == "synthetic":  # rejects a generator or param synth_dataset would
-            synth_params(self.dataset.get("generator", "gaussian"),
-                         self.dataset.get("params"))
-        # rejects a regressor kind or parameter that fit_regressor would
-        regressor_params(self.regressor.get("kind", "knn_mean"),
-                         {k: v for k, v in self.regressor.items() if k != "kind"})
-        _check_keys("otcp", self.otcp, OTCP_KEYS)
-        _check_keys("mcp", self.mcp, MCP_KEYS)
+        ds = {"kind": "synthetic", **self.dataset}
+        if ds["kind"] not in DATASET_DEFAULTS:
+            raise ParamError(f"unknown dataset kind {ds['kind']!r}")
+        ds = self.dataset = _filled("dataset", ds, DATASET_DEFAULTS[ds["kind"]])
+        if ds["kind"] == "csv":
+            ds["d_out"] = _integer(ds["d_out"], "dataset d_out", 1)
+        else:  # rejects a generator or param synth_dataset would
+            ds.update(n=_integer(ds["n"], "dataset n", 1), d=_integer(ds["d"], "dataset d", 1),
+                      params=synth_params(ds["generator"], ds["params"]))
+        reg = {"kind": "knn_mean", **self.regressor}
+        kind = reg.pop("kind")
+        # rejects a regressor kind, parameter or value that fit_regressor would
+        self.regressor = {"kind": kind, **regressor_params(kind, reg)}
+        o = self.otcp = _filled("otcp", self.otcp, OTCP_DEFAULTS)
+        o.update(epsilon=_real(o["epsilon"], "otcp epsilon"), m=_integer(o["m"], "otcp m", 2),
+                 tol=_real(o["tol"], "otcp tol"),
+                 max_iter=_integer(o["max_iter"], "otcp max_iter", 1))
+        for key in ("epsilon", "tol"):
+            if not o[key] > 0:
+                raise ParamError(f"otcp {key} must be > 0, got {o[key]}")
+        if o["grid_mode"] not in DIRECTION_MODES:
+            raise ParamError(f"otcp grid_mode must be one of {DIRECTION_MODES}")
+        KnnQuantilePredictor(*self._mcp_levels())  # rejects levels mcp_max would
         self.methods = tuple(self.methods)
         if not self.methods:
             raise ParamError("need at least one method")
         unknown = [m for m in self.methods if m not in SCORE_KINDS]
         if unknown:
             raise ParamError(f"unknown score kinds {unknown}; choose from {SCORE_KINDS}")
-        self.seeds = tuple(int(s) for s in self.seeds)
-        self.fractions = tuple(float(f) for f in self.fractions)
+        self.fractions = tuple(_real(f, "fractions") for f in self.fractions)
         SplitSpec(self.fractions)  # rejects fractions split_dataset would
+
+    def _mcp_levels(self) -> tuple:
+        """mcp_max's (k, alpha_lo, alpha_hi), unless set: the regressor's (or knn_mean's) k,
+        alpha / 2 and 1 - alpha / 2. They follow alpha, so they are derived, not stored."""
+        k = self.regressor.get("k", regressor_params("knn_mean", {})["k"])
+        return tuple(_filled("mcp", self.mcp, {"k": k, "alpha_lo": self.alpha / 2,
+                                               "alpha_hi": 1 - self.alpha / 2}).values())
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BenchConfig":
@@ -164,12 +184,10 @@ class BenchConfig:
             return cls.from_dict(json.load(fh))
 
     def load_dataset(self, seed: int) -> Dataset:
-        spec = self.dataset
-        if spec["kind"] == "synthetic":
-            return synth_dataset(spec.get("generator", "gaussian"),
-                                 int(spec.get("n", 2000)), int(spec.get("d", 2)),
-                                 spec.get("params", {}), seed=seed)
-        return load_dataset_csv(spec["path"], int(spec["d_out"]), tag=spec["path"])
+        ds = self.dataset
+        if ds["kind"] == "synthetic":
+            return synth_dataset(ds["generator"], ds["n"], ds["d"], ds["params"], seed=seed)
+        return load_dataset_csv(ds["path"], ds["d_out"], tag=ds["path"])
 
 
 @dataclass
@@ -339,20 +357,13 @@ def fit_method(method: str, cfg: BenchConfig, reg, train: Dataset, ot_fit: Datas
         ridge = default_mahalanobis_ridge(fit_resid)
         parts["whitener"] = estimate_covariance(fit_resid, ridge)
     elif method == "mcp_max":
-        mcp = cfg.mcp
-        parts["quantile_predictor"] = fit_quantile_predictor(
-            train, int(mcp.get("k", cfg.regressor.get("k", 25))),
-            float(mcp.get("alpha_lo", cfg.alpha / 2)),
-            float(mcp.get("alpha_hi", 1 - cfg.alpha / 2)))
+        parts["quantile_predictor"] = fit_quantile_predictor(train, *cfg._mcp_levels())
     elif method == "otcp":
         o = cfg.otcp
         fit_resid = residuals(ot_fit, reg)
-        grid = build_spherical_grid(int(o.get("m", 4096)), ot_fit.d,
-                                    mode=o.get("grid_mode", "low_discrepancy"),
-                                    seed=seed)
+        grid = build_spherical_grid(o["m"], ot_fit.d, mode=o["grid_mode"], seed=seed)
         parts["transport_map"] = fit_entropic_map(
-            fit_resid, grid, epsilon=float(o.get("epsilon", 0.1)),
-            tol=float(o.get("tol", 1e-6)), max_iter=int(o.get("max_iter", 2000)))
+            fit_resid, grid, epsilon=o["epsilon"], tol=o["tol"], max_iter=o["max_iter"])
     fn = make_score_function(method, **parts)
     t1 = time.perf_counter()
     pred = calibrate(fn, calib, cfg.alpha)
@@ -395,8 +406,7 @@ def _run_seed(cfg: BenchConfig, seed: int, cells):
     cell ms). Only CELL_FAILURES become failed rows; other exceptions propagate."""
     train, ot_fit, calib, test = split_dataset(cfg.load_dataset(seed),
                                                SplitSpec(cfg.fractions, seed))
-    reg = fit_regressor(train, cfg.regressor.get("kind", "knn_mean"),
-                        **{k: v for k, v in cfg.regressor.items() if k != "kind"})
+    reg = fit_regressor(train, **cfg.regressor)
     for method, cell, mi in cells:
         t0 = time.perf_counter()
         try:
@@ -442,7 +452,7 @@ def sweep(cfg: BenchConfig, eps_list=None, m_list=None) -> list[dict]:
     m_list = DEFAULT_SWEEP_TARGETS if m_list is None else tuple(m_list)
     if not eps_list or not m_list:
         raise ParamError("sweep lists must be nonempty")
-    cells = [("otcp", replace(cfg, otcp={**cfg.otcp, "epsilon": float(eps), "m": int(m)}), 0)
+    cells = [("otcp", replace(cfg, otcp={**cfg.otcp, "epsilon": eps, "m": m}), 0)
              for eps in eps_list for m in m_list]
     runs = [[(row, ms) for row, _, ms in _run_seed(cfg, seed, cells)] for seed in cfg.seeds]
     records = [{"epsilon": cell.otcp["epsilon"], "m": cell.otcp["m"], "seed": row.seed,

@@ -5,10 +5,11 @@
     otcp contour --model model.json --x ... --alphas ... [--out DIR]
     otcp synth --kind gaussian --n 1000 --d 2 --seed 0 --out data.csv
 
-Exit codes: 0 on success, 2 when some benchmark methods failed with an
-expected error (each failed row reads "failed: <ExceptionType>: <message>" and
-the partial report is still written). A programming error is not caught: it
-ends the run with a traceback and exit code 1.
+Exit codes: 0 on success; 2 on a bad flag or a value refused with ParamError
+(a bad config before any data loads: the usage, then "otcp: error: ..."), and
+when some benchmark methods failed with an expected error (a failed row reads
+"failed: <ExceptionType>: <message>"; the partial report is still written). A
+programming error is not caught: it ends the run with a traceback and exit 1.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import bench, serialize
 from .data import synth_dataset, write_dataset_csv
+from .errors import ParamError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,6 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = bench_sub.add_parser("run", help="run the configured benchmark")
     p_run.add_argument("--config", required=True, help="JSON config file")
     p_run.add_argument("--output-dir", default=None, help="override the config output dir")
+    p_run.set_defaults(run=_cmd_bench_run)
 
     p_sweep = bench_sub.add_parser("sweep", help="epsilon x grid-size ablation")
     p_sweep.add_argument("--config", required=True)
@@ -41,6 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--targets", nargs="+", type=int, default=None,
                          help=f"grid sizes m (default {list(bench.DEFAULT_SWEEP_TARGETS)})")
     p_sweep.add_argument("--output-dir", default=None)
+    p_sweep.set_defaults(run=_cmd_bench_sweep)
 
     p_contour = sub.add_parser("contour", help="export 2-D region polygons")
     p_contour.add_argument("--model", required=True, help="saved predictor JSON")
@@ -49,6 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_contour.add_argument("--alphas", nargs="+", type=float, default=[0.1])
     p_contour.add_argument("--out", default="contours")
     p_contour.add_argument("--angles", type=int, default=128)
+    p_contour.set_defaults(run=_cmd_contour)
 
     p_synth = sub.add_parser("synth", help="write a synthetic dataset CSV")
     p_synth.add_argument("--kind", choices=["gaussian", "banana", "mixture"],
@@ -58,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--p", type=int, default=1)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True)
+    p_synth.set_defaults(run=_cmd_synth)
     return parser
 
 
@@ -118,14 +124,12 @@ def _cmd_synth(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "bench":
-        if args.bench_command == "run":
-            return _cmd_bench_run(args)
-        return _cmd_bench_sweep(args)
-    if args.command == "contour":
-        return _cmd_contour(args)
-    return _cmd_synth(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.run(args)
+    except ParamError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ machinery applies unchanged.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +25,7 @@ from .errors import (
     ParamError,
     ProvenanceError,
     SingularError,
+    _real,
 )
 
 # ---------------------------------------------------------------------------
@@ -371,12 +371,6 @@ def pit_values(cal_scores, test_score):
     t = np.asarray(test_score, dtype=float)
     ranks = np.searchsorted(sorted_scores, np.atleast_1d(t), side="right") / n
     return float(ranks[0]) if t.ndim == 0 else ranks
-
-
-def _real(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
-        raise ParamError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 @dataclass(eq=False)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NotFittedError, ParamError, ParseError, SplitError
+from .errors import (DimensionError, NotFittedError, ParamError, ParseError, SplitError,
+                     _integer, _real)
 
 SPLIT_NAMES = ("train", "ot_fit", "calib", "test")
 
@@ -365,11 +366,11 @@ class _KnnModel:
     """A k-nearest-neighbor model: the training Dataset, kept once, and the search."""
 
     def __init__(self, k: int):
-        self.k = int(k)
+        self.k = _integer(k, "k", 1)
         self.train: Dataset | None = None
 
     def fit(self, train: Dataset):
-        if self.k < 1 or self.k > train.n:
+        if self.k > train.n:
             raise ParamError(f"k={self.k} outside [1, n_train={train.n}]")
         self.train = train
         return self
@@ -398,9 +399,9 @@ class RidgeRegressor(Regressor):
     kind = "ridge_linear"
 
     def __init__(self, lam: float = 0.0):
-        if lam < 0:
-            raise ParamError("ridge penalty must be >= 0")
-        self.lam = float(lam)
+        self.lam = _real(lam, "ridge penalty")
+        if not 0.0 <= self.lam < math.inf:
+            raise ParamError("ridge penalty must be finite and >= 0")
         self.coef = None  # (p + 1, d), last row is the intercept
 
     def fit(self, train: Dataset) -> "RidgeRegressor":
@@ -422,13 +423,15 @@ _REGRESSORS = {"knn_mean": (KnnMeanRegressor, {"k": 25}),
 
 
 def regressor_params(kind: str, params: dict) -> dict:
-    """The defaults of regressor `kind` updated by `params`, which it must all take."""
+    """The defaults of regressor `kind` updated by `params`, which it must all take and accept."""
     if kind not in _REGRESSORS:
         raise ParamError(f"unknown regressor kind {kind!r}")
     unknown = sorted(set(params) - set(_REGRESSORS[kind][1]))
     if unknown:
         raise ParamError(f"{kind} regressor takes no parameters {unknown}")
-    return {**_REGRESSORS[kind][1], **params}
+    params = {**_REGRESSORS[kind][1], **params}
+    _REGRESSORS[kind][0](**params)
+    return params
 
 
 def fit_regressor(train: Dataset, kind: str = "knn_mean", **params) -> Regressor:
@@ -443,12 +446,11 @@ class KnnQuantilePredictor(_KnnModel):
     kind = "knn_quantile"
 
     def __init__(self, k: int, alpha_lo: float, alpha_hi: float):
+        self.alpha_lo, self.alpha_hi = _real(alpha_lo, "alpha_lo"), _real(alpha_hi, "alpha_hi")
         # closed endpoints allowed: (0, 1) degrades to per-dimension min/max
-        if not (0.0 <= alpha_lo < alpha_hi <= 1.0):
+        if not (0.0 <= self.alpha_lo < self.alpha_hi <= 1.0):
             raise ParamError(f"need 0 <= alpha_lo < alpha_hi <= 1, got ({alpha_lo}, {alpha_hi})")
         super().__init__(k)
-        self.alpha_lo = float(alpha_lo)
-        self.alpha_hi = float(alpha_hi)
 
     def predict_bounds(self, x):
         lo, hi = self.bounds_rows(np.atleast_2d(np.asarray(x, dtype=float)))

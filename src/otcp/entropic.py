@@ -19,6 +19,8 @@ import numpy as np
 from .data import ScoreMatrix
 from .errors import DimensionError, ParamError
 from .sinkhorn import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     DualPotentials,
     OtProblem,
     Standardizer,
@@ -124,7 +126,7 @@ class EntropicMap:
 
 def fit_entropic_map(scores, grid: SphericalGrid | None = None, *, m: int = 4096,
                      epsilon: float = 0.1, mode: str = "low_discrepancy",
-                     seed: int = 0, tol: float = 1e-6, max_iter: int = 2000,
+                     seed: int = 0, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                      standardize: bool = True) -> EntropicMap:
     """Standardize residuals, solve the regularized OT onto the grid, wrap the maps.
 

@@ -1,8 +1,25 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types, and the scalar checks that raise ParamError."""
+
+import math
+import numbers
 
 
 class ParamError(ValueError):
     """An argument violates a documented precondition."""
+
+
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+        raise ParamError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str, low: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParamError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ParamError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 class DimensionError(ValueError):

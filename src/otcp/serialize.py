@@ -17,8 +17,9 @@ estimated on; v1 and v2 stored the bare matrix, which loads untagged.
 Loading checks every map array's shape against the others and the residual
 bounding box against the score's dimension, and requires finite values and
 every required key, raising ParamError (a missing key is named by its path,
-such as score.map.grid); alpha, threshold and band are checked where calibration
-checks them, in CalibratedPredictor. Both k-NN models go through one codec,
+such as score.map.grid) and each scalar of its kind (no integer is truncated):
+alpha, threshold and band in CalibratedPredictor, and k, lam, alpha_lo, alpha_hi,
+epsilon and n_o where their objects are built. Both k-NN models go through one codec,
 and a map's `origin` key holds its fit_tag, the tag of the residual rows it
 was fitted on.
 """
@@ -34,7 +35,7 @@ import numpy as np
 from .conformal import CalibratedPredictor, Whitener, make_score_function
 from .data import Dataset, KnnMeanRegressor, KnnQuantilePredictor, RidgeRegressor
 from .entropic import EntropicMap
-from .errors import DimensionError, ParamError
+from .errors import DimensionError, ParamError, _integer, _real
 from .sinkhorn import DualPotentials, OtProblem, Standardizer
 from .sphere import SphericalGrid
 
@@ -116,8 +117,9 @@ def _regressor_from_dict(doc: dict):
         return _knn_from_dict(KnnMeanRegressor(doc["k"]), doc)
     if doc["kind"] == "ridge_linear":
         reg = RidgeRegressor(doc["lam"])
-        reg.coef = _array(doc["coef"], "ridge coef", (doc["p"] + 1, doc["d"]))
-        reg.p, reg.d, reg.fit_tag = doc["p"], doc["d"], doc.get("tag")
+        reg.p, reg.d = _integer(doc["p"], "ridge p", 1), _integer(doc["d"], "ridge d", 1)
+        reg.coef = _array(doc["coef"], "ridge coef", (reg.p + 1, reg.d))
+        reg.fit_tag = doc.get("tag")
         return reg
     raise ParamError(f"unknown regressor kind {doc['kind']!r}")
 
@@ -165,8 +167,11 @@ def map_from_dict(doc: dict) -> EntropicMap:
     dim = grid.dim
     prob = OtProblem(_array(doc["source_std"], "source_std", (None, dim)), grid.points,
                      doc["epsilon"])
+    if not isinstance(doc["converged"], (bool, np.bool_)):
+        raise ParamError(f"converged must be true or false, got {doc['converged']!r}")
     pot = DualPotentials(_array(doc["f"], "f", (prob.n,)), _array(doc["g"], "g", (grid.m,)),
-                         prob, doc["iterations"], doc["marginal_error"], doc["converged"])
+                         prob, _integer(doc["iterations"], "iterations", 0),
+                         _real(doc["marginal_error"], "marginal_error"), doc["converged"])
     scale = _array(doc["standardizer"]["scale"], "standardizer scale", (dim,))
     if (scale <= 0).any():
         raise ParamError("standardizer scale must be positive")

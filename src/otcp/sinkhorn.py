@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParamError, SinkhornNotConverged
+from .errors import DimensionError, ParamError, SinkhornNotConverged, _real
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 2000
@@ -74,9 +74,9 @@ class OtProblem:
             raise DimensionError(f"source dim {src.shape[1]} != target dim {tgt.shape[1]}")
         if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
             raise ParamError("OT problem contains non-finite points")
-        if not self.epsilon > 0:  # also refuses NaN
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
+        if not self.epsilon > 0:
             raise ParamError("epsilon must be > 0")
-        object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", tgt)
 

@@ -15,7 +15,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DomainError, FactorizationError, ParamError
+from .errors import DomainError, FactorizationError, ParamError, _integer
+
+DIRECTION_MODES = ("low_discrepancy", "iid")
 
 # first 64 primes: Halton bases for up to 64 dimensions
 _PRIMES = [
@@ -70,6 +72,8 @@ def sphere_directions(n_s: int, dim: int, mode: str = "low_discrepancy",
     """
     if n_s < 1 or dim < 1:
         raise ParamError("need n_s >= 1 and dim >= 1")
+    if mode not in DIRECTION_MODES:
+        raise ParamError(f"unknown direction mode {mode!r}; choose from {DIRECTION_MODES}")
     if dim == 1:
         signs = np.where(np.arange(n_s) % 2 == 0, 1.0, -1.0)
         return signs[:, None]
@@ -79,7 +83,7 @@ def sphere_directions(n_s: int, dim: int, mode: str = "low_discrepancy",
         # at least 2^-bitlength(i) away from 0.5, so not before index 2^41
         raw = inverse_normal_cdf(halton_sequence(n_s, dim, skip=64))
         norms = np.linalg.norm(raw, axis=1)
-    elif mode == "iid":
+    else:  # iid
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal((n_s, dim))
         norms = np.linalg.norm(raw, axis=1)
@@ -87,8 +91,6 @@ def sphere_directions(n_s: int, dim: int, mode: str = "low_discrepancy",
             bad = norms < 1e-12
             raw[bad] = rng.standard_normal((int(bad.sum()), dim))
             norms = np.linalg.norm(raw, axis=1)
-    else:
-        raise ParamError(f"unknown direction mode {mode!r}")
     return raw / norms[:, None]
 
 
@@ -113,8 +115,7 @@ class SphericalGrid:
         if dirs.ndim != 2 or dirs.size == 0:
             raise ParamError(
                 f"directions must be a non-empty matrix, got shape {dirs.shape}")
-        if not isinstance(self.n_o, (int, np.integer)) or self.n_o < 0:
-            raise ParamError(f"n_o must be an integer >= 0, got {self.n_o!r}")
+        object.__setattr__(self, "n_o", _integer(self.n_o, "n_o", 0))
         shells = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1])
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "directions", dirs)

@@ -440,10 +440,52 @@ def test_config_rejects_keys_nothing_reads(over):
     {"fractions": (0.5, 0.5)},
     {"fractions": (0.4, 0.2, 0.2, 0.3)},
     {"fractions": (1.2, -0.2, 0.0, 0.0)},
+    {"otcp": {"tol": 0}},
+    {"otcp": {"max_iter": 0}},
+    {"otcp": {"grid_mode": "sobol"}},
+    {"mcp": {"alpha_lo": 0.9, "alpha_hi": 0.1}},
+    {"otcp": {"m": 64.7}},
+    {"seeds": (1.5,)},
+    {"dataset": {"kind": "synthetic", "n": -5}},
+    {"dataset": {"kind": "synthetic", "d": 0}},
+    {"mc_samples": 10.5},
+    {"otcp": {"m": "64"}},
+    {"alpha": "0.1"},
+    {"otcp": {"epsilon": "0.1"}},
+    {"otcp": {"max_iter": True}},
+    {"seeds": (-1,)},
+    {"region_size_points": 2.0},
+    {"bounds_inflation": "1.5"},
+    {"fractions": ("0.4", 0.2, 0.2, 0.2)},
+    {"dataset": {"kind": "csv", "path": "data.csv", "d_out": 1.5}},
+    {"regressor": {"kind": "knn_mean", "k": 2.5}},
+    {"regressor": {"kind": "knn_mean", "k": 0}},
+    {"regressor": {"kind": "ridge_linear", "lam": -1.0}},
+    {"regressor": {"kind": "ridge_linear", "lam": "1"}},
+    {"mcp": {"k": 0}},
+    {"mcp": {"k": 7.5}},
+    {"mcp": {"alpha_lo": "0.05"}},
 ])
-def test_config_rejects_values_no_run_can_use(over):
+def test_config_rejects_values_no_run_can_use(over, monkeypatch):
+    _no_loading(monkeypatch)
     with pytest.raises(ParamError):
-        BenchConfig(**over)
+        run_benchmark(BenchConfig(**over))
+
+
+def test_config_resolves_each_section_once():
+    assert BenchConfig(otcp={"epsilon": 0.05}).otcp == {
+        "epsilon": 0.05, "m": 4096, "grid_mode": "low_discrepancy", "tol": 1e-6,
+        "max_iter": 2000}
+    cfg = _small_cfg(methods=("mcp_max", "otcp"), mcp={"k": 9})
+    again = dataclasses.replace(cfg, otcp=cfg.otcp)
+    for name in ("dataset", "regressor", "otcp", "mcp"):
+        assert getattr(again, name) == getattr(cfg, name)
+    # mcp_max's unset levels follow alpha; they are not stored
+    cfg = BenchConfig()
+    assert cfg.mcp == {} and cfg._mcp_levels() == (25, 0.05, 0.95)
+    assert dataclasses.replace(cfg, alpha=0.2)._mcp_levels() == (25, 0.1, 0.9)
+    # a regressor without k leaves mcp_max at knn_mean's default k
+    assert BenchConfig(regressor={"kind": "ridge_linear"})._mcp_levels()[0] == 25
 
 
 def test_knn_fits_default_to_k_25(monkeypatch):
@@ -464,6 +506,13 @@ def test_readme_config_loads():
     block = readme.split("```json\n", 1)[1].split("```", 1)[0]
     cfg = BenchConfig.from_dict(json.loads(block))
     assert cfg.regressor == {"kind": "knn_mean", "k": 25}
+
+
+def test_readme_lists_the_resolved_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 2)[2].split("```", 1)[0]
+    resolved = json.loads(json.dumps(dataclasses.asdict(BenchConfig())))
+    assert json.loads(block) == resolved
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +595,7 @@ def test_sweep_rejects_empty_axis(axes, monkeypatch):
 
 
 @pytest.mark.parametrize("axes", [{"eps_list": [0.1, -1.0]}, {"eps_list": [0.1, math.nan]},
-                                  {"m_list": [256, 1]}])
+                                  {"m_list": [256, 1]}, {"m_list": [256.5]}])
 def test_sweep_rejects_a_bad_axis_value_before_loading(axes, monkeypatch):
     _no_loading(monkeypatch)
     with pytest.raises(ParamError):

@@ -82,6 +82,23 @@ def test_contour_command(tmp_path, capsys):
     assert verts.shape[1] == 2 and np.isfinite(verts).all()
 
 
+@pytest.mark.parametrize("command, over, flags", [
+    ("run", {"methods": ["merge_l3"]}, []),
+    ("run", {"otcp": {"tol": 0}}, []),
+    ("sweep", {"methods": ["otcp"]}, ["--eps", "-1"]),
+])
+def test_refused_config_is_a_usage_error(tmp_path, capsys, command, over, flags):
+    cfg = _write_cfg(tmp_path / "cfg.json", **over)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", command, "--config", str(cfg), *flags,
+              "--output-dir", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("otcp: error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -203,11 +203,30 @@ def _edit(doc, path, fn):
     (("band",), lambda b: ["a", 1]),
     (("band",), lambda b: [0.1, 0.5, 0.9]),
     (("score", "map", "epsilon"), lambda e: math.nan),
+    (("score", "regressor", "k"), lambda k: 2.5),
+    (("score", "regressor", "k"), lambda k: "15"),
+    (("score", "regressor", "k"), lambda k: True),
+    (("score", "regressor", "p"), lambda p: 1.0),
+    (("score", "regressor", "d"), lambda d: 2.0),
+    (("score", "regressor", "lam"), lambda lam: "0"),
+    (("score", "quantile_predictor", "k"), lambda k: 10.5),
+    (("score", "quantile_predictor", "alpha_lo"), lambda a: "0.05"),
+    (("score", "map", "epsilon"), lambda e: "0.2"),
+    (("score", "map", "iterations"), lambda i: "x"),
+    (("score", "map", "iterations"), lambda i: i + 0.5),
+    (("score", "map", "marginal_error"), lambda e: "small"),
+    (("score", "map", "converged"), lambda c: "no"),
+    (("score", "map", "converged"), lambda c: 1),
+    (("score", "map", "grid", "n_o"), lambda n: True),
 ])
 def test_load_rejects_inconsistent_artifacts(fitted, tmp_path, path, fn):
-    kind = "merge_mahalanobis" if "whitener" in path else "otcp"
-    W = estimate_covariance(residuals(fitted["ot_fit"], fitted["reg"]))
-    score = make_score_function(kind, regressor=fitted["reg"],
+    kind = ("merge_mahalanobis" if "whitener" in path
+            else "mcp_max" if "quantile_predictor" in path else "otcp")
+    reg = (fit_regressor(fitted["train"], "ridge_linear", lam=0.5)
+           if path[-1] in ("p", "d", "lam") else fitted["reg"])
+    W = estimate_covariance(residuals(fitted["ot_fit"], reg))
+    qp = fit_quantile_predictor(fitted["train"], 10, 0.05, 0.95)
+    score = make_score_function(kind, regressor=reg, quantile_predictor=qp,
                                 transport_map=fitted["emap"], whitener=W)
     save_predictor(calibrate(score, fitted["calib"], alpha=0.1), tmp_path / "p.json")
     doc = json.loads((tmp_path / "p.json").read_text())
