@@ -139,7 +139,7 @@ class BenchConfig:
             ds["d_out"] = _integer(ds["d_out"], "dataset d_out", 1)
         else:  # rejects a generator or param synth_dataset would
             ds.update(n=_integer(ds["n"], "dataset n", 1), d=_integer(ds["d"], "dataset d", 1),
-                      params=synth_params(ds["generator"], ds["params"]))
+                      params=synth_params(ds["generator"], ds["d"], ds["params"]))
         reg = {"kind": "knn_mean", **self.regressor}
         kind = reg.pop("kind")
         # rejects a regressor kind, parameter or value that fit_regressor would

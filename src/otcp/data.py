@@ -218,14 +218,19 @@ _SYNTH_PARAMS = {"gaussian": ("cov",),
                  "mixture": ("means", "weights", "covs", "cov")}
 
 
-def synth_params(kind: str, params: dict | None) -> dict:
-    """A copy of `params`, once synthetic `kind` exists and reads every key in it."""
+def synth_params(kind: str, d: int, params: dict | None) -> dict:
+    """A copy of `params`, once synthetic `kind` exists, can make d targets and reads
+    every key in `params`, p is an integer >= 1 and slope is a real number."""
     if kind not in _SYNTH_PARAMS:
         raise ParamError(f"unknown synthetic kind {kind!r}")
+    if kind == "banana" and d != 2:
+        raise ParamError("banana generator is fixed at d=2")
     params = dict(params or {})
     unknown = sorted(set(params) - {"p", "slope", *_SYNTH_PARAMS[kind]})
     if unknown:
         raise ParamError(f"{kind} generator reads no params {unknown}")
+    _integer(params.get("p", 1), "p", 1)
+    _real(params.get("slope", 1.0), "slope")
     return params
 
 
@@ -239,13 +244,14 @@ def synth_dataset(kind: str, n: int, d: int = 2, params: dict | None = None,
                   (params: spread, curvature, noise)
       mixture  -- Gaussian mixture noise (params: means, weights, covs|cov)
 
-    A params key the kind does not read raises ParamError. Feature, noise, and
+    A params key the kind does not read, a p that is not an integer >= 1 or a
+    slope that is not a real number raises ParamError. Feature, noise, and
     mixture-assignment streams are seeded independently, so a one-component
     zero-mean mixture reproduces the gaussian case bit-for-bit.
     """
     if n < 1:
         raise ParamError("n must be >= 1")
-    params = synth_params(kind, params)
+    params = synth_params(kind, d, params)
     p = int(params.get("p", 1))
     slope = float(params.get("slope", 1.0))
     ss_x, ss_noise, ss_assign = np.random.SeedSequence(seed).spawn(3)
@@ -258,8 +264,6 @@ def synth_dataset(kind: str, n: int, d: int = 2, params: dict | None = None,
         L = _check_spd(cov, d)
         noise = rng_noise.standard_normal((n, d)) @ L.T
     elif kind == "banana":
-        if d != 2:
-            raise ParamError("banana generator is fixed at d=2")
         spread = float(params.get("spread", 1.0))
         curvature = float(params.get("curvature", 1.0))
         vnoise = float(params.get("noise", 0.3))
@@ -319,6 +323,45 @@ def _fitted_rows(model, X) -> np.ndarray:
 
 
 _KNN_BLOCK_ENTRIES = 1 << 18  # cap on query rows * training rows per distance block
+_KNN_SLAB_SHARE = 0.5  # a block whose widest slab holds more of the training rows runs dense
+
+
+def _sq_distances(rows: np.ndarray, columns: np.ndarray, idx, d2: np.ndarray,
+                  sq: np.ndarray) -> None:
+    """Squared distances from each of `rows` to training points, written into d2.
+
+    columns[j] holds feature j of the training points; column c of d2 is training
+    point c, or idx[:, c] when idx is given. The sum runs one feature at a time,
+    (x_0 - t_0)^2 + (x_1 - t_1)^2 + ..., so a pair gets the same bits whichever
+    set of columns it is measured in. sq is scratch of d2's shape.
+    """
+    for j in range(rows.shape[1]):
+        t = columns[j] if idx is None else np.take(columns[j], idx, out=sq, mode="clip")
+        diff = sq if j else d2
+        np.subtract(rows[:, j:j + 1], t, out=diff)
+        diff *= diff
+        if j:
+            d2 += sq
+
+
+def _nearest_first(d2: np.ndarray, k: int) -> np.ndarray:
+    """Columns of each row's k smallest entries of d2, nearest first, (rows, k).
+
+    Equal distances favor the lower column, exactly as a stable sort of each row
+    would order them. Each row is partitioned at its k-th smallest distance and
+    only the k kept columns are sorted.
+    """
+    # the k-th smallest distance per row, copied so the partition is freed
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k].copy()
+    keep = d2 < kth
+    # fill each row up to k with its lowest columns at the k-th distance
+    ties = d2 == kth
+    ties &= (np.cumsum(ties, axis=1, dtype=np.int32)
+             <= k - np.count_nonzero(keep, axis=1)[:, None])
+    keep |= ties
+    cand = (np.flatnonzero(keep) % d2.shape[1]).reshape(-1, k)  # ascending per row
+    order = np.argsort(np.take_along_axis(d2, cand, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cand, order, axis=1)
 
 
 def _knn_indices(train_X: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
@@ -329,36 +372,57 @@ def _knn_indices(train_X: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     feature at a time, (x_0 - t_0)^2 + (x_1 - t_1)^2 + ..., which for p <= 7
     equals numpy's ((x - t) ** 2).sum() bit for bit; from p = 8 on numpy sums
     pairwise, so the two can differ in the last bit and a near-tie can go the
-    other way. Each row is partitioned at its k-th smallest distance and only
-    the k kept columns are sorted. Queries run in blocks of at most
-    _KNN_BLOCK_ENTRIES distances, so memory does not grow with q.
+    other way.
+
+    Only the training rows that can be among a query's k nearest are measured.
+    The training rows are sorted along their widest feature s. The k sorted rows
+    around a query's place in that order bound its k-th distance by their largest
+    one, B, and every row with (x_s - t_s)^2 <= B lies in one slab of the sorted
+    order (widened by a few ulps against rounding). A block's slabs are measured
+    as one padded array of candidates in training-index order, padding at
+    distance inf, so ties still go to the lowest index. When a block's widest
+    slab holds more than _KNN_SLAB_SHARE of the training rows, as it does for a
+    few uniform features, the block measures every training row instead. Queries
+    run in blocks of at most _KNN_BLOCK_ENTRIES distances either way, so memory
+    does not grow with q.
     """
     n, p = train_X.shape
     q = X.shape[0]
     step = max(1, min(q, _KNN_BLOCK_ENTRIES // n))
-    columns = np.ascontiguousarray(train_X.T)
-    d2_buf, sq_buf = np.empty((step, n)), np.empty((step, n))
+    # feature-major training rows, then one row at inf that pads the slabs: index n
+    columns = np.empty((p, n + 1))
+    columns[:, :n] = train_X.T
+    columns[:, n] = np.inf
+    s = int(np.argmax(np.ptp(columns[:, :n], axis=1)))  # the widest feature
+    order = np.argsort(train_X[:, s])
+    sorted_s = train_X[order, s]
+    order = np.append(order, n)  # sorted position n is the padding index
+    d2_buf, sq_buf = np.empty(step * n), np.empty(step * n)
     out = np.empty((q, k), dtype=np.intp)
     for lo in range(0, q, step):
         rows = X[lo:lo + step]
-        d2, sq = d2_buf[:len(rows)], sq_buf[:len(rows)]
-        np.subtract(rows[:, :1], columns[0], out=d2)
-        d2 *= d2
-        for j in range(1, p):
-            np.subtract(rows[:, j:j + 1], columns[j], out=sq)
-            sq *= sq
-            d2 += sq
-        # the k-th smallest distance per row, copied so the partition is freed
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k].copy()
-        keep = d2 < kth
-        # fill each row up to k with its lowest-index columns at the k-th distance
-        ties = d2 == kth
-        ties &= (np.cumsum(ties, axis=1, dtype=np.int32)
-                 <= k - np.count_nonzero(keep, axis=1)[:, None])
-        keep |= ties
-        cand = (np.flatnonzero(keep) % n).reshape(-1, k)  # ascending per row
-        order = np.argsort(np.take_along_axis(d2, cand, axis=1), axis=1, kind="stable")
-        out[lo:lo + len(rows)] = np.take_along_axis(cand, order, axis=1)
+        r, xs = len(rows), rows[:, s]
+        start = np.clip(np.searchsorted(sorted_s, xs) - k // 2, 0, n - k)
+        window = order[start[:, None] + np.arange(k)]
+        d2, sq = d2_buf[:r * k].reshape(r, k), sq_buf[:r * k].reshape(r, k)
+        _sq_distances(rows, columns, window, d2, sq)
+        # a float sum of squares is no smaller than its s term, so a row within B has
+        # (x_s - t_s)^2 <= B; the slack covers the rounding of that square and of xs -/+ radius
+        radius = np.sqrt(d2.max(axis=1)) * (1 + 1e-9) + 1e-9 * np.abs(xs) + 1e-150
+        first = np.searchsorted(sorted_s, xs - radius, "left")
+        last = np.searchsorted(sorted_s, xs + radius, "right")
+        w = int((last - first).max())
+        if w > _KNN_SLAB_SHARE * n:  # measure every training row
+            cand, w = None, n
+        else:
+            pos = first[:, None] + np.arange(w)
+            pos[pos >= last[:, None]] = n
+            cand = order[pos]
+            cand.sort(axis=1)
+        d2, sq = d2_buf[:r * w].reshape(r, w), sq_buf[:r * w].reshape(r, w)
+        _sq_distances(rows, columns[:, :n] if cand is None else columns, cand, d2, sq)
+        near = _nearest_first(d2, k)
+        out[lo:lo + r] = near if cand is None else np.take_along_axis(cand, near, axis=1)
     return out
 
 

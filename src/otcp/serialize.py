@@ -82,7 +82,10 @@ def _array(value, name: str, shape: tuple) -> np.ndarray:
 
 
 def _check_header(doc: dict, expected: str):
-    if doc.get("format") != expected or doc.get("version") not in (1, 2, VERSION):
+    version = doc.get("version")
+    # True == 1, so a bool version is refused before the membership test
+    if (doc.get("format") != expected or isinstance(version, bool)
+            or version not in (1, 2, VERSION)):
         raise ParamError(
             f"expected {expected} v1 to v{VERSION}, "
             f"got {doc.get('format')} v{doc.get('version')}")

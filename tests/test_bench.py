@@ -465,6 +465,11 @@ def test_config_rejects_keys_nothing_reads(over):
     {"mcp": {"k": 0}},
     {"mcp": {"k": 7.5}},
     {"mcp": {"alpha_lo": "0.05"}},
+    {"dataset": {"kind": "synthetic", "generator": "banana", "d": 3}},
+    {"dataset": {"kind": "synthetic", "generator": "gaussian", "params": {"p": 1.5}}},
+    {"dataset": {"kind": "synthetic", "generator": "gaussian", "params": {"p": True}}},
+    {"dataset": {"kind": "synthetic", "generator": "gaussian", "params": {"p": 0}}},
+    {"dataset": {"kind": "synthetic", "generator": "banana", "params": {"slope": "1"}}},
 ])
 def test_config_rejects_values_no_run_can_use(over, monkeypatch):
     _no_loading(monkeypatch)

@@ -170,6 +170,19 @@ def test_banana_requires_d2():
         synth_dataset("banana", 10, 3, seed=0)
 
 
+def test_synth_rejects_p_and_slope_values_it_cannot_use():
+    # p was cast with int() and slope with float(), so 1.5 and True ran as p=1
+    for params in ({"p": 1.5}, {"p": True}, {"p": 0}, {"p": "2"}, {"slope": "1"},
+                   {"slope": True}, {"slope": math.nan}):
+        with pytest.raises(ParamError):
+            synth_dataset("gaussian", 10, 2, params, seed=0)
+        with pytest.raises(ParamError):
+            data.synth_params("gaussian", 2, params)
+    with pytest.raises(ParamError, match="fixed at d=2"):
+        data.synth_params("banana", 3, {})
+    assert synth_dataset("gaussian", 10, 2, {"p": np.int64(3), "slope": 2}, seed=0).p == 3
+
+
 def test_synth_rejects_params_its_kind_does_not_read():
     for kind, params in [("gaussian", {"nosie": 1.0}), ("gaussian", {"slop": 3}),
                          ("gaussian", {"noise": 0.3}), ("banana", {"cov": [[1.0]]}),
@@ -274,13 +287,16 @@ def _knn_reference(train_X, train_Y, X, k):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 30), st.integers(1, 10), st.integers(1, 3), st.integers(1, 40),
-       st.sampled_from(["integer", "decimal", "continuous"]), st.booleans(),
+       st.sampled_from(["integer", "decimal", "continuous", "offset", "long"]), st.booleans(),
        st.integers(1, 1000), st.floats(0.0, 0.49), st.floats(0.51, 1.0),
        st.integers(0, 2**31 - 1))
 def test_knn_models_match_direct_reference(n, p, d, q, features, all_rows, block,
                                            a_lo, a_hi, seed):
     rng = np.random.default_rng(seed)
-    k = n if all_rows else int(rng.integers(1, n + 1))
+    if features == "long":
+        # one feature and a few hundred rows: the default slab share prunes
+        n, p = int(rng.integers(100, 400)), 1
+    k = n if all_rows else int(rng.integers(1, min(n, 30) + 1))
     if features == "integer" or p >= 8:
         # integer values on a small range force tied distances and sum exactly
         # in any order, so p >= 8 compares bit for bit as well
@@ -291,35 +307,63 @@ def test_knn_models_match_direct_reference(n, p, d, q, features, all_rows, block
         # round by the order of the sum, so the summation order must match
         def draw(rows):
             return rng.integers(-10, 11, size=(rows, p)) / 10
+    elif features == "offset":
+        # a spread of 1e-3 around 1e6: the slab ends xs -/+ radius round at 1e6's ulp
+        def draw(rows):
+            return 1e6 + 1e-3 * rng.standard_normal((rows, p))
     else:
         def draw(rows):
             return rng.standard_normal((rows, p))
     train = Dataset(draw(n), rng.standard_normal((n, d)))
     X = draw(q)
     neigh = _knn_reference(train.features, train.targets, X, k)
-    # small block caps push q through several distance blocks
-    with mock.patch.object(data, "_KNN_BLOCK_ENTRIES", block):
-        mean = fit_regressor(train, "knn_mean", k=k).predict_rows(X)
-        lo, hi = fit_quantile_predictor(train, k, a_lo, a_hi).bounds_rows(X)
-    assert np.array_equal(mean, neigh.mean(axis=1))
-    assert np.array_equal(lo, np.quantile(neigh, a_lo, axis=1))
-    assert np.array_equal(hi, np.quantile(neigh, a_hi, axis=1))
+    # small block caps push q through several distance blocks; a slab share of 0
+    # measures every training row, of 1 only the slabs, and the default picks per block
+    for share in (0.0, 1.0, data._KNN_SLAB_SHARE):
+        with (mock.patch.object(data, "_KNN_BLOCK_ENTRIES", block),
+              mock.patch.object(data, "_KNN_SLAB_SHARE", share)):
+            mean = fit_regressor(train, "knn_mean", k=k).predict_rows(X)
+            lo, hi = fit_quantile_predictor(train, k, a_lo, a_hi).bounds_rows(X)
+        assert np.array_equal(mean, neigh.mean(axis=1))
+        assert np.array_equal(lo, np.quantile(neigh, a_lo, axis=1))
+        assert np.array_equal(hi, np.quantile(neigh, a_hi, axis=1))
+
+
+def _measured_entries(train_X, X, k):
+    # the (query, training row) distances the search computes, window bounds included
+    with mock.patch.object(data, "_sq_distances", wraps=data._sq_distances) as measure:
+        idx = data._knn_indices(train_X, X, k)
+    assert np.array_equal(idx, _knn_reference(train_X, np.arange(len(train_X)), X, k))
+    return sum(call.args[3].size for call in measure.call_args_list)
+
+
+def test_knn_measures_only_the_slab_when_it_is_narrow():
+    rng = np.random.default_rng(4)
+    # one uniform feature: each query's slab holds a few dozen of 800 rows
+    assert _measured_entries(rng.uniform(size=(800, 1)), rng.uniform(size=(500, 1)),
+                             25) < 0.15 * 500 * 800
+    # three uniform features: the slabs hold most rows, so every row is measured
+    # once more, after the k window rows that bounded the slab
+    assert _measured_entries(rng.uniform(size=(800, 3)), rng.uniform(size=(500, 3)),
+                             25) == 500 * (800 + 25)
 
 
 def test_knn_search_memory_stays_within_a_few_blocks():
     rng = np.random.default_rng(0)
-    train_X, X = rng.uniform(size=(1200, 3)), rng.uniform(size=(4000, 3))
     block_bytes = data._KNN_BLOCK_ENTRIES * 8
-    tracemalloc.start()
-    try:
-        idx = data._knn_indices(train_X, X, 25)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert idx.shape == (4000, 25)
-    # two distance buffers, the partitioned copy, tie masks and the output come
-    # to about 3.7 blocks; a (q, n, p) difference tensor alone would be 115 MB
-    assert peak < 5 * block_bytes
+    # p=3 measures every training row, p=1 only each query's slab
+    for p in (3, 1):
+        train_X, X = rng.uniform(size=(1200, p)), rng.uniform(size=(4000, p))
+        tracemalloc.start()
+        try:
+            idx = data._knn_indices(train_X, X, 25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert idx.shape == (4000, 25)
+        # two distance buffers, the partitioned copy, tie masks and the output come
+        # to about 3.7 blocks; a (q, n, p) difference tensor alone would be 115 MB
+        assert peak < 5 * block_bytes
 
 
 def test_predictors_reject_nonfinite_queries():

@@ -218,6 +218,7 @@ def _edit(doc, path, fn):
     (("score", "map", "converged"), lambda c: "no"),
     (("score", "map", "converged"), lambda c: 1),
     (("score", "map", "grid", "n_o"), lambda n: True),
+    (("version",), lambda v: True),
 ])
 def test_load_rejects_inconsistent_artifacts(fitted, tmp_path, path, fn):
     kind = ("merge_mahalanobis" if "whitener" in path
