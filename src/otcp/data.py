@@ -220,7 +220,7 @@ _SYNTH_PARAMS = {"gaussian": ("cov",),
 
 def synth_params(kind: str, d: int, params: dict | None) -> dict:
     """A copy of `params`, once synthetic `kind` exists, can make d targets and reads
-    every key in `params`, p is an integer >= 1 and slope is a real number."""
+    every key in `params`, p is an integer >= 1 and each scalar param is a real number."""
     if kind not in _SYNTH_PARAMS:
         raise ParamError(f"unknown synthetic kind {kind!r}")
     if kind == "banana" and d != 2:
@@ -230,7 +230,9 @@ def synth_params(kind: str, d: int, params: dict | None) -> dict:
     if unknown:
         raise ParamError(f"{kind} generator reads no params {unknown}")
     _integer(params.get("p", 1), "p", 1)
-    _real(params.get("slope", 1.0), "slope")
+    for key in ("slope", "spread", "curvature", "noise"):
+        if key in params:
+            _real(params[key], key)
     return params
 
 
@@ -245,9 +247,10 @@ def synth_dataset(kind: str, n: int, d: int = 2, params: dict | None = None,
       mixture  -- Gaussian mixture noise (params: means, weights, covs|cov)
 
     A params key the kind does not read, a p that is not an integer >= 1 or a
-    slope that is not a real number raises ParamError. Feature, noise, and
-    mixture-assignment streams are seeded independently, so a one-component
-    zero-mean mixture reproduces the gaussian case bit-for-bit.
+    slope, spread, curvature or noise that is not a real number raises
+    ParamError. Feature, noise, and mixture-assignment streams are seeded
+    independently, so a one-component zero-mean mixture reproduces the gaussian
+    case bit-for-bit.
     """
     if n < 1:
         raise ParamError("n must be >= 1")
@@ -389,7 +392,7 @@ def _knn_indices(train_X: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     n, p = train_X.shape
     q = X.shape[0]
     step = max(1, min(q, _KNN_BLOCK_ENTRIES // n))
-    # feature-major training rows, then one row at inf that pads the slabs: index n
+    # feature-major training rows plus a column of inf at index n, which pads the slabs
     columns = np.empty((p, n + 1))
     columns[:, :n] = train_X.T
     columns[:, n] = np.inf

@@ -170,14 +170,17 @@ def test_banana_requires_d2():
         synth_dataset("banana", 10, 3, seed=0)
 
 
-def test_synth_rejects_p_and_slope_values_it_cannot_use():
-    # p was cast with int() and slope with float(), so 1.5 and True ran as p=1
-    for params in ({"p": 1.5}, {"p": True}, {"p": 0}, {"p": "2"}, {"slope": "1"},
-                   {"slope": True}, {"slope": math.nan}):
+def test_synth_rejects_scalar_params_it_cannot_use():
+    # scalars were cast with int() or float(), so p 1.5 and True ran as p=1
+    for kind, params in [("gaussian", {"p": 1.5}), ("gaussian", {"p": True}),
+                         ("gaussian", {"p": 0}), ("mixture", {"p": "2"}),
+                         ("gaussian", {"slope": "1"}), ("mixture", {"slope": True}),
+                         ("gaussian", {"slope": math.nan}), ("banana", {"spread": "2"}),
+                         ("banana", {"curvature": None}), ("banana", {"noise": True})]:
         with pytest.raises(ParamError):
-            synth_dataset("gaussian", 10, 2, params, seed=0)
+            synth_dataset(kind, 10, 2, params, seed=0)
         with pytest.raises(ParamError):
-            data.synth_params("gaussian", 2, params)
+            data.synth_params(kind, 2, params)
     with pytest.raises(ParamError, match="fixed at d=2"):
         data.synth_params("banana", 3, {})
     assert synth_dataset("gaussian", 10, 2, {"p": np.int64(3), "slope": 2}, seed=0).p == 3
