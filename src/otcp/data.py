@@ -357,10 +357,12 @@ def _nearest_first(d2: np.ndarray, k: int) -> np.ndarray:
     # the k-th smallest distance per row, copied so the partition is freed
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k].copy()
     keep = d2 < kth
-    # fill each row up to k with its lowest columns at the k-th distance
+    # fill each row up to k with its lowest columns at the k-th distance; when no
+    # row has more ties than it needs (continuous data), every tie is kept as is
     ties = d2 == kth
-    ties &= (np.cumsum(ties, axis=1, dtype=np.int32)
-             <= k - np.count_nonzero(keep, axis=1)[:, None])
+    need = k - np.count_nonzero(keep, axis=1)
+    if not np.array_equal(np.count_nonzero(ties, axis=1), need):
+        ties &= np.cumsum(ties, axis=1, dtype=np.int32) <= need[:, None]
     keep |= ties
     cand = (np.flatnonzero(keep) % d2.shape[1]).reshape(-1, k)  # ascending per row
     order = np.argsort(np.take_along_axis(d2, cand, axis=1), axis=1, kind="stable")

@@ -4,10 +4,12 @@ The forward map sends a residual vector to a Gibbs-weighted average of grid
 points inside the unit ball; its norm is the transport rank in [0, 1]. The
 inverse map pulls grid points back to weighted averages of the fitted
 residuals, which is how 2-D prediction regions are traced. Both directions
-run one chunked path over the solver's logits builder and Gibbs kernel: each
-call allocates one buffer of at most _CHUNK_ENTRIES query-by-point logits,
-and each block of query rows is built into it and reduced into the averaged
-values before the next block overwrites it.
+run one chunked path over the solver's cost factors and Gibbs kernel: each
+call builds the two factors once and allocates one buffer of at most
+_CHUNK_ENTRIES query-by-point logits, sized to stay in a core's cache. Each
+block of query rows is written into it by one matrix product, exponentiated
+and reduced into the averaged values before the next block overwrites it, so
+the passes over a block stay in cache.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from .sinkhorn import (
     DualPotentials,
     OtProblem,
     Standardizer,
+    _factors,
     _gibbs,
     _logits,
     sinkhorn_solve,
 )
 from .sphere import SphericalGrid, build_spherical_grid
 
-_CHUNK_ENTRIES = 16_000_000  # cap on rows*points per distance block
+_CHUNK_ENTRIES = 1 << 17  # rows*points per logits block: 1 MB, inside a core's L2
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,16 +76,16 @@ class EntropicMap:
     def _gibbs_average(self, queries, points, potential, values) -> np.ndarray:
         """Per query row, softmax_j((potential_j - ||q - points_j||^2)/eps) @ values."""
         q, m = queries.shape[0], points.shape[0]
+        left, right = _factors(queries, points, self.epsilon, 0.0,
+                               potential / self.epsilon)
         out = np.empty((q, values.shape[1]))
         step = max(1, min(q, _CHUNK_ENTRIES // m))
-        psi = potential / self.epsilon
         buf = np.empty((step, m))
         for lo in range(0, q, step):
-            block = queries[lo:lo + step]
-            logits = _logits(block, points, self.epsilon, 0.0, psi,
-                             buf[:block.shape[0]])
+            rows = left[lo:lo + step]
+            logits = np.matmul(rows, right.T, out=buf[:rows.shape[0]])
             total = _gibbs(logits, axis=1)[1][:, None]
-            out[lo:lo + block.shape[0]] = (logits @ values) / total
+            out[lo:lo + rows.shape[0]] = (logits @ values) / total
         return out
 
     def forward_std(self, z_std) -> np.ndarray:

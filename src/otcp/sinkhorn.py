@@ -2,11 +2,13 @@
 
 Solves the dual of the regularized problem between two uniform empirical
 measures under squared Euclidean cost. Every soft-min here and in the
-entropic maps is built from two helpers. `_logits` is the one place that
-forms the logits phi_i + psi_j - |s_i - t_j|^2/eps, in place in a caller's
-buffer. `_gibbs` is the one Gibbs kernel: it max-shifts a block of logits
-along one axis, exponentiates it in place and sums it, so small epsilon never
-overflows.
+entropic maps is built from three helpers. `_factors` is the one place that
+forms the expanded cost: it returns two thin factors whose product is the
+logits phi_i + psi_j - |s_i - t_j|^2/eps, so a block of logits is one BLAS
+product into a caller's buffer (`_logits`). `_gibbs` is the one Gibbs kernel:
+it max-shifts a block of logits along one axis, drops the entries that would
+exponentiate to subnormals, exponentiates the rest in place and sums them, so
+small epsilon neither overflows nor runs at subnormal speed.
 
 The solver takes its first f and g half-steps in the log domain through
 `_gibbs`, then iterates in the scaling domain (Cuturi, arXiv:1306.0895): it
@@ -116,31 +118,45 @@ def _gibbs(logits: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """The Gibbs kernel: exponentiate logits in place, max-shifted along axis.
 
     Overwrites `logits` with exp(logits - top), top being the max along axis,
-    so every entry lies in (0, 1] whatever the scale of the logits. Returns
-    (log_mean, total) along axis: log_mean = log(mean(exp(logits))) of the
-    original logits, and total the sum of the overwritten entries, so that
-    logits / total are the softmax weights.
+    so every entry lies in [0, 1] whatever the scale of the logits. A shifted
+    entry below the log of the smallest normal float is stored as 0, as in
+    `_kernel`: next to the top entry's 1 it weighs nothing in any sum, and
+    subnormals slow exp and the products that read the weights several-fold.
+    Returns (log_mean, total) along axis: log_mean = log(mean(exp(logits)))
+    of the original logits, and total the sum of the overwritten entries, so
+    that logits / total are the softmax weights.
     """
     top = logits.max(axis=axis, keepdims=True)
     np.subtract(logits, top, out=logits)
+    logits[logits < _LOG_TINY] = -np.inf
     np.exp(logits, out=logits)
     total = logits.sum(axis=axis)
     return np.log(total / logits.shape[axis]) + np.squeeze(top, axis=axis), total
 
 
+def _factors(source: np.ndarray, target: np.ndarray, eps: float, phi,
+             psi) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (left, right) with left @ right.T = phi_i + psi_j - |s_i - t_j|^2/eps.
+
+    The one place that forms the expanded cost |s_i|^2 + |t_j|^2 - 2 s_i.t_j:
+    left = [2 s/eps, phi - |s|^2/eps, 1] (n x d+2) and
+    right = [t, 1, psi - |t|^2/eps] (m x d+2), the potentials being arrays or
+    the scalar 0.0. Any block of rows of left times right.T is that block's
+    logits, written by one matrix product.
+    """
+    left = np.column_stack([source * (2.0 / eps),
+                            phi - (source * source).sum(axis=1) / eps,
+                            np.ones(source.shape[0])])
+    right = np.column_stack([target, np.ones(target.shape[0]),
+                             psi - (target * target).sum(axis=1) / eps])
+    return left, right
+
+
 def _logits(source: np.ndarray, target: np.ndarray, eps: float, phi, psi,
             out: np.ndarray) -> np.ndarray:
-    """Write phi_i + psi_j - |s_i - t_j|^2/eps into out (n x m); the one logits builder.
-
-    Expands |s_i - t_j|^2 = |s_i|^2 + |t_j|^2 - 2 s_i.t_j and folds the
-    potentials (arrays, or the scalar 0.0) into the two norm vectors: one
-    product and three passes over out, and no other n x m array.
-    """
-    np.matmul(source, target.T, out=out)
-    out *= 2.0 / eps
-    out += (phi - (source * source).sum(axis=1) / eps)[:, None]
-    out += (psi - (target * target).sum(axis=1) / eps)[None, :]
-    return out
+    """Write phi_i + psi_j - |s_i - t_j|^2/eps into out (n x m) as one product."""
+    left, right = _factors(source, target, eps, phi, psi)
+    return np.matmul(left, right.T, out=out)
 
 
 def _kernel(prob: OtProblem, phi: np.ndarray, psi: np.ndarray,

@@ -332,6 +332,29 @@ def test_knn_models_match_direct_reference(n, p, d, q, features, all_rows, block
         assert np.array_equal(hi, np.quantile(neigh, a_hi, axis=1))
 
 
+@pytest.mark.parametrize("features", ["integer", "decimal", "continuous"])
+def test_nearest_first_matches_a_stable_sort(features):
+    rng = np.random.default_rng(5)
+    if features == "integer":
+        train, X = rng.integers(-2, 3, (300, 2)) * 1.0, rng.integers(-2, 3, (200, 2)) * 1.0
+    elif features == "decimal":
+        train, X = rng.integers(-10, 11, (300, 2)) / 10, rng.integers(-10, 11, (200, 2)) / 10
+    else:
+        train, X = rng.standard_normal((300, 2)), rng.standard_normal((200, 2))
+    d2 = ((X[:, None, :] - train[None]) ** 2).sum(axis=2)
+    # one all-tied row makes a block that needs the tie trim in any case
+    for block in (d2, np.vstack([d2, np.zeros(300)])):
+        for k in (1, 7, 25, 300):
+            with mock.patch.object(np, "cumsum", wraps=np.cumsum) as trim:
+                near = data._nearest_first(block, k)
+            assert np.array_equal(near, np.argsort(block, axis=1, kind="stable")[:, :k])
+            # continuous rows tie only at their own k-th distance, so the trim is skipped
+            if block is d2 and (features == "continuous" or k == 300):
+                assert not trim.called
+            if block is not d2 and k < 300:
+                assert trim.called
+
+
 def _measured_entries(train_X, X, k):
     # the (query, training row) distances the search computes, window bounds included
     with mock.patch.object(data, "_sq_distances", wraps=data._sq_distances) as measure:

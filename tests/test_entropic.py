@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import logsumexp
 
 from otcp import (
     DimensionError,
@@ -18,6 +20,8 @@ from otcp import (
 )
 from otcp import entropic
 from otcp.sinkhorn import coupling_log_matrix
+
+from _reference import pairwise_sq_dists
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +127,66 @@ def test_kernel_matches_dense_reference(n, m, d, q, chunk, eps, seed):
         np.testing.assert_allclose(emap.inverse(u),
                                    std.inverse_transform(w_inv @ source),
                                    rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("eps", [0.001, 0.01])
+def test_small_eps_weights_skip_the_subnormal_band(eps):
+    rng = np.random.default_rng(13)
+    n, m, q = 48, 64, 6
+    source = rng.uniform(-1, 1, (n, 2))
+    grid = build_spherical_grid(m, 2)
+    # potentials that put half of each side's logits at 0..-60 and half at
+    # -700..-760 past the top for a query at the origin; queries near it
+    # shift them by a few units, so many stay in the subnormal band
+    band = np.concatenate([np.linspace(0, -60, 32), np.linspace(-700, -760, 32)])
+    g = (grid.points ** 2).sum(1) + eps * rng.permutation(band)
+    f = (source ** 2).sum(1) + eps * rng.permutation(np.resize(band, n))
+    pot = DualPotentials(f, g, OtProblem(source, grid.points, eps), 0, 0.0, True)
+    emap = EntropicMap(pot, grid, Standardizer.identity(2))
+    z = rng.uniform(-1, 1, (q, 2)) * eps
+
+    def dense(potential, queries, points):
+        # log-sum-exp weights from direct differences, subnormals kept
+        logits = (potential[None] - pairwise_sq_dists(queries, points)) / eps
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        assert ((shifted > -745) & (shifted < -708)).any(axis=1).all()
+        return np.exp(logits - logsumexp(logits, axis=1, keepdims=True)) @ points
+
+    weights, gibbs = [], entropic._gibbs
+
+    def spy(logits, axis):
+        out = gibbs(logits, axis)
+        weights.append(logits.copy())
+        return out
+
+    with mock.patch.object(entropic, "_gibbs", spy):
+        forward, inverse = emap.forward(z), emap.inverse(z)
+    np.testing.assert_allclose(forward, dense(g, z, grid.points), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(inverse, dense(f, z, source), rtol=1e-12, atol=0)
+    w = np.concatenate([b.ravel() for b in weights])
+    assert not ((w > 0) & (w < np.finfo(float).tiny)).any()
+    assert (w == 0).any()
+
+
+def test_rank_memory_stays_within_one_cache_sized_block():
+    rng = np.random.default_rng(14)
+    q, d = 20_000, 2
+    emap = fit_entropic_map(rng.standard_normal((200, d)), build_spherical_grid(1024, d),
+                            epsilon=0.1)
+    z = rng.standard_normal((q, d))
+    block_bytes = entropic._CHUNK_ENTRIES * 8
+    assert block_bytes <= 2 << 20  # a block stays inside a core's L2
+    tracemalloc.start()
+    try:
+        ranks = emap.rank(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranks.shape == (q,)
+    # the logits block and its mask, plus a few (q, d + 2) arrays: standardized
+    # queries, the left cost factor, the forward image and the norm's square;
+    # one block of all 20,000 rows would be 164 MB
+    assert peak < 2 * block_bytes + 6 * q * (d + 2) * 8
 
 
 @settings(max_examples=60, deadline=None)
