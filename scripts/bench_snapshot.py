@@ -12,13 +12,13 @@ on the README's config at that config's first seed. The file holds the runs'
 environment line, each end-to-end metric's median, quartiles and per-seed
 values, the traced run's per-layer values, the README run's wall time and
 report summary, and the README sweep's wall time and each cell's status,
-coverage and size. ``worktree_changes`` lists the tracked files that differ
-from the commit the environment line names. ``--smoke`` is passed through to
-every run and shrinks the README run and sweep (n=400, m=128, 200 samples at
-5 points; the sweep over ``--eps 0.1 1 --targets 128``). The script exits
-non-zero, after writing what it has, when a run exits non-zero, prints no
-result line, or fails its correctness checks, or when a README sweep cell
-fails.
+coverage, size and Sinkhorn iterations, convergence and marginal error.
+``worktree_changes`` lists the tracked files that differ from the commit the
+environment line names. ``--smoke`` is passed through to every run and shrinks
+the README run and sweep (n=400, m=128, 200 samples at 5 points; the sweep
+over ``--eps 0.1 1 --targets 128``). The script exits non-zero, after writing
+what it has, when a run exits non-zero, prints no result line, or fails its
+correctness checks, or when a README sweep cell fails.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def readme_run(smoke: bool) -> tuple[dict | None, str]:
 
 def readme_sweep(smoke: bool) -> tuple[dict | None, str]:
     """One `otcp bench sweep` on the README config over the README's axes:
-    (wall time and each cell's status, coverage and size, error text). A failed
-    cell makes the sweep exit 2, so it is an error too."""
+    (wall time and each cell's status, coverage, size and solver columns, error
+    text). A failed cell makes the sweep exit 2, so it is an error too."""
     axes = SMOKE_SWEEP_AXES if smoke else README_SWEEP_AXES
 
     def read(out):
@@ -113,7 +113,11 @@ def readme_sweep(smoke: bool) -> tuple[dict | None, str]:
             return {"axes": axes, "cells": [
                 {"epsilon": float(r["epsilon"]), "m": int(r["m"]), "seed": int(r["seed"]),
                  "status": r["status"], "coverage": float(r["coverage"]),
-                 "mean_region_size": float(r["mean_region_size"])}
+                 "mean_region_size": float(r["mean_region_size"]),
+                 "sinkhorn_iters": int(r["sinkhorn_iters"]) if r["sinkhorn_iters"] else None,
+                 "converged": r["converged"] == "True" if r["converged"] else None,
+                 "marginal_error": (float(r["marginal_error"]) if r["marginal_error"]
+                                    else None)}
                 for r in csv.DictReader(fh)]}
 
     return _readme_command(smoke, ["sweep", *axes], read)

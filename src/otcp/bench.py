@@ -69,6 +69,10 @@ DEFAULT_SWEEP_TARGETS = (4096, 8192, 16384, 32768)
 
 REPORT_COLUMNS = ("method", "seed", "status", "coverage", "mean_region_size")
 TIMING_COLUMNS = ("fit_ms", "calibrate_ms", "predict_ms")
+# sweep.csv: each cell's outputs and time, then its solve's diagnostics
+SWEEP_COLUMNS = ("epsilon", "m", "seed", "status", "coverage", "mean_region_size", "time_ms",
+                 "sinkhorn_iters", "converged", "marginal_error")
+_SOLVER_KEYS = SWEEP_COLUMNS[-3:]
 
 # every key a config section reads and its default (None: required), by kind for a dataset
 DATASET_DEFAULTS = {
@@ -439,14 +443,21 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     return report
 
 
+def _field(value) -> str:
+    """A sweep.csv field: empty when a failed cell has no value, repr otherwise."""
+    return "" if value is None else repr(value)
+
+
 def sweep(cfg: BenchConfig, eps_list=None, m_list=None) -> list[dict]:
     """Cross-product ablation of the transport method over (epsilon, m).
 
     Every cell's config is built, and so checked, before any data is loaded;
     each seed is then prepared once for all cells. Returns long-format records
-    (epsilon, m, seed, status, coverage, mean_region_size, and time_ms, the
-    cell's own milliseconds) in (epsilon, m, seed) order, and writes them as
-    sweep.csv under the config's output dir when one is set.
+    (epsilon, m, seed, status, coverage, mean_region_size, time_ms, the cell's
+    own milliseconds, and the solve's sinkhorn_iters, converged and
+    marginal_error, None for a failed cell) in (epsilon, m, seed) order, and
+    writes them as sweep.csv (SWEEP_COLUMNS) under the config's output dir
+    when one is set.
     """
     eps_list = DEFAULT_SWEEP_EPSILONS if eps_list is None else tuple(eps_list)
     m_list = DEFAULT_SWEEP_TARGETS if m_list is None else tuple(m_list)
@@ -457,17 +468,19 @@ def sweep(cfg: BenchConfig, eps_list=None, m_list=None) -> list[dict]:
     runs = [[(row, ms) for row, _, ms in _run_seed(cfg, seed, cells)] for seed in cfg.seeds]
     records = [{"epsilon": cell.otcp["epsilon"], "m": cell.otcp["m"], "seed": row.seed,
                 "status": row.status, "coverage": row.coverage,
-                "mean_region_size": row.mean_region_size, "time_ms": ms}
+                "mean_region_size": row.mean_region_size, "time_ms": ms,
+                **{key: row.solver.get(key) for key in _SOLVER_KEYS}}
                for (_, cell, _), per_seed in zip(cells, zip(*runs)) for row, ms in per_seed]
     if cfg.output_dir:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        lines = ["epsilon,m,seed,status,coverage,mean_region_size,time_ms"]
+        lines = [_csv_line(SWEEP_COLUMNS)]
         for r in records:
             lines.append(_csv_line([repr(float(r["epsilon"])), str(r["m"]), str(r["seed"]),
                                     r["status"], repr(float(r["coverage"])),
                                     repr(float(r["mean_region_size"])),
-                                    f"{r['time_ms']:.3f}"]))
+                                    f"{r['time_ms']:.3f}",
+                                    *(_field(r[key]) for key in _SOLVER_KEYS)]))
         (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return records
 

@@ -98,10 +98,13 @@ def _cmd_bench_sweep(args) -> int:
     failed = any(r["status"] != "ok" for r in records)
     cells = sorted({(r["epsilon"], r["m"]) for r in records})
     for eps, m in cells:
-        sizes = [r["mean_region_size"] for r in records
-                 if r["epsilon"] == eps and r["m"] == m and r["status"] == "ok"]
+        ok = [r for r in records
+              if r["epsilon"] == eps and r["m"] == m and r["status"] == "ok"]
+        sizes = [r["mean_region_size"] for r in ok]
         med = float(np.median(sizes)) if sizes else float("nan")
-        print(f"eps={eps:g} m={m}: median size {med:.4f} over {len(sizes)} seeds")
+        converged = sum(r["converged"] for r in ok)
+        print(f"eps={eps:g} m={m}: median size {med:.4f} over {len(sizes)} seeds, "
+              f"sinkhorn converged {converged}/{len(ok)}")
     if cfg.output_dir:
         print(f"sweep written to {cfg.output_dir}/sweep.csv")
     return 2 if failed else 0

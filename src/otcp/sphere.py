@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import ndtri
@@ -172,13 +171,14 @@ def grid_radius_index(n_total: int, n_r: int, n_s: int, n_o: int, alpha: float):
     """Smallest shell index j (and radius j/n_R) with cumulative mass >= 1 - alpha.
 
     Mass up to shell j is (n_o + j*n_S)/n_total, so j = ceil((n_total*(1-alpha)
-    - n_o)/n_S) clamped to [0, n_R]. Computed in exact rational arithmetic so
-    the ceiling never flips on float knife edges.
+    - n_o)/n_S) clamped to [0, n_R]. With alpha = p/q exactly (every float is
+    a ratio of integers), that is ceil((n_total*(q - p) - n_o*q) / (q*n_S)),
+    computed in integers so the ceiling never flips on float knife edges.
     """
     if n_r < 1 or n_s < 1 or n_o < 0 or n_r * n_s + n_o != n_total:
         raise ParamError(f"counts ({n_r}, {n_s}, {n_o}) inconsistent with n_total={n_total}")
     if not (0.0 < alpha < 1.0):
         raise ParamError("alpha must lie in (0, 1)")
-    target = n_total * (1 - Fraction(alpha)) - n_o
-    j = min(max(math.ceil(target / n_s), 0), n_r)
+    p, q = float(alpha).as_integer_ratio()
+    j = min(max(-((n_o * q - n_total * (q - p)) // (q * n_s)), 0), n_r)
     return j, j / n_r

@@ -537,7 +537,8 @@ def test_sweep_single_cell_matches_run(tmp_path):
     assert records[0]["coverage"] == direct.coverage
     assert records[0]["mean_region_size"] == direct.mean_region_size
     text = (tmp_path / "sweep.csv").read_text()
-    assert text.splitlines()[0] == "epsilon,m,seed,status,coverage,mean_region_size,time_ms"
+    assert text.splitlines()[0] == ("epsilon,m,seed,status,coverage,mean_region_size,time_ms,"
+                                    "sinkhorn_iters,converged,marginal_error")
 
 
 def test_sweep_records_match_run_benchmark_rows():
@@ -552,6 +553,35 @@ def test_sweep_records_match_run_benchmark_rows():
     assert [(r["epsilon"], r["m"], r["seed"], r["status"], r["coverage"],
              r["mean_region_size"]) for r in records] == expected
     assert all(r["time_ms"] > 0 for r in records)
+
+
+def test_sweep_solver_columns_match_the_run_rows(tmp_path):
+    # two cells at one eps: each shows its own solve, the same as `bench run`'s
+    cfg = _small_cfg(methods=("otcp",), seeds=(0, 1), output_dir=str(tmp_path))
+    records = sweep(cfg, eps_list=[0.1], m_list=[128, 256])
+    with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert tuple(rows[0]) == bench.SWEEP_COLUMNS
+    expected = []
+    for m in (128, 256):
+        cell = dataclasses.replace(cfg, output_dir=None, otcp={**cfg.otcp, "m": m})
+        expected += [r.solver for r in run_benchmark(cell).rows]
+    assert [{key: r[key] for key in ("sinkhorn_iters", "converged", "marginal_error")}
+            for r in records] == expected
+    assert records[0]["sinkhorn_iters"] != records[2]["sinkhorn_iters"]
+    assert [(int(r["sinkhorn_iters"]), r["converged"] == "True", float(r["marginal_error"]))
+            for r in rows] == [(e["sinkhorn_iters"], e["converged"], e["marginal_error"])
+                               for e in expected]
+
+
+def test_sweep_csv_is_byte_deterministic_apart_from_time(tmp_path):
+    texts = []
+    for name in ("a", "b"):
+        sweep(_small_cfg(methods=("otcp",), output_dir=str(tmp_path / name)),
+              eps_list=[0.01, 1.0], m_list=[128])
+        with open(tmp_path / name / "sweep.csv", newline="", encoding="utf-8") as fh:
+            texts.append([row[:6] + row[7:] for row in csv.reader(fh)])
+    assert texts[0] == texts[1]
 
 
 def test_sweep_prepares_each_seed_once(monkeypatch):
@@ -581,7 +611,7 @@ def test_sweep_failure_message_with_comma_keeps_columns(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench, "fit_method", failing)
     sweep(_small_cfg(output_dir=str(tmp_path)), eps_list=[0.1, 1.0], m_list=[256])
-    assert _csv_widths(tmp_path / "sweep.csv") == {7}
+    assert _csv_widths(tmp_path / "sweep.csv") == {len(bench.SWEEP_COLUMNS)}
     with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:
         statuses = [row["status"] for row in csv.DictReader(fh)]
     assert statuses == ["failed: ValueError: a, b"] * 2

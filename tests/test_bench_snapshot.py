@@ -39,3 +39,5 @@ def test_the_readme_sweep_reports_every_cell():
     assert cells == [(0.1, 128, 0, "ok"), (1.0, 128, 0, "ok")]
     assert all(0.0 <= c["coverage"] <= 1.0 and c["mean_region_size"] > 0
                for c in result["cells"])
+    assert all(c["sinkhorn_iters"] >= 1 and c["converged"] is True
+               and 0.0 <= c["marginal_error"] <= 1e-6 for c in result["cells"])

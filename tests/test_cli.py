@@ -64,7 +64,8 @@ def test_bench_sweep_command(tmp_path, capsys):
                "--targets", "128", "--output-dir", str(tmp_path / "sw")])
     assert rc == 0
     assert (tmp_path / "sw" / "sweep.csv").exists()
-    assert "eps=0.1 m=128" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "eps=0.1 m=128" in out and "sinkhorn converged 1/1" in out
 
 
 def test_contour_command(tmp_path, capsys):

@@ -13,6 +13,8 @@ from otcp import (
     OtProblem,
     ParamError,
     SinkhornNotConverged,
+    Standardizer,
+    build_spherical_grid,
     coupling_marginal_error,
     sinkhorn_solve,
 )
@@ -224,19 +226,50 @@ def test_coupling_marginal_error_holds_one_logits_array():
     assert err == max(np.abs(rows - 1.0 / n).max(), np.abs(cols - 1.0 / m).max())
 
 
-def _log_domain_solve(prob, tol=1e-6, max_iter=2000):
-    """Reference: every half-step a soft-min over the whole cost in the log domain."""
+def _log_domain_step(x, plain, relaxed):
+    """One half-step from x, whose plain soft-min update is `plain`: (x, was plain).
+
+    A relaxed step moves x to plain - over * (x - plain) for the largest
+    over in _OMEGA - 1, halved up to _HALVINGS times, whose dual gain,
+    sum(expm1(delta) - expm1(-over delta) - (1 + over) delta) with
+    delta = x - plain, is nonnegative, and to plain if there is none.
+    """
+    if not relaxed:
+        return plain, True
+    delta = x - plain
+    over = sinkhorn._OMEGA - 1.0
+    for _ in range(sinkhorn._HALVINGS + 1):
+        gain = np.expm1(delta) - np.expm1(-over * delta) - (1.0 + over) * delta
+        if gain.sum() >= 0.0:
+            return plain - over * delta, False
+        over /= 2.0
+    return plain, True
+
+
+def _log_domain_solve(prob, tol=1e-6, max_iter=2000, relaxed=True):
+    """Reference: every half-step a soft-min over the whole cost in the log domain.
+
+    With `relaxed`, iterations after the solver's _WARMUP plain ones are
+    over-relaxed through `_log_domain_step`, and the columns are checked
+    once the rows pass tol (or at max_iter) unless the last g step was plain.
+    """
     n, m, eps = prob.n, prob.m, prob.epsilon
     c = pairwise_sq_dists(prob.source, prob.target) / eps
     phi, psi = np.zeros(n), np.zeros(m)
+    exact_cols = True
     for it in range(max_iter + 1):
         phi_new = np.log(m) - logsumexp(psi[None, :] - c, axis=1)
         if it > 0:
             err = np.abs(np.expm1(phi - phi_new)).max() / n
+            if not exact_cols and (err <= tol or it == max_iter):
+                psi_new = np.log(n) - logsumexp(phi[:, None] - c, axis=0)
+                err = max(err, np.abs(np.expm1(psi - psi_new)).max() / m)
             if err <= tol or it == max_iter:
                 break
-        phi = phi_new
-        psi = np.log(n) - logsumexp(phi[:, None] - c, axis=0)
+        relax = relaxed and it > sinkhorn._WARMUP
+        phi = _log_domain_step(phi, phi_new, relax)[0]
+        psi_new = np.log(n) - logsumexp(phi[:, None] - c, axis=0)
+        psi, exact_cols = _log_domain_step(psi, psi_new, relax)
     shift = psi.mean()
     return it, (phi + shift) * eps, (psi - shift) * eps
 
@@ -255,6 +288,89 @@ def test_scaling_domain_matches_log_domain(n, m, d, eps, seed):
     np.testing.assert_allclose(pot.g, g, rtol=0, atol=1e-10)
 
 
+def test_relaxed_solve_agrees_with_plain_log_domain_solve():
+    # both run to tol 1e-12 reach the same fixed point, whatever the path
+    for eps, seed in ((1.0, 0), (0.1, 1), (0.1, 2), (0.01, 0)):
+        rng = np.random.default_rng(seed)
+        prob = OtProblem(rng.standard_normal((12, 2)), rng.standard_normal((15, 2)), eps)
+        pot = sinkhorn_solve(prob, tol=1e-12, max_iter=100000)
+        _, f, g = _log_domain_solve(prob, tol=1e-12, max_iter=100000, relaxed=False)
+        assert pot.converged
+        np.testing.assert_allclose(pot.f, f, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(pot.g, g, rtol=0, atol=1e-9)
+
+
+def _plain_scaling_solve(prob, tol):
+    """The warm-up's loop with no relaxation and no absorption: (iterations, f, g)."""
+    n, m, eps = prob.n, prob.m, prob.epsilon
+    kernel = np.empty((n, m))
+    phi = -sinkhorn._gibbs(sinkhorn._logits(prob.source, prob.target, eps, 0.0, 0.0,
+                                            kernel), axis=1)[0]
+    psi = -sinkhorn._gibbs(sinkhorn._logits(prob.source, prob.target, eps, phi, 0.0,
+                                            kernel), axis=0)[0]
+    sinkhorn._kernel(prob, phi, psi, kernel)
+    a, b = np.ones(n), np.ones(m)
+    for it in range(1, sinkhorn._WARMUP + 1):
+        kb = kernel @ b
+        if np.abs(a * kb / m - 1.0).max() / n <= tol:
+            break
+        a = m / kb
+        b = n / (kernel.T @ a)
+    phi, psi = phi + np.log(a), psi + np.log(b)
+    shift = psi.mean()
+    return it, (phi + shift) * eps, (psi - shift) * eps
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solve_inside_the_warmup_is_the_plain_scaling_loop_bit_for_bit(seed):
+    z = np.random.default_rng(seed).standard_normal((200, 2))
+    prob = OtProblem(Standardizer.fit(z).transform(z), build_spherical_grid(256, 2).points,
+                     1.0)
+    pot = sinkhorn_solve(prob)
+    it, f, g = _plain_scaling_solve(prob, sinkhorn.DEFAULT_TOL)
+    assert pot.converged and pot.iterations <= sinkhorn._WARMUP
+    assert pot.iterations == it
+    assert np.array_equal(pot.f, f) and np.array_equal(pot.g, g)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.001])
+def test_converged_relaxed_solve_fits_rows_and_columns(eps):
+    # past the warm-up the columns are no longer exact after each g step, so
+    # convergence has to check them too
+    rng = np.random.default_rng(2)
+    z = rng.standard_normal((100, 2))
+    prob = OtProblem(Standardizer.fit(z).transform(z), build_spherical_grid(128, 2).points,
+                     eps)
+    pot = sinkhorn_solve(prob, max_iter=5000)
+    assert pot.converged and pot.iterations > sinkhorn._WARMUP
+    assert coupling_marginal_error(pot) <= sinkhorn.DEFAULT_TOL
+    assert pot.marginal_error == pytest.approx(coupling_marginal_error(pot), rel=1e-6)
+
+
+def test_guard_retries_a_half_step_that_would_lower_the_dual():
+    # one row with 1/e^10 of its mass: w = 1.8 would overshoot to e^8 times
+    # the mass and lose dual, as would w = 1.4; w = 1.2 gains
+    out, was_plain = sinkhorn._overrelax(np.ones(1), np.exp([-10.0]), math.exp(-10.0))
+    assert not was_plain
+    assert out[0] == pytest.approx(math.exp(2.0), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(0.0, 8.0))
+def test_overrelaxed_half_step_never_lowers_the_dual(size, seed, spread):
+    # x = plain * ratio moves to `out`; the dual changes by eps/size times
+    # sum(log(out / x) - (out - x) / plain), the ratio's part of the dual
+    rng = np.random.default_rng(seed)
+    ratio = np.exp(rng.uniform(-spread, spread, size))
+    plain = rng.uniform(0.5, 2.0, size)
+    out, was_plain = sinkhorn._overrelax(plain.copy(), ratio, float(ratio.min()))
+    step = out / plain
+    gain = (np.log(step) - np.log(ratio) - step + ratio).sum()
+    assert gain >= -1e-12 * size
+    if was_plain:
+        assert np.array_equal(out, plain)
+
+
 @pytest.mark.filterwarnings("ignore::otcp.errors.SinkhornNotConverged")
 def test_far_apart_clouds_absorb_scalings(monkeypatch):
     calls = []
@@ -268,10 +384,13 @@ def test_far_apart_clouds_absorb_scalings(monkeypatch):
     rng = np.random.default_rng(29)
     prob = OtProblem(rng.standard_normal((40, 2)),
                      rng.standard_normal((50, 2)) + 30.0, 0.001)
-    pot = sinkhorn_solve(prob, max_iter=300)
-    assert len(calls) > 1  # built once at the start, rebuilt at each absorption
+    pot = sinkhorn_solve(prob, max_iter=300, track_objective=True)
+    assert len(calls) > 2  # built once at the start, rebuilt at each absorption
     assert np.isfinite(pot.f).all() and np.isfinite(pot.g).all()
     assert pot.marginal_error == pytest.approx(coupling_marginal_error(pot), rel=1e-6)
+    # the relaxed steps' dual guard holds across every kernel rebuild
+    trace = np.asarray(pot.objective_trace)
+    assert (np.diff(trace) >= -1e-12 * (np.abs(trace).max() + 1.0)).all()
 
 
 def test_far_source_point_whose_kernel_row_underflows():

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtri
 
@@ -220,6 +223,37 @@ def test_grid_radius_matches_exhaustive_search_sample():
                     j, r = grid_radius_index(n_total, n_r, n_s, n_o, float(alpha))
                     assert j == j_star
                     assert r == j_star / n_r
+
+
+def _radius_index_by_fraction(n_total, n_r, n_s, n_o, alpha):
+    """The ceiling of the docstring's formula in Fraction arithmetic."""
+    j = min(max(math.ceil((n_total * (1 - Fraction(alpha)) - n_o) / n_s), 0), n_r)
+    return j, j / n_r
+
+
+@st.composite
+def _radius_cases(draw):
+    n_r, n_s, n_o = (draw(st.integers(1, 60)), draw(st.integers(1, 60)),
+                     draw(st.integers(0, 12)))
+    n_total = n_r * n_s + n_o
+    # knife edges: alpha at a shell's exact cumulative mass, one float either
+    # side of it, or a decimal like 0.07 that no float holds exactly
+    j = draw(st.integers(0, n_r))
+    edge = float(1 - Fraction(n_o + j * n_s, n_total))
+    alpha = draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(1, 99).map(lambda k: k / 100),
+        st.sampled_from([edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)])))
+    return n_total, n_r, n_s, n_o, alpha
+
+
+@settings(max_examples=500, deadline=None)
+@given(_radius_cases())
+def test_grid_radius_integer_ceiling_matches_fraction_form(case):
+    n_total, n_r, n_s, n_o, alpha = case
+    assume(0.0 < alpha < 1.0)  # an edge at shell 0 or n_R can be 1 or 0
+    assert grid_radius_index(n_total, n_r, n_s, n_o, alpha) == \
+        _radius_index_by_fraction(n_total, n_r, n_s, n_o, alpha)
 
 
 def test_import_loads_no_scipy_stats_or_spatial():
