@@ -6,7 +6,9 @@ function, and measures marginal coverage plus the mean region size over the
 first `region_size_points` test inputs. A sweep prepares each seed the same
 way, once, and runs one otcp cell per (epsilon, m) on those parts; one
 per-seed function serves both, and it alone turns an expected failure into a
-failed row. Each score kind sizes its own set in one call: `merge_l2`,
+failed row. Within a seed, the k-NN models of every cell search each distinct
+set of query rows once and share the neighbors (data.shared_neighbors). Each
+score kind sizes its own set in one call: `merge_l2`,
 `merge_mahalanobis` and `abs_univariate` sets are a ball, an ellipse and an
 interval of the same size at every input, and `mcp_max` sets are boxes, all
 with exact volumes (so `region_size_points` matters only to
@@ -54,6 +56,7 @@ from .data import (
     load_dataset_csv,
     regressor_params,
     residuals,
+    shared_neighbors,
     split_dataset,
     synth_dataset,
     synth_params,
@@ -407,15 +410,22 @@ def _solver_diagnostics(pred: CalibratedPredictor) -> dict:
 def _run_seed(cfg: BenchConfig, seed: int, cells):
     """Load, split and fit the regressor for one seed once, then run each (method,
     config, method index) cell on those parts, yielding (row, predictor or None,
-    cell ms). Only CELL_FAILURES become failed rows; other exceptions propagate."""
+    cell ms). The cells share one k-NN search per distinct query row set (ot_fit,
+    calib, test, mcp_max's sizing rows) and k: the first cell that asks searches
+    and the rest reuse its neighbors. The shared searches are visible only while
+    a cell runs, so code that uses a yielded predictor searches as usual, and they
+    are dropped with the seed. Only CELL_FAILURES become failed rows; other
+    exceptions propagate."""
     train, ot_fit, calib, test = split_dataset(cfg.load_dataset(seed),
                                                SplitSpec(cfg.fractions, seed))
     reg = fit_regressor(train, **cfg.regressor)
+    searches = {}
     for method, cell, mi in cells:
         t0 = time.perf_counter()
         try:
-            pred, fit_ms, cal_ms = fit_method(method, cell, reg, train, ot_fit, calib, seed)
-            cov, size, size_se, pred_ms = _evaluate(pred, test, cell, seed, mi)
+            with shared_neighbors(searches):
+                pred, fit_ms, cal_ms = fit_method(method, cell, reg, train, ot_fit, calib, seed)
+                cov, size, size_se, pred_ms = _evaluate(pred, test, cell, seed, mi)
             row = MethodResult(method, seed, "ok", cov, size, fit_ms, cal_ms, pred_ms,
                                size_se, _solver_diagnostics(pred))
         except CELL_FAILURES as exc:

@@ -7,6 +7,8 @@ conformity residuals.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import csv
 import math
 from dataclasses import dataclass, field
@@ -431,6 +433,30 @@ def _knn_indices(train_X: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+# the memo shared_neighbors has made visible, or None (no memo: every call searches)
+_NEIGHBOR_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "otcp_neighbor_memo", default=None)
+
+
+@contextlib.contextmanager
+def shared_neighbors(memo: dict):
+    """Within this block, k-NN models share the neighbor searches kept in the dict `memo`.
+
+    The first search of some query rows by a model fitted on a training Dataset
+    with some k stores its index array in `memo`, read-only; a later search of
+    rows with the same shape and bytes by any model fitted on that same Dataset
+    object with that k reuses it, so results are unchanged. The caller owns the
+    memo and decides how long searches are shared, opening the block around
+    each stretch of work that may reuse them. Blocks nest; leaving one, also by
+    an exception, restores the memo that was visible before.
+    """
+    token = _NEIGHBOR_MEMO.set(memo)
+    try:
+        yield
+    finally:
+        _NEIGHBOR_MEMO.reset(token)
+
+
 class _KnnModel:
     """A k-nearest-neighbor model: the training Dataset, kept once, and the search."""
 
@@ -450,9 +476,23 @@ class _KnnModel:
     fit_tag = property(lambda self: None if self.train is None else self.train.tag)
 
     def _neighbor_targets(self, X) -> np.ndarray:
-        """Targets of the k nearest training rows to each row of X, (q, k, d)."""
+        """Targets of the k nearest training rows to each row of X, (q, k, d).
+
+        Inside shared_neighbors, the search of rows already searched with this
+        training Dataset and k is taken from the memo; elsewhere every call searches.
+        """
         X = _fitted_rows(self, X)
-        return self.train.targets[_knn_indices(self.train.features, X, self.k)]
+        memo = _NEIGHBOR_MEMO.get()
+        if memo is None:
+            return self.train.targets[_knn_indices(self.train.features, X, self.k)]
+        # the Dataset is keyed by identity (eq=False); the rows by value, so rows
+        # changed in place or a reused id never match a stale entry
+        key = (self.train, self.k, X.shape, X.tobytes())
+        idx = memo.get(key)
+        if idx is None:
+            idx = memo[key] = _knn_indices(self.train.features, X, self.k)
+            idx.flags.writeable = False
+        return self.train.targets[idx]
 
 
 class KnnMeanRegressor(_KnnModel, Regressor):

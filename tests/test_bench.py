@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import json
@@ -31,7 +32,7 @@ from otcp import (
     sweep,
     synth_dataset,
 )
-from otcp import bench, data
+from otcp import bench, data, serialize
 from otcp.bench import DEFAULT_SWEEP_EPSILONS, DEFAULT_SWEEP_TARGETS
 
 
@@ -356,6 +357,7 @@ def test_programming_error_propagates(monkeypatch):
     monkeypatch.setattr(bench, "fit_method", broken)
     with pytest.raises(AttributeError):
         run_benchmark(_small_cfg())
+    assert data._NEIGHBOR_MEMO.get() is None  # the cell's shared search closed with it
 
 
 def test_aggregate_standard_error_formula():
@@ -596,13 +598,103 @@ def test_sweep_prepares_each_seed_once(monkeypatch):
         monkeypatch.setattr(owner, name, spy)
 
     for owner, name in ((BenchConfig, "load_dataset"), (bench, "split_dataset"),
-                        (bench, "fit_regressor"), (bench, "fit_method")):
+                        (bench, "fit_regressor"), (bench, "fit_method"),
+                        (data, "_knn_indices")):
         counted(owner, name)
     records = sweep(_small_cfg(methods=("otcp",), seeds=(0, 1)),
                     eps_list=[1.0, 0.1], m_list=[128, 256])
     assert len(records) == 8 and all(r["status"] == "ok" for r in records)
+    # the k-NN search runs once per seed on each of ot_fit, calib and test
     assert sorted(calls) == sorted(["load_dataset", "split_dataset", "fit_regressor"] * 2
-                                   + ["fit_method"] * 8)
+                                   + ["fit_method"] * 8 + ["_knn_indices"] * 6)
+    assert data._NEIGHBOR_MEMO.get() is None
+
+
+def _searches(monkeypatch):
+    """Spy on the k-NN search: a list that gets (k, query rows) for every search."""
+    searched = []
+    inner = data._knn_indices
+
+    def spy(train_X, X, k):
+        searched.append((k, X.copy()))
+        return inner(train_X, X, k)
+    monkeypatch.setattr(data, "_knn_indices", spy)
+    return searched
+
+
+def _seed_parts(cfg, seed):
+    return split_dataset(cfg.load_dataset(seed), SplitSpec(cfg.fractions, seed))
+
+
+def test_run_searches_each_query_set_once_per_seed(monkeypatch):
+    searched = _searches(monkeypatch)
+    cfg = _small_cfg(methods=("merge_l2", "merge_mahalanobis", "mcp_max", "otcp"))
+    report = run_benchmark(cfg)
+    assert all(r.status == "ok" for r in report.rows)
+    _, ot_fit, calib, test = _seed_parts(cfg, 0)
+    expected = [ot_fit.features, calib.features, test.features,
+                test.features[:cfg.region_size_points]]  # the last: mcp_max's sizing rows
+    assert len(searched) == len(expected)
+    for rows in expected:
+        assert sum(k == 25 and np.array_equal(X, rows) for k, X in searched) == 1
+    assert data._NEIGHBOR_MEMO.get() is None
+
+
+def test_quantile_k_of_its_own_gets_its_own_searches(monkeypatch):
+    searched = _searches(monkeypatch)
+    cfg = _small_cfg(methods=("merge_l2", "mcp_max"), mcp={"k": 10})
+    run_benchmark(cfg)
+    _, _, calib, test = _seed_parts(cfg, 0)
+    assert sorted((k, len(X)) for k, X in searched) == [(10, 3), (10, 120), (10, 120),
+                                                        (25, 120), (25, 120)]
+    for k in (10, 25):
+        for rows in (calib.features, test.features):
+            assert sum(kk == k and np.array_equal(X, rows) for kk, X in searched) == 1
+
+
+def _bench_files(out_dir: Path) -> dict:
+    """Every output file's bytes; report.csv's timing columns and sweep.csv's time_ms aside."""
+    files = {}
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        name = str(path.relative_to(out_dir))
+        if path.suffix != ".csv":
+            files[name] = path.read_bytes()
+            continue
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        files[name] = ([row[:len(bench.REPORT_COLUMNS)] for row in rows]
+                       if path.name == "report.csv" else [row[:6] + row[7:] for row in rows])
+    return files
+
+
+def test_shared_search_leaves_reports_models_and_sweeps_unchanged(tmp_path, monkeypatch):
+    methods = ("merge_l2", "merge_mahalanobis", "mcp_max", "otcp")
+
+    def outputs(name):
+        out = tmp_path / name
+        run_benchmark(_small_cfg(methods=methods, seeds=(0, 1), output_dir=str(out / "run")))
+        sweep(_small_cfg(methods=("otcp",), seeds=(0, 1), output_dir=str(out / "sweep")),
+              eps_list=[1.0, 0.1], m_list=[128, 256])
+        return _bench_files(out)
+
+    shared = outputs("shared")
+    monkeypatch.setattr(bench, "shared_neighbors", lambda memo: contextlib.nullcontext())
+    searched = _searches(monkeypatch)
+    unshared = outputs("unshared")
+    assert len(searched) == 2 * (11 + 4 * 3)  # per seed: 11 searches in the run, 12 in the sweep
+    assert sorted(shared) == sorted(unshared) and len(shared) == 7
+    for name, content in shared.items():
+        assert content == unshared[name], name
+
+
+def test_loaded_predictor_searches_on_every_call(tmp_path, monkeypatch):
+    run_benchmark(_small_cfg(methods=("mcp_max",), output_dir=str(tmp_path)))
+    pred = serialize.load_predictor(tmp_path / "models" / "mcp_max.json")
+    X, Y = np.full((5, 1), 0.5), np.zeros((5, 2))
+    searched = _searches(monkeypatch)
+    first, second = pred.contains_rows(X, Y), pred.contains_rows(X, Y)
+    assert np.array_equal(first, second)
+    assert len(searched) == 2
 
 
 def test_sweep_failure_message_with_comma_keeps_columns(tmp_path, monkeypatch):

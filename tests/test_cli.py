@@ -100,6 +100,35 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys, command, over, flags)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("d, flags, message", [
+    (3, ["--x", "0.5"], "region contours are defined for d = 2 only"),
+    (2, ["--x", "0.5", "0.5"], "expected 1 features, got 2"),
+    (2, ["--x", "0.5", "--alphas", "0.001"], "threshold at alpha=0.001 is infinite"),
+])
+def test_contour_failure_is_a_usage_error(tmp_path, capsys, d, flags, message):
+    cfg = _write_cfg(tmp_path / "cfg.json",
+                     dataset={"kind": "synthetic", "generator": "gaussian", "n": 500, "d": d})
+    assert main(["bench", "run", "--config", str(cfg),
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["contour", "--model", str(tmp_path / "out" / "models" / "merge_l2.json"),
+              *flags, "--out", str(tmp_path / "ct")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("otcp: error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_contour_programming_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken")
+
+    monkeypatch.setattr("otcp.serialize.load_predictor", broken)
+    with pytest.raises(TypeError, match="broken"):
+        main(["contour", "--model", str(tmp_path / "m.json"), "--x", "0.5"])
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -282,6 +282,33 @@ def test_knn_models_keep_the_training_dataset_once():
     assert not isinstance(model, Regressor)
 
 
+def test_shared_neighbors_reuses_a_search_until_rows_or_model_change(monkeypatch):
+    searched = []
+    inner = data._knn_indices
+    monkeypatch.setattr(data, "_knn_indices",
+                        lambda T, X, k: searched.append(len(X)) or inner(T, X, k))
+    ds = synth_dataset("gaussian", 200, 2, {"p": 2}, seed=4)
+    reg, qp = fit_regressor(ds, "knn_mean", k=5), fit_quantile_predictor(ds, 5, 0.1, 0.9)
+    twin = fit_regressor(Dataset(ds.features, ds.targets), "knn_mean", k=5)
+    X = synth_dataset("gaussian", 30, 2, {"p": 2}, seed=5).features
+    memo = {}
+    with data.shared_neighbors(memo):
+        reg.predict_rows(X)
+        qp.bounds_rows(X.copy())  # same Dataset, k and rows: reused
+        assert len(searched) == 1
+        twin.predict_rows(X)  # equal training rows, another Dataset: searched
+        fit_regressor(ds, "knn_mean", k=6).predict_rows(X)  # another k: searched
+        X[0] += 0.25  # rows changed in place: searched
+        moved = reg.predict_rows(X)
+        assert len(searched) == 4
+        with data.shared_neighbors({}):  # an inner block sees only its own memo
+            reg.predict_rows(X)
+        assert len(searched) == 5 and data._NEIGHBOR_MEMO.get() is memo
+    assert data._NEIGHBOR_MEMO.get() is None
+    assert np.array_equal(moved, reg.predict_rows(X)) and len(searched) == 6
+    assert len(memo) == 4 and not any(idx.flags.writeable for idx in memo.values())
+
+
 def _knn_reference(train_X, train_Y, X, k):
     # direct differences per query, stable sort: ties go to the lower index
     return np.stack([train_Y[np.argsort(((train_X - x) ** 2).sum(axis=1),
