@@ -187,8 +187,7 @@ class BenchConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "BenchConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(serialize.read_json_object(path, "config"))
 
     def load_dataset(self, seed: int) -> Dataset:
         ds = self.dataset
@@ -291,8 +290,6 @@ def marginal_coverage(pred: CalibratedPredictor, test: Dataset) -> float:
 
 def residual_box(pred: CalibratedPredictor, inflate: float = 1.5):
     """Residual-space box: the calibration residuals' bounding box inflated about its middle."""
-    if pred.residual_low is None:
-        raise ParamError("predictor carries no residual bounding box")
     mid = (pred.residual_low + pred.residual_high) / 2.0
     half = (pred.residual_high - pred.residual_low) / 2.0
     return mid - inflate * half, mid + inflate * half
@@ -510,13 +507,13 @@ def export_contours(pred: CalibratedPredictor, xs, alphas, out_dir,
 
     Thresholds for each alpha are recomputed from the stored calibration
     scores. Nested levels should give nested areas; violations are recorded in
-    the manifest under nesting_warnings rather than raised.
+    the manifest under nesting_warnings rather than raised. Every region is
+    traced before `out_dir` is created, so a refused request writes nothing.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     alphas = sorted(float(a) for a in alphas)
-    paths, manifest = [], []
+    traced, manifest = [], []
     for i, x in enumerate(xs):
         areas = []
         for alpha in alphas:
@@ -526,8 +523,7 @@ def export_contours(pred: CalibratedPredictor, xs, alphas, out_dir,
                     f"threshold at alpha={alpha} is infinite; cannot trace a contour")
             region = region_contour_2d(pred, x, n_angles=n_angles, threshold=thr)
             path = out_dir / f"contour_x{i}_alpha{alpha:g}.csv"
-            write_region_csv(region, path)
-            paths.append(path)
+            traced.append((path, region))
             areas.append({"alpha": alpha, "file": path.name, "area": region.area,
                           "reordered": region.reordered})
         # smaller alpha -> larger threshold -> containing region
@@ -536,7 +532,10 @@ def export_contours(pred: CalibratedPredictor, xs, alphas, out_dir,
                     if a0["area"] < a1["area"] - 1e-12]
         manifest.append({"x": [float(v) for v in x], "levels": areas,
                          "nesting_warnings": warnings})
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path, region in traced:
+        write_region_csv(region, path)
     (out_dir / "contours.json").write_text(
         json.dumps({"format": "contour-export", "version": 1, "points": manifest},
                    indent=2) + "\n", encoding="utf-8")
-    return paths
+    return [path for path, _ in traced]

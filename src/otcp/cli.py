@@ -6,7 +6,8 @@
     otcp synth --kind gaussian --n 1000 --d 2 --seed 0 --out data.csv
 
 Exit codes: 0 on success; 2 on a bad flag, a value refused with ParamError (a
-bad config before any data loads) or a request the model cannot answer
+bad config before any data loads, or a --config or --model file that cannot
+be read as a JSON object) or a request the model cannot answer
 (DimensionError or MethodError: a contour of a model with d != 2, an --x of
 the wrong width, an alpha whose threshold is infinite), each printed as the
 usage, then "otcp: error: ..."; 2 also when some benchmark methods failed with

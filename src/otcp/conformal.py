@@ -380,10 +380,9 @@ class CalibratedPredictor:
     score_fn: ScoreFunction
     alpha: float
     threshold: float
-    cal_scores: np.ndarray          # sorted
-    residual_low: np.ndarray | None  # per-dim bounds of y - center(x) on calib
-    residual_high: np.ndarray | None
-    band: tuple[float, float] | None = None  # two-sided PIT band, optional
+    cal_scores: np.ndarray      # sorted
+    residual_low: np.ndarray    # per-dim bounds of y - center(x) on calib
+    residual_high: np.ndarray
 
     def __post_init__(self):
         # calibrate and artifact loading both build predictors, so both pass here
@@ -393,13 +392,6 @@ class CalibratedPredictor:
         self.threshold = _real(self.threshold, "threshold")
         if self.threshold == -math.inf:
             raise ParamError("threshold must be finite or +inf")
-        if self.band is not None:
-            if not isinstance(self.band, (tuple, list)) or len(self.band) != 2:
-                raise ParamError(f"band must be two numbers, got {self.band!r}")
-            lo, hi = (_real(b, "band") for b in self.band)
-            if not 0.0 <= lo <= hi <= 1.0:
-                raise ParamError(f"band needs 0 <= lo <= hi <= 1, got {self.band!r}")
-            self.band = (lo, hi)
 
     def __repr__(self):
         return (f"CalibratedPredictor(kind={self.score_fn.kind!r}, "
@@ -421,17 +413,11 @@ class CalibratedPredictor:
         return bool(self.contains_rows(np.atleast_2d(np.asarray(x, dtype=float)),
                                        np.atleast_2d(np.asarray(y, dtype=float)))[0])
 
-    def _accepts(self, scores) -> np.ndarray:
-        if self.band is not None:
-            pit = self.pit(scores)
-            return (pit >= self.band[0]) & (pit <= self.band[1])
-        return scores <= self.threshold
-
     def contains_rows(self, X, Y) -> np.ndarray:
-        return self._accepts(self.score_fn.score_rows(X, Y))
+        return self.score_fn.score_rows(X, Y) <= self.threshold
 
     def contains_candidates(self, x, Y) -> np.ndarray:
-        return self._accepts(self.score_fn.score_rows(np.atleast_2d(x), Y))
+        return self.score_fn.score_rows(np.atleast_2d(x), Y) <= self.threshold
 
     def threshold_at(self, alpha: float) -> float:
         """Threshold recomputed at a different miscoverage level from the same scores."""
@@ -439,8 +425,7 @@ class CalibratedPredictor:
 
 
 def calibrate(score_fn: ScoreFunction, calib: Dataset, alpha: float,
-              allow_same_data: bool = False, band: tuple[float, float] | None = None
-              ) -> CalibratedPredictor:
+              allow_same_data: bool = False) -> CalibratedPredictor:
     """Score every calibration pair and keep the conformal threshold.
 
     Refuses calibration data whose provenance tag matches the data any fitted
@@ -457,8 +442,7 @@ def calibrate(score_fn: ScoreFunction, calib: Dataset, alpha: float,
     scores, centers = score_fn.score_center_rows(calib.features, calib.targets)
     resid = calib.targets - centers
     return CalibratedPredictor(score_fn, float(alpha), conformal_threshold(scores, alpha),
-                               np.sort(scores), resid.min(axis=0), resid.max(axis=0),
-                               band)
+                               np.sort(scores), resid.min(axis=0), resid.max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +495,8 @@ def region_volumes(pred: CalibratedPredictor, X, sampler=None) -> tuple[np.ndarr
     Each score kind sizes its own set (see ScoreFunction.volume): interval,
     ball and ellipse volumes are exact, and transport-rank sets are sampled
     once through `sampler`. A set with an infinite threshold (the whole space)
-    or a PIT band has no volume here and raises MethodError.
+    has no volume here and raises MethodError.
     """
-    if pred.band is not None:
-        raise MethodError("a PIT-band prediction set has no region volume")
     if not math.isfinite(pred.threshold):
         raise MethodError("threshold is infinite (region is the whole space)")
     return pred.score_fn.volume(pred.threshold, X, sampler)

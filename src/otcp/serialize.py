@@ -18,10 +18,11 @@ Loading checks every map array's shape against the others and the residual
 bounding box against the score's dimension, and requires finite values and
 every required key, raising ParamError (a missing key is named by its path,
 such as score.map.grid) and each scalar of its kind (no integer is truncated):
-alpha, threshold and band in CalibratedPredictor, and k, lam, alpha_lo, alpha_hi,
-epsilon and n_o where their objects are built. Both k-NN models go through one codec,
-and a map's `origin` key holds its fit_tag, the tag of the residual rows it
-was fitted on.
+alpha and threshold in CalibratedPredictor, and k, lam, alpha_lo, alpha_hi,
+epsilon and n_o where their objects are built. A predictor file that cannot
+be read, is not UTF-8 JSON or is not an object is a ParamError naming it.
+Both k-NN models go through one codec, and a map's `origin` key holds its
+fit_tag, the tag of the residual rows it was fitted on.
 """
 
 from __future__ import annotations
@@ -228,9 +229,8 @@ def predictor_to_dict(pred: CalibratedPredictor) -> dict:
         "alpha": pred.alpha,
         "threshold": None if pred.threshold == math.inf else pred.threshold,
         "cal_scores": _arr(pred.cal_scores),
-        "residual_low": None if pred.residual_low is None else _arr(pred.residual_low),
-        "residual_high": None if pred.residual_high is None else _arr(pred.residual_high),
-        "band": list(pred.band) if pred.band else None,
+        "residual_low": _arr(pred.residual_low),
+        "residual_high": _arr(pred.residual_high),
         "score": _score_fn_to_dict(pred.score_fn),
     }
 
@@ -240,19 +240,16 @@ def predictor_from_dict(doc: dict) -> CalibratedPredictor:
     _check_header(doc, PREDICTOR_FORMAT)
     score_fn = _score_fn_from_dict(doc["score"])
     threshold = doc["threshold"]
-    low = doc.get("residual_low")
-    high = doc.get("residual_high")
-    if (low is None) != (high is None):
-        raise ParamError("residual_low and residual_high must be stored together")
-    if low is not None:
-        low = _array(low, "residual_low", (score_fn.d,))
-        high = _array(high, "residual_high", (score_fn.d,))
-        if (low > high).any():
-            raise ParamError("residual_low exceeds residual_high")
+    # earlier files carry "band": null; a set is {y: score <= threshold}, with no PIT band
+    if doc.get("band") is not None:
+        raise ParamError(f"band must be absent or null, got {doc['band']!r}")
+    low = _array(doc["residual_low"], "residual_low", (score_fn.d,))
+    high = _array(doc["residual_high"], "residual_high", (score_fn.d,))
+    if (low > high).any():
+        raise ParamError("residual_low exceeds residual_high")
     return CalibratedPredictor(
         score_fn, doc["alpha"], math.inf if threshold is None else threshold,
-        _array(doc["cal_scores"], "cal_scores", (None,)), low, high,
-        doc.get("band"))
+        _array(doc["cal_scores"], "cal_scores", (None,)), low, high)
 
 
 def save_predictor(pred: CalibratedPredictor, path) -> None:
@@ -260,5 +257,20 @@ def save_predictor(pred: CalibratedPredictor, path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at `path`; `what` names the file in errors.
+
+    A file that cannot be opened, is not UTF-8 JSON or holds something other
+    than an object raises ParamError naming it, never a default.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParamError(f"cannot read {what} {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParamError(f"{what} {path} is not a JSON object")
+    return doc
+
+
 def load_predictor(path) -> CalibratedPredictor:
-    return predictor_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return predictor_from_dict(read_json_object(path, "model"))

@@ -239,12 +239,9 @@ def test_evaluate_sizes_each_cell_in_one_call(monkeypatch, banana_parts):
     assert rows == [test.n, 1000]  # coverage, then one residual-space sample
 
 
-def test_volume_refuses_infinite_thresholds_and_pit_bands():
+def test_volume_refuses_infinite_thresholds():
     with pytest.raises(MethodError):
         region_volumes(_zero_center_predictor(math.inf), [[0.5]])
-    banded = dataclasses.replace(_zero_center_predictor(1.0), band=(0.05, 0.95))
-    with pytest.raises(MethodError):
-        region_volumes(banded, [[0.5]])
 
 
 def test_qmc_volume_rejects_an_empty_sample_or_box():

@@ -118,6 +118,28 @@ def test_contour_failure_is_a_usage_error(tmp_path, capsys, d, flags, message):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("otcp: error: ") and message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "ct").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),
+    (b'\xff{"seeds": [0]}', "cannot read"),
+    (b'{"seeds": [0]', "cannot read"),
+    (b"5", "is not a JSON object"),
+], ids=["missing", "not-utf8", "not-json", "not-an-object"])
+@pytest.mark.parametrize("command", [["contour", "--x", "0.5", "--model"],
+                                     ["bench", "run", "--config"]], ids=["model", "config"])
+def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys, command, content, message):
+    path = tmp_path / "in.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, str(path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("otcp: error: ")
+    assert message in err and str(path) in err
+    assert "Traceback" not in err
 
 
 def test_contour_programming_error_is_not_a_usage_error(tmp_path, monkeypatch):

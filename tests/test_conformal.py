@@ -328,19 +328,6 @@ def test_univariate_interval_endpoints_inclusive():
     assert not pred.contains(x, [yhat + r + 1e-9])
 
 
-def test_two_sided_band_variant():
-    X = np.linspace(0, 1, 30)[:, None]
-    ds = Dataset(X, np.zeros((30, 1)), tag="zero")
-    reg = fit_regressor(ds, "ridge_linear", lam=0.0)
-    fn = make_score_function("abs_univariate", regressor=reg)
-    cal = Dataset(X, np.linspace(0.1, 3.0, 30)[:, None], tag="cal")
-    pred = calibrate(fn, cal, alpha=0.2, band=(0.1, 0.9))
-    # scores with PIT below the lower band edge are excluded too
-    assert not pred.contains([0.5], [0.0])
-    assert pred.contains([0.5], [1.0])
-    assert not pred.contains([0.5], [5.0])
-
-
 def test_nested_regions_in_alpha(gaussian_pipeline):
     gp = gaussian_pipeline
     fn = make_score_function("merge_l2", regressor=gp["reg"])

@@ -99,6 +99,22 @@ def test_predictor_round_trip_scores(fitted, tmp_path, kind):
     assert np.array_equal(back.contains_rows(X, Y), pred.contains_rows(X, Y))
 
 
+def test_a_band_key_loads_only_when_null(fitted, tmp_path):
+    # earlier writers stored "band": null; a PIT band is no longer a set rule
+    fn = make_score_function("otcp", regressor=fitted["reg"], transport_map=fitted["emap"])
+    pred = calibrate(fn, fitted["calib"], alpha=0.1)
+    save_predictor(pred, tmp_path / "p.json")
+    doc = json.loads((tmp_path / "p.json").read_text())
+    assert "band" not in doc
+    (tmp_path / "null.json").write_text(json.dumps({**doc, "band": None}))
+    back = load_predictor(tmp_path / "null.json")
+    X, Y = fitted["test"].features[:30], fitted["test"].targets[:30]
+    assert np.array_equal(back.contains_rows(X, Y), pred.contains_rows(X, Y))
+    (tmp_path / "banded.json").write_text(json.dumps({**doc, "band": [0.1, 0.9]}))
+    with pytest.raises(ParamError, match="band"):
+        load_predictor(tmp_path / "banded.json")
+
+
 def test_ridge_regressor_round_trip(tmp_path):
     ds = synth_dataset("gaussian", 100, 2, seed=3)
     reg = fit_regressor(ds, "ridge_linear", lam=0.5)
@@ -163,11 +179,12 @@ def test_loads_version_1_documents(fitted, tmp_path):
 
 
 def _edit(doc, path, fn):
-    # replace the field at path by fn(field), or delete it when fn gives None
+    # replace the field at path by fn(field), or delete it when fn gives None;
+    # an absent field reads as None, so fn can add a key the writer leaves out
     *parents, leaf = path
     for key in parents:
         doc = doc[key]
-    value = fn(doc[leaf])
+    value = fn(doc.get(leaf))
     if value is None:
         del doc[leaf]
     else:
@@ -310,7 +327,7 @@ def _key_paths(doc, prefix=()):
 def test_a_missing_key_is_a_param_error_naming_it(kind):
     pred, _ = _random_predictor(kind, 1 if kind == "abs_univariate" else 2, 60, 16, 0)
     doc = _json_round_trip(predictor_to_dict(pred))
-    optional = {"tag", "origin", "band"}
+    optional = {"tag", "origin"}
     paths = [path for path in _key_paths(doc) if path[-1] not in optional]
     assert ("score", "kind") in paths and ("alpha",) in paths
     for path in paths:
