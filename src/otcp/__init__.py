@@ -57,16 +57,12 @@ from .data import (
 from .entropic import EntropicMap, fit_entropic_map
 from .errors import (
     DimensionError,
-    DomainError,
-    FactorizationError,
     MethodError,
     NotFittedError,
     ParamError,
     ParseError,
     ProvenanceError,
-    SingularError,
     SinkhornNotConverged,
-    SplitError,
 )
 from .serialize import load_predictor, save_predictor
 from .sinkhorn import (

@@ -62,7 +62,8 @@ from .data import (
     synth_params,
 )
 from .entropic import fit_entropic_map
-from .errors import MethodError, NotFittedError, ParamError, ProvenanceError, _integer, _real
+from .errors import (MethodError, NotFittedError, ParamError, ProvenanceError, _file_errors,
+                     _integer, _list, _object, _real)
 from .sinkhorn import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .sphere import DIRECTION_MODES, build_spherical_grid, halton_sequence
 
@@ -85,7 +86,7 @@ OTCP_DEFAULTS = {"epsilon": 0.1, "m": 4096, "grid_mode": "low_discrepancy",
                  "tol": DEFAULT_TOL, "max_iter": DEFAULT_MAX_ITER}
 
 # expected failures of one (seed, method) cell, recorded in its report row:
-# ValueError covers otcp's own value errors and numpy.linalg.LinAlgError, and
+# ValueError covers ParamError (errors.py) and numpy.linalg.LinAlgError, and
 # MemoryError keeps an oversized cell to its own row. Anything else (TypeError,
 # AttributeError, ...) is a bug and propagates.
 CELL_FAILURES = (ValueError, NotFittedError, ProvenanceError, MethodError, MemoryError)
@@ -97,7 +98,7 @@ VOLUME_SHIFTS = 8
 
 def _filled(section: str, given: dict, defaults: dict) -> dict:
     """`defaults` updated by `given`; refuses any other key and a required one left unset."""
-    unknown = sorted(set(given) - set(defaults))
+    unknown = sorted(set(_object(given, section)) - set(defaults))
     if unknown:
         raise ParamError(f"{section} section: unknown keys {unknown}")
     filled = {**defaults, **given}
@@ -130,7 +131,7 @@ class BenchConfig:
         self.alpha = _real(self.alpha, "alpha")
         if not (0.0 < self.alpha < 1.0):
             raise ParamError("alpha must lie in (0, 1)")
-        self.seeds = tuple(_integer(s, "seed", 0) for s in self.seeds)
+        self.seeds = tuple(_integer(s, "seed", 0) for s in _list(self.seeds, "seeds"))
         if not self.seeds:
             raise ParamError("need at least one seed")
         self.mc_samples = _integer(self.mc_samples, "mc_samples", 1)
@@ -138,16 +139,22 @@ class BenchConfig:
         self.bounds_inflation = _real(self.bounds_inflation, "bounds_inflation")
         if not (math.isfinite(self.bounds_inflation) and self.bounds_inflation > 0):
             raise ParamError("bounds_inflation must be finite and > 0")
-        ds = {"kind": "synthetic", **self.dataset}
-        if ds["kind"] not in DATASET_DEFAULTS:
+        if not (self.output_dir is None or isinstance(self.output_dir, str)):
+            raise ParamError(f"output_dir must be a string or null, got {self.output_dir!r}")
+        if not isinstance(self.save_models, bool):
+            raise ParamError(f"save_models must be true or false, got {self.save_models!r}")
+        ds = {"kind": "synthetic", **_object(self.dataset, "dataset")}
+        if not isinstance(ds["kind"], str) or ds["kind"] not in DATASET_DEFAULTS:
             raise ParamError(f"unknown dataset kind {ds['kind']!r}")
         ds = self.dataset = _filled("dataset", ds, DATASET_DEFAULTS[ds["kind"]])
         if ds["kind"] == "csv":
+            if not isinstance(ds["path"], str):
+                raise ParamError(f"dataset path must be a string, got {ds['path']!r}")
             ds["d_out"] = _integer(ds["d_out"], "dataset d_out", 1)
         else:  # rejects a generator or param synth_dataset would
             ds.update(n=_integer(ds["n"], "dataset n", 1), d=_integer(ds["d"], "dataset d", 1),
                       params=synth_params(ds["generator"], ds["d"], ds["params"]))
-        reg = {"kind": "knn_mean", **self.regressor}
+        reg = {"kind": "knn_mean", **_object(self.regressor, "regressor")}
         kind = reg.pop("kind")
         # rejects a regressor kind, parameter or value that fit_regressor would
         self.regressor = {"kind": kind, **regressor_params(kind, reg)}
@@ -161,13 +168,13 @@ class BenchConfig:
         if o["grid_mode"] not in DIRECTION_MODES:
             raise ParamError(f"otcp grid_mode must be one of {DIRECTION_MODES}")
         KnnQuantilePredictor(*self._mcp_levels())  # rejects levels mcp_max would
-        self.methods = tuple(self.methods)
+        self.methods = _list(self.methods, "methods")
         if not self.methods:
             raise ParamError("need at least one method")
         unknown = [m for m in self.methods if m not in SCORE_KINDS]
         if unknown:
             raise ParamError(f"unknown score kinds {unknown}; choose from {SCORE_KINDS}")
-        self.fractions = tuple(_real(f, "fractions") for f in self.fractions)
+        self.fractions = tuple(_real(f, "fractions") for f in _list(self.fractions, "fractions"))
         SplitSpec(self.fractions)  # rejects fractions split_dataset would
 
     def _mcp_levels(self) -> tuple:
@@ -179,8 +186,7 @@ class BenchConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BenchConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ParamError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
@@ -259,8 +265,7 @@ class BenchReport:
         return any(r.status != "ok" for r in self.rows)
 
     def write(self, out_dir, stem: str = "report") -> tuple[Path, Path]:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _output_dir(out_dir)
         csv_path = out_dir / f"{stem}.csv"
         csv_path.write_text("\n".join(self.csv_lines()) + "\n", encoding="utf-8")
         json_path = out_dir / f"{stem}_summary.json"
@@ -275,6 +280,13 @@ def _csv_line(fields) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(fields)
     return buf.getvalue()[:-1]
+
+
+def _output_dir(path) -> Path:
+    """The directory `path`, created with its parents; ParamError naming it if it cannot be."""
+    with _file_errors("create output directory", path):
+        Path(path).mkdir(parents=True, exist_ok=True)
+    return Path(path)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +452,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         for row, pred, _ in _run_seed(cfg, seed, cells):
             rows.append(row)
             if pred and cfg.output_dir and cfg.save_models and row.method not in saved_models:
-                model_dir = Path(cfg.output_dir) / "models"
-                model_dir.mkdir(parents=True, exist_ok=True)
+                model_dir = _output_dir(Path(cfg.output_dir) / "models")
                 serialize.save_predictor(pred, model_dir / f"{row.method}.json")
                 saved_models.add(row.method)
     report = BenchReport(rows)
@@ -479,8 +490,7 @@ def sweep(cfg: BenchConfig, eps_list=None, m_list=None) -> list[dict]:
                 **{key: row.solver.get(key) for key in _SOLVER_KEYS}}
                for (_, cell, _), per_seed in zip(cells, zip(*runs)) for row, ms in per_seed]
     if cfg.output_dir:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _output_dir(cfg.output_dir)
         lines = [_csv_line(SWEEP_COLUMNS)]
         for r in records:
             lines.append(_csv_line([repr(float(r["epsilon"])), str(r["m"]), str(r["seed"]),
@@ -532,7 +542,7 @@ def export_contours(pred: CalibratedPredictor, xs, alphas, out_dir,
                     if a0["area"] < a1["area"] - 1e-12]
         manifest.append({"x": [float(v) for v in x], "levels": areas,
                          "nesting_warnings": warnings})
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _output_dir(out_dir)
     for path, region in traced:
         write_region_csv(region, path)
     (out_dir / "contours.json").write_text(

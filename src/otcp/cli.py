@@ -5,15 +5,13 @@
     otcp contour --model model.json --x ... --alphas ... [--out DIR]
     otcp synth --kind gaussian --n 1000 --d 2 --seed 0 --out data.csv
 
-Exit codes: 0 on success; 2 on a bad flag, a value refused with ParamError (a
-bad config before any data loads, or a --config or --model file that cannot
-be read as a JSON object) or a request the model cannot answer
-(DimensionError or MethodError: a contour of a model with d != 2, an --x of
-the wrong width, an alpha whose threshold is infinite), each printed as the
-usage, then "otcp: error: ..."; 2 also when some benchmark methods failed with
-an expected error (a failed row reads "failed: <ExceptionType>: <message>"; the
-partial report is still written). A programming error is not caught: it ends
-the run with a traceback and exit 1.
+Exit codes: 0 on success; 2 on a bad flag or a refused input (ParamError or
+MethodError, see errors.py), printed as the usage, then "otcp: error: ...":
+a bad config, an unreadable --config, --model or dataset file, data too few to
+split, an output path that cannot be created or written, or a contour the model
+cannot answer; 2 also when some benchmark methods failed with an expected error
+(a failed row reads "failed: <ExceptionType>: <message>"; the partial report is
+still written). Anything else is a programming error: a traceback and exit 1.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 
 from . import bench, serialize
 from .data import synth_dataset, write_dataset_csv
-from .errors import DimensionError, MethodError, ParamError
+from .errors import MethodError, ParamError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,7 +133,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ParamError, DimensionError, MethodError) as exc:
+    except (ParamError, MethodError) as exc:
         parser.error(str(exc))
 
 

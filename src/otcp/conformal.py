@@ -18,15 +18,8 @@ import numpy as np
 
 from .data import Dataset, KnnQuantilePredictor, Regressor, ScoreMatrix
 from .entropic import EntropicMap
-from .errors import (
-    DimensionError,
-    MethodError,
-    NotFittedError,
-    ParamError,
-    ProvenanceError,
-    SingularError,
-    _real,
-)
+from .errors import (DimensionError, MethodError, NotFittedError, ParamError, ProvenanceError,
+                     _real)
 
 # ---------------------------------------------------------------------------
 # Score functions
@@ -325,7 +318,7 @@ def estimate_covariance(resid, ridge: float = 0.0) -> Whitener:
     cov = centered.T @ centered / denom + ridge * np.eye(Z.shape[1])
     vals, vecs = np.linalg.eigh(cov)
     if vals.min() <= 1e-12:
-        raise SingularError(
+        raise ParamError(
             f"covariance singular: smallest eigenvalue {vals.min():.3e} after ridge={ridge}")
     return Whitener((vecs * (1.0 / np.sqrt(vals))) @ vecs.T, fit_tag)
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionError, NotFittedError, ParamError, ParseError, SplitError,
-                     _integer, _real)
+from .errors import (DimensionError, NotFittedError, ParamError, ParseError, _file_errors,
+                     _integer, _object, _real)
 
 SPLIT_NAMES = ("train", "ot_fit", "calib", "test")
 
@@ -38,8 +38,7 @@ class Dataset:
             raise DimensionError("features and targets must be 2-D arrays")
         if X.shape[0] != Y.shape[0]:
             raise DimensionError(
-                f"row mismatch: {X.shape[0]} feature rows vs {Y.shape[0]} target rows"
-            )
+                f"row mismatch: {X.shape[0]} feature rows vs {Y.shape[0]} target rows")
         if X.shape[0] < 1 or X.shape[1] < 1 or Y.shape[1] < 1:
             raise DimensionError("need n >= 1, p >= 1, d >= 1")
         if not (np.isfinite(X).all() and np.isfinite(Y).all()):
@@ -114,11 +113,12 @@ def load_dataset_csv(path, d_out: int, tag: str | None = None) -> Dataset:
     """Load a headered CSV whose trailing `d_out` columns are the targets.
 
     Every data cell must parse as a finite float; the first offending cell
-    raises ParseError carrying its (row, col), with row 1 = first data row.
+    raises ParseError carrying its (row, col), with row 1 = first data row. A
+    file that cannot be read as UTF-8 text raises ParamError naming the path.
     """
     if d_out < 1:
         raise ParamError("d_out must be >= 1")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _file_errors("read dataset", path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -152,8 +152,9 @@ def load_dataset_csv(path, d_out: int, tag: str | None = None) -> Dataset:
 
 
 def write_dataset_csv(ds: Dataset, path) -> None:
-    """Write a Dataset as RFC-4180 CSV (header row, targets last); round-trips exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write a Dataset as RFC-4180 CSV (header row, targets last); round-trips exactly.
+    A path that cannot be written raises ParamError naming it."""
+    with _file_errors("write dataset", path), open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.feature_names) + list(ds.target_names))
         for xi, yi in zip(ds.features, ds.targets):
@@ -178,10 +179,10 @@ def split_dataset(ds: Dataset, spec: SplitSpec):
     remainder = n - sum(sizes)
     sizes[0] += remainder
     if sizes[2] < 1 or sizes[3] < 1:
-        raise SplitError(f"calib/test splits empty for n={n}, fractions={spec.fractions}")
+        raise ParamError(f"calib/test splits empty for n={n}, fractions={spec.fractions}")
     for name, frac, size in zip(SPLIT_NAMES, spec.fractions, sizes):
         if frac > 0 and size < 1:
-            raise SplitError(f"{name} split empty for n={n}, fractions={spec.fractions}")
+            raise ParamError(f"{name} split empty for n={n}, fractions={spec.fractions}")
     perm = np.random.default_rng(spec.seed).permutation(n)
     out = []
     start = 0
@@ -223,11 +224,11 @@ _SYNTH_PARAMS = {"gaussian": ("cov",),
 def synth_params(kind: str, d: int, params: dict | None) -> dict:
     """A copy of `params`, once synthetic `kind` exists, can make d targets and reads
     every key in `params`, p is an integer >= 1 and each scalar param is a real number."""
-    if kind not in _SYNTH_PARAMS:
+    if not isinstance(kind, str) or kind not in _SYNTH_PARAMS:
         raise ParamError(f"unknown synthetic kind {kind!r}")
     if kind == "banana" and d != 2:
         raise ParamError("banana generator is fixed at d=2")
-    params = dict(params or {})
+    params = dict(_object({} if params is None else params, "params"))
     unknown = sorted(set(params) - {"p", "slope", *_SYNTH_PARAMS[kind]})
     if unknown:
         raise ParamError(f"{kind} generator reads no params {unknown}")
@@ -533,7 +534,7 @@ _REGRESSORS = {"knn_mean": (KnnMeanRegressor, {"k": 25}),
 
 def regressor_params(kind: str, params: dict) -> dict:
     """The defaults of regressor `kind` updated by `params`, which it must all take and accept."""
-    if kind not in _REGRESSORS:
+    if not isinstance(kind, str) or kind not in _REGRESSORS:
         raise ParamError(f"unknown regressor kind {kind!r}")
     unknown = sorted(set(params) - set(_REGRESSORS[kind][1]))
     if unknown:

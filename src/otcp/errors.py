@@ -1,5 +1,12 @@
-"""Exception and warning types, and the scalar checks that raise ParamError."""
+"""Exception and warning types, and the input checks that raise ParamError.
 
+Input that breaks a documented precondition (an argument, config value, data or
+artifact file, or output path) raises ParamError or a subclass, which the CLI,
+like MethodError, reports as a usage error with exit 2; anything else is a bug.
+"""
+
+import contextlib
+import json
 import math
 import numbers
 
@@ -22,33 +29,38 @@ def _integer(value, name: str, low: int | None = None) -> int:
     return int(value)
 
 
-class DimensionError(ValueError):
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParamError(f"{name} is not a JSON object")
+    return value
+
+
+def _list(value, name: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ParamError(f"{name} is not a list")
+    return tuple(value)
+
+
+@contextlib.contextmanager
+def _file_errors(action: str, path):
+    """In the block, a file that cannot be opened, created, decoded or parsed raises ParamError."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParamError(f"cannot {action} {path}: {exc}") from None
+
+
+class DimensionError(ParamError):
     """Array shapes are incompatible with the operation."""
 
 
-class DomainError(ValueError):
-    """A numeric argument lies outside the mathematical domain."""
-
-
-class ParseError(ValueError):
+class ParseError(ParamError):
     """A CSV cell could not be parsed as a finite number."""
 
     def __init__(self, message, row=None, col=None):
         super().__init__(message)
         self.row = row
         self.col = col
-
-
-class SplitError(ValueError):
-    """A requested data split would be empty."""
-
-
-class FactorizationError(ValueError):
-    """A grid factorization triple is inconsistent with the point count."""
-
-
-class SingularError(ValueError):
-    """A covariance matrix is numerically singular even after ridging."""
 
 
 class ProvenanceError(RuntimeError):

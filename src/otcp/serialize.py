@@ -36,7 +36,7 @@ import numpy as np
 from .conformal import CalibratedPredictor, Whitener, make_score_function
 from .data import Dataset, KnnMeanRegressor, KnnQuantilePredictor, RidgeRegressor
 from .entropic import EntropicMap
-from .errors import DimensionError, ParamError, _integer, _real
+from .errors import ParamError, _file_errors, _integer, _object, _real
 from .sinkhorn import DualPotentials, OtProblem, Standardizer
 from .sphere import SphericalGrid
 
@@ -53,9 +53,7 @@ class _Section(dict):
     """
 
     def __init__(self, doc, path: str = ""):
-        if not isinstance(doc, dict):
-            raise ParamError(f"artifact {path or 'document'} is not a JSON object")
-        super().__init__(doc)
+        super().__init__(_object(doc, f"artifact {path or 'document'}"))
         self.path = path
 
     def __getitem__(self, key):
@@ -217,10 +215,7 @@ def _score_fn_to_dict(fn) -> dict:
 def _score_fn_from_dict(doc: dict):
     parts = {name: decode(doc[key])
              for name, (key, _, decode) in _COMPONENTS.items() if key in doc}
-    try:
-        return make_score_function(doc["kind"], **parts)
-    except DimensionError as exc:
-        raise ParamError(f"score components do not fit together: {exc}") from None
+    return make_score_function(doc["kind"], **parts)
 
 
 def predictor_to_dict(pred: CalibratedPredictor) -> dict:
@@ -263,13 +258,9 @@ def read_json_object(path, what: str) -> dict:
     A file that cannot be opened, is not UTF-8 JSON or holds something other
     than an object raises ParamError naming it, never a default.
     """
-    try:
+    with _file_errors(f"read {what}", path):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParamError(f"cannot read {what} {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParamError(f"{what} {path} is not a JSON object")
-    return doc
+    return _object(doc, f"{what} {path}")
 
 
 def load_predictor(path) -> CalibratedPredictor:

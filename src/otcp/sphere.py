@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DomainError, FactorizationError, ParamError, _integer
+from .errors import ParamError, _integer
 
 DIRECTION_MODES = ("low_discrepancy", "iid")
 
@@ -55,10 +55,10 @@ def halton_sequence(count: int, dim: int, skip: int = 64) -> np.ndarray:
 
 
 def inverse_normal_cdf(p):
-    """Standard normal quantile (scipy's ndtri), vectorized; DomainError outside (0, 1)."""
+    """Standard normal quantile (scipy's ndtri), vectorized; ParamError outside (0, 1)."""
     arr = np.asarray(p, dtype=float)
     if ((arr <= 0.0) | (arr >= 1.0)).any() or not np.isfinite(arr).all():
-        raise DomainError("inverse_normal_cdf requires 0 < p < 1")
+        raise ParamError("inverse_normal_cdf requires 0 < p < 1")
     x = ndtri(arr)
     return float(x) if arr.ndim == 0 else x
 
@@ -112,8 +112,7 @@ class SphericalGrid:
         if radii.ndim != 1 or radii.size == 0:
             raise ParamError(f"radii must be a non-empty vector, got shape {radii.shape}")
         if dirs.ndim != 2 or dirs.size == 0:
-            raise ParamError(
-                f"directions must be a non-empty matrix, got shape {dirs.shape}")
+            raise ParamError(f"directions must be a non-empty matrix, got shape {dirs.shape}")
         object.__setattr__(self, "n_o", _integer(self.n_o, "n_o", 0))
         shells = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1])
         object.__setattr__(self, "radii", radii)
@@ -161,8 +160,7 @@ def build_spherical_grid(m: int, dim: int, factorization=None,
     else:
         n_r, n_s, n_o = (int(v) for v in factorization)
         if n_r < 1 or n_s < 1 or n_o < 0 or n_r * n_s + n_o != m:
-            raise FactorizationError(
-                f"factorization {factorization} inconsistent with m={m}")
+            raise ParamError(f"factorization {factorization} inconsistent with m={m}")
     return SphericalGrid(np.arange(1, n_r + 1, dtype=float) / n_r,
                          sphere_directions(n_s, dim, mode=mode, seed=seed), n_o)
 

@@ -469,6 +469,20 @@ def test_config_rejects_keys_nothing_reads(over):
     {"dataset": {"kind": "synthetic", "generator": "gaussian", "params": {"p": True}}},
     {"dataset": {"kind": "synthetic", "generator": "gaussian", "params": {"p": 0}}},
     {"dataset": {"kind": "synthetic", "generator": "banana", "params": {"slope": "1"}}},
+    {"dataset": "x"},
+    {"dataset": {"kind": []}},
+    {"dataset": {"kind": "synthetic", "generator": []}},
+    {"dataset": {"kind": "synthetic", "params": 0}},
+    {"dataset": {"kind": "csv", "path": True, "d_out": 2}},
+    {"regressor": None},
+    {"regressor": {"kind": {}}},
+    {"otcp": []},
+    {"mcp": 0},
+    {"methods": 1},
+    {"fractions": None},
+    {"seeds": 0},
+    {"output_dir": True},
+    {"save_models": "no"},
 ])
 def test_config_rejects_values_no_run_can_use(over, monkeypatch):
     _no_loading(monkeypatch)

@@ -1,7 +1,11 @@
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from otcp import load_dataset_csv
 from otcp.cli import main
@@ -140,6 +144,115 @@ def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys, command, conte
     assert err.splitlines()[-1].startswith("otcp: error: ")
     assert message in err and str(path) in err
     assert "Traceback" not in err
+
+
+def _bad_input_files(root):
+    """A regular file, a directory and two garbled CSVs under `root`."""
+    (root / "file").write_text("")
+    (root / "dir").mkdir()
+    (root / "text.csv").write_bytes(b"x,y0,y1\n1,2,abc\n")
+    (root / "latin.csv").write_bytes(b"x,y0,y1\n1,2,\xff\n")
+
+
+_SWEEP = ["bench", "sweep", "--eps", "0.1", "--targets", "16"]
+
+
+@pytest.mark.parametrize("argv, dataset, message", [
+    (["bench", "run"], {"n": 4}, "calib/test splits empty for n=4"),
+    (_SWEEP, {"n": 4}, "calib/test splits empty for n=4"),
+    (["bench", "run"], {"kind": "csv", "path": "text.csv", "d_out": 2},
+     "row 1, column 2: non-numeric cell 'abc'"),
+    (["bench", "run"], {"kind": "csv", "path": "nope.csv", "d_out": 2},
+     "cannot read dataset nope.csv"),
+    (["bench", "run"], {"kind": "csv", "path": "dir", "d_out": 2}, "cannot read dataset dir"),
+    (["bench", "run"], {"kind": "csv", "path": "latin.csv", "d_out": 2},
+     "cannot read dataset latin.csv"),
+    (["bench", "run", "--output-dir", "file/out"], {}, "cannot create output directory file/out"),
+    ([*_SWEEP, "--output-dir", "file/out"], {}, "cannot create output directory file/out"),
+    (["contour", "--model", "m/models/merge_l2.json", "--x", "0.5", "--out", "file/ct"], None,
+     "cannot create output directory file/ct"),
+    (["synth", "--n", "10", "--out", "nodir/x.csv"], None, "cannot write dataset nodir/x.csv"),
+    (["synth", "--n", "10", "--out", "dir"], None, "cannot write dataset dir"),
+], ids=["split-empty-run", "split-empty-sweep", "csv-text-cell", "csv-missing", "csv-directory",
+        "csv-not-utf8", "run-output-under-file", "sweep-output-under-file",
+        "contour-out-under-file", "synth-out-missing-dir", "synth-out-directory"])
+def test_bad_input_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, dataset, message):
+    monkeypatch.chdir(tmp_path)
+    _bad_input_files(tmp_path)
+    if argv[0] == "contour":
+        assert main(["bench", "run", "--config", str(_write_cfg(tmp_path / "m.json")),
+                     "--output-dir", "m"]) == 0
+        capsys.readouterr()
+    if dataset is not None:
+        argv = [*argv, "--config", str(_write_cfg(tmp_path / "cfg.json", dataset=dataset))]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("otcp: error: ") and message in err
+    assert "Traceback" not in err
+
+
+def _tiny_readme_config() -> dict:
+    """The README's example config at sizes that run in well under a second."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cfg = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg["dataset"]["n"] = 60
+    cfg["regressor"]["k"] = 5
+    cfg["otcp"]["m"] = 16
+    cfg.update(seeds=[0], mc_samples=8, region_size_points=2)
+    return cfg
+
+
+def _key_paths(doc, path=()):
+    """The path of every dict key and list index in a JSON document."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, path + (key,))
+
+
+_README_CFG = _tiny_readme_config()
+
+
+@st.composite
+def _mutated_config(draw):
+    """The tiny README config with one key dropped, retyped or pushed out of range,
+    or with its dataset or output dir pointed at a missing or garbled path."""
+    cfg = copy.deepcopy(_README_CFG)
+    *head, key = draw(st.sampled_from(list(_key_paths(cfg))))
+    parent = cfg
+    for step in head:
+        parent = parent[step]
+    mutation = draw(st.sampled_from(["drop", "type", "range", "path"]))
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "type":
+        parent[key] = draw(st.sampled_from(["x", None, True, [], {}, [1, 2]]))
+    elif mutation == "range":
+        parent[key] = draw(st.sampled_from([-1, 0, 0.5, 1.5, -0.5, float("nan"), float("inf")]))
+    elif draw(st.booleans()):
+        cfg["dataset"] = {"kind": "csv", "d_out": 2,
+                          "path": draw(st.sampled_from(["nope.csv", "dir", "text.csv",
+                                                        "latin.csv", "file"]))}
+    else:
+        cfg["output_dir"] = draw(st.sampled_from(["file", "file/out"]))
+    return cfg
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_mutated_config(), command=st.sampled_from([["bench", "run"], _SWEEP]))
+def test_mutated_readme_config_exits_0_or_2(tmp_path, monkeypatch, cfg, command):
+    monkeypatch.chdir(tmp_path)
+    if not (tmp_path / "file").exists():
+        _bad_input_files(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    try:
+        code = main([*command, "--config", "cfg.json"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2)
 
 
 def test_contour_programming_error_is_not_a_usage_error(tmp_path, monkeypatch):

@@ -10,8 +10,8 @@ from otcp import (
     Dataset,
     DimensionError,
     MethodError,
+    ParamError,
     ProvenanceError,
-    SingularError,
     SplitSpec,
     build_spherical_grid,
     calibrate,
@@ -110,7 +110,7 @@ def test_covariance_ridge_on_zero_residuals():
 
 
 def test_covariance_singular_error():
-    with pytest.raises(SingularError):
+    with pytest.raises(ParamError, match="covariance singular: smallest eigenvalue"):
         estimate_covariance(np.zeros((10, 2)), ridge=0.0)
 
 

@@ -14,8 +14,6 @@ from scipy.special import ndtri
 
 import otcp
 from otcp import (
-    DomainError,
-    FactorizationError,
     ParamError,
     SphericalGrid,
     build_spherical_grid,
@@ -85,7 +83,7 @@ def test_inverse_normal_cdf_accuracy_sweep():
 
 def test_inverse_normal_cdf_domain():
     for bad in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParamError, match="inverse_normal_cdf requires 0 < p < 1"):
             inverse_normal_cdf(bad)
 
 
@@ -143,7 +141,7 @@ def test_grid_minimal():
 
 
 def test_grid_factorization_error():
-    with pytest.raises(FactorizationError):
+    with pytest.raises(ParamError, match=r"factorization \(9, 11, 2\) inconsistent with m=100"):
         build_spherical_grid(100, 2, factorization=(9, 11, 2))
 
 
