@@ -444,20 +444,21 @@ def _run_seed(cfg: BenchConfig, seed: int, cells):
 
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
     """Run every (seed, method) cell; a failure marks its row and spares the rest.
-    With an output dir, each method's first ok predictor is saved under models/
-    (unless save_models is off) and the report is written there."""
+    With an output dir, made before the first seed, each method's first ok predictor
+    is saved under models/ (unless save_models is off) and the report is written there."""
     cells = [(method, cfg, mi) for mi, method in enumerate(cfg.methods)]
+    out = cfg.output_dir and _output_dir(cfg.output_dir)
     rows, saved_models = [], set()
     for seed in cfg.seeds:
         for row, pred, _ in _run_seed(cfg, seed, cells):
             rows.append(row)
-            if pred and cfg.output_dir and cfg.save_models and row.method not in saved_models:
-                model_dir = _output_dir(Path(cfg.output_dir) / "models")
+            if pred and out and cfg.save_models and row.method not in saved_models:
+                model_dir = _output_dir(out / "models")
                 serialize.save_predictor(pred, model_dir / f"{row.method}.json")
                 saved_models.add(row.method)
     report = BenchReport(rows)
-    if cfg.output_dir:
-        report.write(cfg.output_dir)
+    if out:
+        report.write(out)
     return report
 
 
@@ -469,13 +470,13 @@ def _field(value) -> str:
 def sweep(cfg: BenchConfig, eps_list=None, m_list=None) -> list[dict]:
     """Cross-product ablation of the transport method over (epsilon, m).
 
-    Every cell's config is built, and so checked, before any data is loaded;
-    each seed is then prepared once for all cells. Returns long-format records
-    (epsilon, m, seed, status, coverage, mean_region_size, time_ms, the cell's
-    own milliseconds, and the solve's sinkhorn_iters, converged and
-    marginal_error, None for a failed cell) in (epsilon, m, seed) order, and
-    writes them as sweep.csv (SWEEP_COLUMNS) under the config's output dir
-    when one is set.
+    Every cell's config is built, and so checked, and the output dir made before
+    any data is loaded; each seed is then prepared once for all cells. Returns
+    long-format records (epsilon, m, seed, status, coverage, mean_region_size,
+    time_ms, the cell's own milliseconds, and the solve's sinkhorn_iters,
+    converged and marginal_error, None for a failed cell) in (epsilon, m, seed)
+    order, and writes them as sweep.csv (SWEEP_COLUMNS) under the config's
+    output dir when one is set.
     """
     eps_list = DEFAULT_SWEEP_EPSILONS if eps_list is None else tuple(eps_list)
     m_list = DEFAULT_SWEEP_TARGETS if m_list is None else tuple(m_list)
@@ -483,14 +484,14 @@ def sweep(cfg: BenchConfig, eps_list=None, m_list=None) -> list[dict]:
         raise ParamError("sweep lists must be nonempty")
     cells = [("otcp", replace(cfg, otcp={**cfg.otcp, "epsilon": eps, "m": m}), 0)
              for eps in eps_list for m in m_list]
+    out = cfg.output_dir and _output_dir(cfg.output_dir)
     runs = [[(row, ms) for row, _, ms in _run_seed(cfg, seed, cells)] for seed in cfg.seeds]
     records = [{"epsilon": cell.otcp["epsilon"], "m": cell.otcp["m"], "seed": row.seed,
                 "status": row.status, "coverage": row.coverage,
                 "mean_region_size": row.mean_region_size, "time_ms": ms,
                 **{key: row.solver.get(key) for key in _SOLVER_KEYS}}
                for (_, cell, _), per_seed in zip(cells, zip(*runs)) for row, ms in per_seed]
-    if cfg.output_dir:
-        out = _output_dir(cfg.output_dir)
+    if out:
         lines = [_csv_line(SWEEP_COLUMNS)]
         for r in records:
             lines.append(_csv_line([repr(float(r["epsilon"])), str(r["m"]), str(r["seed"]),

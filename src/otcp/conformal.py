@@ -268,7 +268,7 @@ SCORE_KINDS = tuple(SCORE_CLASSES)
 def make_score_function(kind: str, regressor=None, quantile_predictor=None,
                         transport_map=None, whitener=None) -> ScoreFunction:
     """Build a score function from its fitted components."""
-    if kind not in SCORE_CLASSES:
+    if not isinstance(kind, str) or kind not in SCORE_CLASSES:
         raise ParamError(f"unknown score kind {kind!r}; choose from {SCORE_KINDS}")
     cls = SCORE_CLASSES[kind]
     given = {"regressor": regressor, "quantile_predictor": quantile_predictor,
@@ -409,8 +409,7 @@ class CalibratedPredictor:
     def contains_rows(self, X, Y) -> np.ndarray:
         return self.score_fn.score_rows(X, Y) <= self.threshold
 
-    def contains_candidates(self, x, Y) -> np.ndarray:
-        return self.score_fn.score_rows(np.atleast_2d(x), Y) <= self.threshold
+    contains_candidates = contains_rows  # every Y row at one x: one x row broadcasts
 
     def threshold_at(self, alpha: float) -> float:
         """Threshold recomputed at a different miscoverage level from the same scores."""

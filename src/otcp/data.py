@@ -251,9 +251,9 @@ def synth_dataset(kind: str, n: int, d: int = 2, params: dict | None = None,
 
     A params key the kind does not read, a p that is not an integer >= 1 or a
     slope, spread, curvature or noise that is not a real number raises
-    ParamError. Feature, noise, and mixture-assignment streams are seeded
-    independently, so a one-component zero-mean mixture reproduces the gaussian
-    case bit-for-bit.
+    ParamError. A gaussian is the one-component, zero-mean mixture, drawn by
+    the same code. Feature, noise, and mixture-assignment streams are seeded
+    independently.
     """
     if n < 1:
         raise ParamError("n must be >= 1")
@@ -265,18 +265,14 @@ def synth_dataset(kind: str, n: int, d: int = 2, params: dict | None = None,
     rng_noise = np.random.default_rng(ss_noise)
     X = rng_x.uniform(0.0, 1.0, size=(n, p))
 
-    if kind == "gaussian":
-        cov = params.get("cov", np.eye(d))
-        L = _check_spd(cov, d)
-        noise = rng_noise.standard_normal((n, d)) @ L.T
-    elif kind == "banana":
+    if kind == "banana":
         spread = float(params.get("spread", 1.0))
         curvature = float(params.get("curvature", 1.0))
         vnoise = float(params.get("noise", 0.3))
         Z = rng_noise.standard_normal((n, 2))
         t = spread * Z[:, 0]
         noise = np.column_stack([t, curvature * (t**2 - spread**2) + vnoise * Z[:, 1]])
-    else:  # mixture
+    else:  # a gaussian is the one-component, zero-mean mixture
         means = np.asarray(params.get("means", np.zeros((1, d))), dtype=float)
         if means.ndim != 2 or means.shape[1] != d:
             raise ParamError(f"mixture means must be k x {d}")

@@ -16,11 +16,12 @@ A v3 whitener is its matrix plus the tag of the residual rows it was
 estimated on; v1 and v2 stored the bare matrix, which loads untagged.
 Loading checks every map array's shape against the others and the residual
 bounding box against the score's dimension, and requires finite values and
-every required key, raising ParamError (a missing key is named by its path,
-such as score.map.grid) and each scalar of its kind (no integer is truncated):
-alpha and threshold in CalibratedPredictor, and k, lam, alpha_lo, alpha_hi,
-epsilon and n_o where their objects are built. A predictor file that cannot
-be read, is not UTF-8 JSON or is not an object is a ParamError naming it.
+every required key, raising ParamError (a missing key, or a key such as
+score.map.grid that holds no object, is named by its path) and each scalar of
+its kind (no integer is truncated): alpha and threshold in
+CalibratedPredictor, and k, lam, alpha_lo, alpha_hi, epsilon and n_o where
+their objects are built. A predictor file that cannot be read, is not UTF-8
+JSON or is not an object is a ParamError naming it.
 Both k-NN models go through one codec, and a map's `origin` key holds its
 fit_tag, the tag of the residual rows it was fitted on.
 """
@@ -53,7 +54,7 @@ class _Section(dict):
     """
 
     def __init__(self, doc, path: str = ""):
-        super().__init__(_object(doc, f"artifact {path or 'document'}"))
+        super().__init__(_object(doc, f"artifact {path[:-1] or 'document'}"))
         self.path = path
 
     def __getitem__(self, key):
@@ -61,6 +62,10 @@ class _Section(dict):
             raise ParamError(f"artifact has no {self.path}{key}")
         value = super().__getitem__(key)
         return _Section(value, f"{self.path}{key}.") if isinstance(value, dict) else value
+
+    def section(self, key) -> "_Section":
+        """The object at `key`; anything else there raises ParamError naming its path."""
+        return _Section(self[key], f"{self.path}{key}.")
 
 
 def _arr(a) -> list:
@@ -161,7 +166,7 @@ def map_from_dict(doc: dict) -> EntropicMap:
     if not isinstance(doc, _Section):
         doc = _Section(doc)
     _check_header(doc, MAP_FORMAT)
-    g = doc["grid"]
+    g = doc.section("grid")
     # the points, dim, n_r and n_s that v1 and v2 also stored follow from these
     grid = SphericalGrid(_array(g["radii"], "grid radii", (None,)),
                          _array(g["directions"], "grid directions", (None, None)),
@@ -174,10 +179,11 @@ def map_from_dict(doc: dict) -> EntropicMap:
     pot = DualPotentials(_array(doc["f"], "f", (prob.n,)), _array(doc["g"], "g", (grid.m,)),
                          prob, _integer(doc["iterations"], "iterations", 0),
                          _real(doc["marginal_error"], "marginal_error"), doc["converged"])
-    scale = _array(doc["standardizer"]["scale"], "standardizer scale", (dim,))
+    sd = doc.section("standardizer")
+    scale = _array(sd["scale"], "standardizer scale", (dim,))
     if (scale <= 0).any():
         raise ParamError("standardizer scale must be positive")
-    std = Standardizer(_array(doc["standardizer"]["mean"], "standardizer mean", (dim,)), scale)
+    std = Standardizer(_array(sd["mean"], "standardizer mean", (dim,)), scale)
     return EntropicMap(pot, grid, std, doc.get("origin", ""))
 
 
@@ -212,8 +218,9 @@ def _score_fn_to_dict(fn) -> dict:
     return doc
 
 
-def _score_fn_from_dict(doc: dict):
-    parts = {name: decode(doc[key])
+def _score_fn_from_dict(doc: _Section):
+    # every component is an object but a v1/v2 whitener, a bare matrix
+    parts = {name: decode(doc[key] if key == "whitener" else doc.section(key))
              for name, (key, _, decode) in _COMPONENTS.items() if key in doc}
     return make_score_function(doc["kind"], **parts)
 
@@ -233,7 +240,7 @@ def predictor_to_dict(pred: CalibratedPredictor) -> dict:
 def predictor_from_dict(doc: dict) -> CalibratedPredictor:
     doc = _Section(doc)
     _check_header(doc, PREDICTOR_FORMAT)
-    score_fn = _score_fn_from_dict(doc["score"])
+    score_fn = _score_fn_from_dict(doc.section("score"))
     threshold = doc["threshold"]
     # earlier files carry "band": null; a set is {y: score <= threshold}, with no PIT band
     if doc.get("band") is not None:

@@ -19,14 +19,14 @@ products with K. Scalings that grow past a fixed bound are absorbed into
 so exp runs over an n x m array only at the start and at absorptions, and K
 is the only n x m array the solver keeps.
 
-After _WARMUP plain iterations the scaling updates are over-relaxed by a
-fixed factor _OMEGA (Thibault et al., arXiv:1711.01851; Lehmann et al.,
-arXiv:2012.12562), which cuts the iterations several-fold at small epsilon.
+Every scaling update is one rule: the half-step over-relaxed by a factor w
+(Thibault et al., arXiv:1711.01851; Lehmann et al., arXiv:2012.12562), which
+is plain Sinkhorn at w = 1 for the first _WARMUP iterations and takes a fixed
+w = _OMEGA after them, cutting the iterations several-fold at small epsilon.
 A relaxed half-step can overshoot and lower the dual; its change of the dual
 follows from the product the half-step already computed, so a step that
-would lower it is retried at a smaller factor before it is taken (a guard
-on the dual's ascent). The columns are then no longer exact after each g
-step, and convergence checks them as well as the rows.
+would lower it is retried at a smaller w before it is taken (a guard on the
+dual's ascent). Convergence checks the columns once the rows pass.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 2000
 _ABSORB_LOG = 100.0  # |log| of a scaling past which it moves into the kernel
 _LOG_TINY = float(np.log(np.finfo(float).tiny))  # log of the smallest normal float
-_WARMUP = 8  # plain iterations before over-relaxation starts
+_WARMUP = 8  # iterations at w = 1 before the relaxed ones
 _OMEGA = 1.8  # over-relaxation factor w of the relaxed iterations
 _HALVINGS = 4  # halvings of w - 1 the dual guard tries before a plain step
 # a marginal ratio r >= this gains dual at every 1 <= w <= _OMEGA: the root of
@@ -187,8 +187,8 @@ def _kernel(prob: OtProblem, phi: np.ndarray, psi: np.ndarray,
     return np.exp(logits, out=out)
 
 
-def _overrelax(plain: np.ndarray, ratio: np.ndarray, low: float) -> tuple[np.ndarray, bool]:
-    """One over-relaxed half-step that does not lower the dual: (scaling, was plain).
+def _overrelax(plain: np.ndarray, ratio: np.ndarray, low: float, over: float) -> np.ndarray:
+    """One half-step at w = 1 + over, or smaller, that does not lower the dual.
 
     `plain` = mass / (K y) is the plain update of a block of scalings x, the
     exact maximizer of the dual over that block, and `ratio` = x (K y) / mass
@@ -197,19 +197,18 @@ def _overrelax(plain: np.ndarray, ratio: np.ndarray, low: float) -> tuple[np.nda
     plain * ratio^(1 - w), and it changes the dual by eps / len(x) times
     sum(ratio - ratio^(1 - w) - w log(ratio)). Each entry of that sum is
     nonnegative for ratio >= _SAFE_RATIO and any 1 <= w <= _OMEGA, so the sum
-    is formed only when some ratio is lower. Tries w = _OMEGA, halving w - 1
-    while the sum is negative, and takes the plain step after _HALVINGS
-    halvings. `plain` is overwritten with the result.
+    is formed only when some ratio is lower, and never at over = 0, the plain
+    step bit for bit. Halves w - 1 while the sum is negative and takes the
+    plain step after _HALVINGS halvings. `plain` is overwritten with the result.
     """
-    over = _OMEGA - 1.0
-    log_ratio = np.log(ratio) if low < _SAFE_RATIO else None
+    log_ratio = np.log(ratio) if over and low < _SAFE_RATIO else None
     for _ in range(_HALVINGS + 1):
         step = ratio ** -over
         if log_ratio is None or float((ratio - step - (1.0 + over) * log_ratio).sum()) >= 0.0:
             plain *= step
-            return plain, False
+            return plain
         over *= 0.5
-    return plain, True
+    return plain
 
 
 def _deviation(ratio: np.ndarray) -> tuple[float, float]:
@@ -227,23 +226,23 @@ def sinkhorn_solve(prob: OtProblem, tol: float = DEFAULT_TOL,
     The rest run in the scaling domain over one n x m kernel
     K = exp(phi_i + psi_j - c_ij/eps) built from those exact potentials
     (phi = f/eps, psi = g/eps), and (phi + log a, psi + log b) are the current
-    potentials. Each iteration is two matrix-vector products. The first
-    _WARMUP iterations are plain, a = m / (K b) then b = n / (K^T a). Later
-    ones are over-relaxed, log a <- (1 - w) log a + w log(m / (K b)) and the
-    same for b, with w = _OMEGA unless that half-step would lower the dual,
-    in which case `_overrelax` retries it from the same iterate at a smaller
-    w, down to the plain step; the next half-step tries _OMEGA again. So the
-    dual never decreases. When a scaling leaves exp(+-_ABSORB_LOG), the
-    scalings are absorbed into (phi, psi) and the kernel is rebuilt, so its
-    entries never overflow and no row of it underflows away, down to small
-    epsilon.
+    potentials. Each iteration is two matrix-vector products and two
+    half-steps of one rule, log a <- (1 - w) log a + w log(m / (K b)) and the
+    same for b, with w = 1 (the plain a = m / (K b), b = n / (K^T a)) for the
+    first _WARMUP iterations and w = _OMEGA after them. A relaxed half-step
+    that would lower the dual is retried by `_overrelax` from the same
+    iterate at a smaller w, down to the plain step; the next half-step tries
+    _OMEGA again. So the dual never decreases. When a scaling leaves
+    exp(+-_ABSORB_LOG), the scalings are absorbed into (phi, psi) and the
+    kernel is rebuilt, so its entries never overflow and no row of it
+    underflows away, down to small epsilon.
 
     The worst row-sum deviation of the implied coupling,
     max |a_i (K b)_i / m - 1| / n, falls out of the f step, so rows are checked
-    every iteration at no extra cost. After a plain g step the columns are
-    exact; after a relaxed one they are checked with one more product K^T a,
-    once the rows pass tol and at the last iteration, and the reported error
-    is the larger of the two. Stops when that error drops to tol or the
+    every iteration at no extra cost. Once the rows pass tol, and at the last
+    iteration, the columns are checked with one more product K^T a (after a
+    plain g step they are exact to rounding), and the reported error is the
+    larger of the two. Stops when that error drops to tol or the
     iteration budget runs out, in which case a SinkhornNotConverged warning
     is emitted and the last iterate is returned. With `track_objective`, the
     dual value eps (mean(phi + log a) + mean(psi + log b) - a.(K b)/(n m)) of
@@ -262,7 +261,6 @@ def sinkhorn_solve(prob: OtProblem, tol: float = DEFAULT_TOL,
     _kernel(prob, phi, psi, kernel)
     a, b = np.ones(n), np.ones(m)
     trace = [] if track_objective else None
-    exact_cols = True  # the last g step was plain: every column of P sums to 1/m
 
     for it in range(1, max_iter + 1):
         kb = kernel @ b
@@ -272,18 +270,15 @@ def sinkhorn_solve(prob: OtProblem, tol: float = DEFAULT_TOL,
                                 + float((psi + np.log(b)).mean()) - float(rows.mean())))
         dev, low = _deviation(rows)
         err = dev / n
-        if not exact_cols and (err <= tol or it == max_iter):
-            err = max(err, _deviation(b * (kernel.T @ a) / n)[0] / m)
         if err <= tol or it == max_iter:
-            break
-        if it <= _WARMUP:
-            a = m / kb
-            b = n / (kernel.T @ a)
-        else:
-            a = _overrelax(m / kb, rows, low)[0]
-            kta = kernel.T @ a
-            cols = b * kta / n
-            b, exact_cols = _overrelax(n / kta, cols, float(cols.min()))
+            err = max(err, _deviation(b * (kernel.T @ a) / n)[0] / m)
+            if err <= tol or it == max_iter:
+                break
+        over = 0.0 if it <= _WARMUP else _OMEGA - 1.0
+        a = _overrelax(m / kb, rows, low, over)
+        kta = kernel.T @ a
+        cols = b * kta / n
+        b = _overrelax(n / kta, cols, float(cols.min()), over)
         log_a, log_b = np.log(a), np.log(b)
         if max(np.abs(log_a).max(), np.abs(log_b).max()) > _ABSORB_LOG:
             phi += log_a

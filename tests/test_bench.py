@@ -774,3 +774,15 @@ def test_export_contours_nested_and_round_trip(calibrated_l2, tmp_path):
     write_region_csv(region, tmp_path / "again.csv")
     assert np.array_equal(np.loadtxt(tmp_path / "again.csv", delimiter=",", skiprows=1),
                           verts)
+
+
+@pytest.mark.parametrize("run", [run_benchmark, sweep])
+def test_an_uncreatable_output_dir_is_refused_before_any_seed(tmp_path, monkeypatch, run):
+    (tmp_path / "file").write_text("")
+    entered = []
+    monkeypatch.setattr(bench, "_run_seed", lambda *args: entered.append(args) or iter(()))
+    cfg = _small_cfg(methods=("otcp",), seeds=(0, 1), save_models=False,
+                     output_dir=str(tmp_path / "file" / "out"))
+    with pytest.raises(ParamError, match="cannot create output directory"):
+        run(cfg)
+    assert not entered

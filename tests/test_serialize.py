@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -338,3 +339,25 @@ def test_a_missing_key_is_a_param_error_naming_it(kind):
         # the header check and a missing component report the file's own way
         if path[-1] not in ("format", "version") and path[:-1] != ("score",):
             assert ".".join(path) in str(exc.value), (path, str(exc.value))
+
+
+@pytest.mark.parametrize("value", ["x", None, 1, []], ids=["string", "null", "number", "list"])
+@pytest.mark.parametrize("kind, path", [
+    ("otcp", ("score",)),
+    ("otcp", ("score", "regressor")),
+    ("otcp", ("score", "map", "grid")),
+    ("otcp", ("score", "map", "standardizer")),
+    ("mcp_max", ("score", "quantile_predictor")),
+    ("otcp", ("score", "kind")),
+], ids=lambda v: v if isinstance(v, str) else ".".join(v))
+def test_a_wrong_type_where_an_object_or_kind_belongs_is_a_param_error(kind, path, value):
+    pred, _ = _random_predictor(kind, 2, 60, 16, 0)
+    doc = _json_round_trip(predictor_to_dict(pred))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    message = ("unknown score kind" if path[-1] == "kind"
+               else f"artifact {'.'.join(path)} is not a JSON object")
+    with pytest.raises(ParamError, match=re.escape(message)):
+        predictor_from_dict(doc)

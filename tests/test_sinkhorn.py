@@ -350,9 +350,27 @@ def test_converged_relaxed_solve_fits_rows_and_columns(eps):
 def test_guard_retries_a_half_step_that_would_lower_the_dual():
     # one row with 1/e^10 of its mass: w = 1.8 would overshoot to e^8 times
     # the mass and lose dual, as would w = 1.4; w = 1.2 gains
-    out, was_plain = sinkhorn._overrelax(np.ones(1), np.exp([-10.0]), math.exp(-10.0))
-    assert not was_plain
+    out = sinkhorn._overrelax(np.ones(1), np.exp([-10.0]), math.exp(-10.0),
+                              sinkhorn._OMEGA - 1.0)
     assert out[0] == pytest.approx(math.exp(2.0), rel=1e-12)
+
+
+def test_guard_takes_the_plain_step_after_the_last_halving():
+    # ratio e^-100 at w = 1 + 0.8 / 2^k: r - r^(1 - w) - w log r < 0 down to
+    # w = 1.05 (e^5 > 105), so every try loses dual and the step is plain
+    plain = np.array([1.7])
+    out = sinkhorn._overrelax(plain.copy(), np.exp([-100.0]), math.exp(-100.0), 0.8)
+    assert sinkhorn._HALVINGS == 4
+    assert np.array_equal(out, plain)
+
+
+def test_half_step_at_w_one_is_the_plain_update_without_a_guard(monkeypatch):
+    rng = np.random.default_rng(0)
+    plain = rng.uniform(0.5, 2.0, 50)
+    ratio = np.exp(rng.uniform(-8.0, 8.0, 50))
+    monkeypatch.setattr(sinkhorn.np, "log", None)  # any guard sum would call it
+    out = sinkhorn._overrelax(plain.copy(), ratio, float(ratio.min()), 0.0)
+    assert out.tobytes() == plain.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -363,12 +381,10 @@ def test_overrelaxed_half_step_never_lowers_the_dual(size, seed, spread):
     rng = np.random.default_rng(seed)
     ratio = np.exp(rng.uniform(-spread, spread, size))
     plain = rng.uniform(0.5, 2.0, size)
-    out, was_plain = sinkhorn._overrelax(plain.copy(), ratio, float(ratio.min()))
+    out = sinkhorn._overrelax(plain.copy(), ratio, float(ratio.min()), sinkhorn._OMEGA - 1.0)
     step = out / plain
     gain = (np.log(step) - np.log(ratio) - step + ratio).sum()
     assert gain >= -1e-12 * size
-    if was_plain:
-        assert np.array_equal(out, plain)
 
 
 @pytest.mark.filterwarnings("ignore::otcp.errors.SinkhornNotConverged")
