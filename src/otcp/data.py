@@ -10,8 +10,10 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,12 +111,65 @@ class ScoreMatrix:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+# data rows formatted or parsed at once: a block's cells are Python objects, so a
+# small block keeps peak memory flat while numpy does the per-cell work
+_CSV_BLOCK_ROWS = 256
+
+
+def _parse_cells(records: list, ncols: int, first_row: int) -> list:
+    """The cells of `records` as float rows, data row `first_row` first, cell by cell.
+
+    The first cell that is not a finite float, or the first row without `ncols`
+    cells, raises ParseError carrying its (row, col), with row 1 = first data row.
+    """
+    rows = []
+    for r, record in enumerate(records, start=first_row):
+        if len(record) != ncols:
+            raise ParseError(f"row {r} has {len(record)} cells, expected {ncols}",
+                             row=r, col=len(record))
+        vals = []
+        for c, cell in enumerate(record):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(f"row {r}, column {c}: non-numeric cell {cell!r}",
+                                 row=r, col=c) from None
+            if not math.isfinite(v):
+                raise ParseError(f"row {r}, column {c}: non-finite cell {cell!r}",
+                                 row=r, col=c)
+            vals.append(v)
+        rows.append(vals)
+    return rows
+
+
+def _parse_block(records: list, ncols: int, first_row: int) -> np.ndarray:
+    """The cells of `records` as a (len(records), ncols) float array.
+
+    Every cell goes through float(), in one pass over the block when each
+    record has ncols cells; when that pass fails or meets a non-finite value,
+    _parse_cells walks the block again to report the first bad cell.
+    """
+    if all(len(record) == ncols for record in records):
+        try:
+            vals = np.array(list(map(float, itertools.chain.from_iterable(records))))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(vals).all():
+                return vals.reshape(len(records), ncols)
+    return np.array(_parse_cells(records, ncols, first_row), dtype=float)
+
+
 def load_dataset_csv(path, d_out: int, tag: str | None = None) -> Dataset:
     """Load a headered CSV whose trailing `d_out` columns are the targets.
 
     Every data cell must parse as a finite float; the first offending cell
     raises ParseError carrying its (row, col), with row 1 = first data row. A
-    file that cannot be read as UTF-8 text raises ParamError naming the path.
+    file that cannot be read as UTF-8 CSV text, such as one with a field past
+    csv.field_size_limit(), raises ParamError naming the path. Rows are read and
+    parsed in blocks of _CSV_BLOCK_ROWS. A block is read before it is parsed, so
+    when a bad cell and unreadable text fall in one block, the read error may be
+    the one reported.
     """
     if d_out < 1:
         raise ParamError("d_out must be >= 1")
@@ -127,38 +182,32 @@ def load_dataset_csv(path, d_out: int, tag: str | None = None) -> Dataset:
         ncols = len(header)
         if ncols <= d_out:
             raise DimensionError(f"CSV has {ncols} columns, need more than d_out={d_out}")
-        rows = []
-        for r, record in enumerate(reader, start=1):
-            if len(record) != ncols:
-                raise ParseError(f"row {r} has {len(record)} cells, expected {ncols}",
-                                 row=r, col=len(record))
-            vals = []
-            for c, cell in enumerate(record):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(f"row {r}, column {c}: non-numeric cell {cell!r}",
-                                     row=r, col=c) from None
-                if not math.isfinite(v):
-                    raise ParseError(f"row {r}, column {c}: non-finite cell {cell!r}",
-                                     row=r, col=c)
-                vals.append(v)
-            rows.append(vals)
-    if not rows:
+        blocks, first_row = [], 1
+        while records := list(itertools.islice(reader, _CSV_BLOCK_ROWS)):
+            blocks.append(_parse_block(records, ncols, first_row))
+            first_row += len(records)
+    if not blocks:
         raise ParseError("CSV has a header but no data rows", row=0, col=0)
-    data = np.asarray(rows, dtype=float)
+    data = np.concatenate(blocks)
     p = ncols - d_out
     return Dataset(data[:, :p], data[:, p:], header[:p], header[p:], tag)
 
 
 def write_dataset_csv(ds: Dataset, path) -> None:
     """Write a Dataset as RFC-4180 CSV (header row, targets last); round-trips exactly.
-    A path that cannot be written raises ParamError naming it."""
+
+    The header goes through csv.writer, which quotes names as needed. Data rows
+    are formatted in blocks of _CSV_BLOCK_ROWS, each cell as repr() of its float
+    and each row ending in \\r\\n: the bytes csv.writer would write, since the
+    repr of a finite float needs no quoting. A path that cannot be written raises
+    ParamError naming it.
+    """
     with _file_errors("write dataset", path), open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + list(ds.target_names))
-        for xi, yi in zip(ds.features, ds.targets):
-            writer.writerow([repr(float(v)) for v in xi] + [repr(float(v)) for v in yi])
+        csv.writer(fh).writerow(list(ds.feature_names) + list(ds.target_names))
+        for lo in range(0, ds.n, _CSV_BLOCK_ROWS):
+            block = np.hstack([ds.features[lo:lo + _CSV_BLOCK_ROWS],
+                               ds.targets[lo:lo + _CSV_BLOCK_ROWS]]).tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +417,27 @@ def _nearest_first(d2: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(cand, order, axis=1)
 
 
-def _knn_indices(train_X: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
+class _KnnIndex(NamedTuple):
+    """Training rows prepared for _knn_indices: the search's sort, built once per fit."""
+
+    columns: np.ndarray  # (p, n + 1): feature j in row j, then inf at index n (slab padding)
+    s: int  # the widest feature
+    order: np.ndarray  # (n + 1,): training indices sorted along feature s, then n
+    sorted_s: np.ndarray  # (n,): feature s in that order
+
+
+def _knn_index(train_X: np.ndarray) -> _KnnIndex:
+    """The _KnnIndex of the training rows train_X, (n, p)."""
+    n, p = train_X.shape
+    columns = np.empty((p, n + 1))
+    columns[:, :n] = train_X.T
+    columns[:, n] = np.inf
+    s = int(np.argmax(np.ptp(train_X, axis=0)))
+    order = np.argsort(train_X[:, s])
+    return _KnnIndex(columns, s, np.append(order, n), train_X[order, s])
+
+
+def _knn_indices(index: _KnnIndex, X: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest training rows to each row of X, nearest first, (q, k).
 
     Equal distances favor the lower training index, exactly as a stable sort of
@@ -388,19 +457,13 @@ def _knn_indices(train_X: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     slab holds more than _KNN_SLAB_SHARE of the training rows, as it does for a
     few uniform features, the block measures every training row instead. Queries
     run in blocks of at most _KNN_BLOCK_ENTRIES distances either way, so memory
-    does not grow with q.
+    does not grow with q. The sort and the padded columns come from `index`,
+    built once per training set by _knn_index.
     """
-    n, p = train_X.shape
+    columns, s, order, sorted_s = index
+    n = sorted_s.size
     q = X.shape[0]
     step = max(1, min(q, _KNN_BLOCK_ENTRIES // n))
-    # feature-major training rows plus a column of inf at index n, which pads the slabs
-    columns = np.empty((p, n + 1))
-    columns[:, :n] = train_X.T
-    columns[:, n] = np.inf
-    s = int(np.argmax(np.ptp(columns[:, :n], axis=1)))  # the widest feature
-    order = np.argsort(train_X[:, s])
-    sorted_s = train_X[order, s]
-    order = np.append(order, n)  # sorted position n is the padding index
     d2_buf, sq_buf = np.empty(step * n), np.empty(step * n)
     out = np.empty((q, k), dtype=np.intp)
     for lo in range(0, q, step):
@@ -460,11 +523,12 @@ class _KnnModel:
     def __init__(self, k: int):
         self.k = _integer(k, "k", 1)
         self.train: Dataset | None = None
+        self.index: _KnnIndex | None = None  # the search's sort of train, built by fit
 
     def fit(self, train: Dataset):
         if self.k > train.n:
             raise ParamError(f"k={self.k} outside [1, n_train={train.n}]")
-        self.train = train
+        self.train, self.index = train, _knn_index(train.features)
         return self
 
     # feature and target widths and data tag, read from the fitted Dataset
@@ -481,13 +545,13 @@ class _KnnModel:
         X = _fitted_rows(self, X)
         memo = _NEIGHBOR_MEMO.get()
         if memo is None:
-            return self.train.targets[_knn_indices(self.train.features, X, self.k)]
+            return self.train.targets[_knn_indices(self.index, X, self.k)]
         # the Dataset is keyed by identity (eq=False); the rows by value, so rows
         # changed in place or a reused id never match a stale entry
         key = (self.train, self.k, X.shape, X.tobytes())
         idx = memo.get(key)
         if idx is None:
-            idx = memo[key] = _knn_indices(self.train.features, X, self.k)
+            idx = memo[key] = _knn_indices(self.index, X, self.k)
             idx.flags.writeable = False
         return self.train.targets[idx]
 

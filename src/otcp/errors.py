@@ -6,6 +6,7 @@ like MethodError, reports as a usage error with exit 2; anything else is a bug.
 """
 
 import contextlib
+import csv
 import json
 import math
 import numbers
@@ -46,7 +47,7 @@ def _file_errors(action: str, path):
     """In the block, a file that cannot be opened, created, decoded or parsed raises ParamError."""
     try:
         yield
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, csv.Error) as exc:
         raise ParamError(f"cannot {action} {path}: {exc}") from None
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import tracemalloc
 from unittest import mock
@@ -39,20 +41,63 @@ def test_load_csv_shapes(tmp_path):
     assert ds.feature_names == ["a"] and ds.target_names == ["b", "c"]
 
 
-def test_load_csv_rejects_nan_with_row_index(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("a,b\n1,2\n3,NaN\n5,6\n")
-    with pytest.raises(ParseError) as exc:
-        load_dataset_csv(path, d_out=1)
-    assert exc.value.row == 2 and exc.value.col == 1
+def _csv_with_bad_row(row, text, n=600):
+    # n good two-cell data rows, data row `row` replaced by `text`
+    return "a,b\n" + "".join(f"{text}\n" if r == row else f"{r}.5,-{r}\n"
+                              for r in range(1, n + 1))
 
 
-def test_load_csv_rejects_text_cell(tmp_path):
+_B = data._CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("text, message, row, col", [
+    ("a,b\n1,2\nx,4\n", "row 2, column 0: non-numeric cell 'x'", 2, 0),
+    ("a,b\n1,2\n3,NaN\n5,6\n", "row 2, column 1: non-finite cell 'NaN'", 2, 1),
+    ("a,b\n1,-inf\n", "row 1, column 1: non-finite cell '-inf'", 1, 1),
+    ("a,b\n1,\n", "row 1, column 1: non-numeric cell ''", 1, 1),
+    ("a,b,c\n1,2,3\n4,5\n", "row 2 has 2 cells, expected 3", 2, 2),
+    ("a,b\n1,2\n3,4,5\n", "row 2 has 3 cells, expected 2", 2, 3),
+    ("a,b\n1,2\n\n3,4\n", "row 2 has 0 cells, expected 2", 2, 0),
+    ("a,b\n1,2\nx,4\n5\n", "row 2, column 0: non-numeric cell 'x'", 2, 0),
+    ("", "empty CSV file", 0, 0),
+    ("a,b\n", "CSV has a header but no data rows", 0, 0),
+    (_csv_with_bad_row(1, "q,1"), "row 1, column 0: non-numeric cell 'q'", 1, 0),
+    (_csv_with_bad_row(600, "1,q"), "row 600, column 1: non-numeric cell 'q'", 600, 1),
+    (_csv_with_bad_row(_B, "1,nan"), f"row {_B}, column 1: non-finite cell 'nan'", _B, 1),
+    (_csv_with_bad_row(_B + 1, "1,nan"), f"row {_B + 1}, column 1: non-finite cell 'nan'",
+     _B + 1, 1),
+    (_csv_with_bad_row(_B, "1"), f"row {_B} has 1 cells, expected 2", _B, 1),
+    (_csv_with_bad_row(_B + 1, "1,2,3"), f"row {_B + 1} has 3 cells, expected 2", _B + 1, 3),
+], ids=["text", "nan", "inf", "empty_cell", "short", "long", "blank", "bad_before_short",
+        "empty_file", "header_only", "first_row", "last_row", "block_end", "block_start",
+        "short_at_block_end", "long_at_block_start"])
+def test_load_csv_reports_the_first_bad_cell(tmp_path, text, message, row, col):
     path = tmp_path / "d.csv"
-    path.write_text("a,b\n1,2\nx,4\n")
+    path.write_text(text)
     with pytest.raises(ParseError) as exc:
         load_dataset_csv(path, d_out=1)
-    assert exc.value.row == 2 and exc.value.col == 0
+    assert (str(exc.value), exc.value.row, exc.value.col) == (message, row, col)
+
+
+def test_load_csv_reads_what_float_reads(tmp_path):
+    # every cell goes through float(): surrounding spaces and digit underscores parse
+    path = tmp_path / "d.csv"
+    path.write_text("a,b\n 1 ,2_0\n-0,1e3\n")
+    ds = load_dataset_csv(path, d_out=1)
+    assert ds.features.tolist() == [[1.0], [-0.0]] and ds.targets.tolist() == [[20.0], [1e3]]
+    assert np.signbit(ds.features[1, 0])
+
+
+@pytest.mark.parametrize("tail", [b"\xff", b"1" * (csv.field_size_limit() + 1)],
+                         ids=["not_utf8", "field_over_csv_limit"])
+def test_load_csv_unreadable_rows_are_param_errors(tmp_path, tail):
+    # a block is read before it is parsed, so a bad cell in the same block may be
+    # reported instead; either way the file is refused as bad input
+    path = tmp_path / "d.csv"
+    for bad_cell in (b"2", b"x"):
+        path.write_bytes(b"a,b\n1," + bad_cell + b"\n2," + tail + b"\n")
+        with pytest.raises(ParamError):
+            load_dataset_csv(path, d_out=1)
 
 
 def test_load_csv_dimension_and_missing_file(tmp_path):
@@ -64,14 +109,31 @@ def test_load_csv_dimension_and_missing_file(tmp_path):
         load_dataset_csv(tmp_path / "nope.csv", d_out=1)
 
 
-def test_csv_round_trip_exact(tmp_path):
-    ds = synth_dataset("gaussian", 37, 3, {"p": 2}, seed=5)
-    path = tmp_path / "rt.csv"
-    write_dataset_csv(ds, path)
-    back = load_dataset_csv(path, d_out=3)
-    assert np.abs(back.features - ds.features).max() <= 1e-12
-    assert np.abs(back.targets - ds.targets).max() <= 1e-12
-    assert back.feature_names == ds.feature_names
+def _reference_csv_bytes(ds):
+    # one csv.writer row per data row, each cell repr() of its float
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(ds.feature_names + ds.target_names)
+    for x, y in zip(ds.features, ds.targets):
+        writer.writerow([repr(float(v)) for v in x] + [repr(float(v)) for v in y])
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [1, data._CSV_BLOCK_ROWS, 2 * data._CSV_BLOCK_ROWS + 3])
+def test_csv_writes_reference_bytes_and_round_trips_exactly(tmp_path, n):
+    rng = np.random.default_rng(n)
+    for p, d in ((1, 1), (3, 2), (2, 3)):
+        M = rng.standard_normal((n, p + d)) * 10.0 ** rng.integers(-300, 300, (n, p + d))
+        M.flat[rng.integers(M.size, size=4)] = [-0.0, 5e-324, 1e308, -1e308]
+        names = ["x,1", 'q"t', "sp ace", "n\nl", "é", "plain"][:p + d]
+        ds = Dataset(M[:, :p], M[:, p:], names[:p], names[p:])
+        path = tmp_path / "rt.csv"
+        write_dataset_csv(ds, path)
+        assert path.read_bytes() == _reference_csv_bytes(ds)
+        back = load_dataset_csv(path, d_out=d)
+        assert back.features.tobytes() == ds.features.tobytes()  # signs of zero too
+        assert back.targets.tobytes() == ds.targets.tobytes()
+        assert (back.feature_names, back.target_names) == (names[:p], names[p:p + d])
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +446,7 @@ def test_nearest_first_matches_a_stable_sort(features):
 def _measured_entries(train_X, X, k):
     # the (query, training row) distances the search computes, window bounds included
     with mock.patch.object(data, "_sq_distances", wraps=data._sq_distances) as measure:
-        idx = data._knn_indices(train_X, X, k)
+        idx = data._knn_indices(data._knn_index(train_X), X, k)
     assert np.array_equal(idx, _knn_reference(train_X, np.arange(len(train_X)), X, k))
     return sum(call.args[3].size for call in measure.call_args_list)
 
@@ -408,7 +470,7 @@ def test_knn_search_memory_stays_within_a_few_blocks():
         train_X, X = rng.uniform(size=(1200, p)), rng.uniform(size=(4000, p))
         tracemalloc.start()
         try:
-            idx = data._knn_indices(train_X, X, 25)
+            idx = data._knn_indices(data._knn_index(train_X), X, 25)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 import re
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from otcp import (
     SCORE_KINDS,
+    MethodError,
     ParamError,
     SplitSpec,
     build_spherical_grid,
@@ -361,3 +363,52 @@ def test_a_wrong_type_where_an_object_or_kind_belongs_is_a_param_error(kind, pat
                else f"artifact {'.'.join(path)} is not a JSON object")
     with pytest.raises(ParamError, match=re.escape(message)):
         predictor_from_dict(doc)
+
+
+_DROP = object()
+_REPLACEMENTS = {"string": "x", "null": None, "one": 1, "list": [], "object": {}, "true": True,
+                "minus_one": -1, "fraction": 1.5, "nan": math.nan, "drop": _DROP}
+
+
+def _contract_breach(doc, test):
+    """None when loading refuses `doc` as bad input, or loads a predictor whose
+    contains_rows runs on the test rows; otherwise what broke that contract."""
+    try:
+        pred = predictor_from_dict(doc)
+    except (ParamError, MethodError):
+        return None
+    except Exception as exc:
+        return f"load: {exc!r}"
+    try:
+        pred.contains_rows(test.features, test.targets)
+    except Exception as exc:
+        return f"contains_rows: {exc!r}"
+    return None
+
+
+@pytest.mark.parametrize("kind", SCORE_KINDS)
+def test_every_key_mutation_is_refused_or_loads_a_working_predictor(kind):
+    # one key at a time, objects included: another type or value, a NaN, the key
+    # dropped, or a list grown or shrunk by one element
+    d = 1 if kind == "abs_univariate" else 2
+    pred, test = _random_predictor(kind, d, 40, 8, 0)
+    doc = _json_round_trip(predictor_to_dict(pred))
+    breaches, paths = [], list(_key_paths(doc))
+    for path in paths:
+        *parents, leaf = path
+        value = functools.reduce(dict.get, parents, doc)[leaf]
+        mutations = dict(_REPLACEMENTS)
+        if isinstance(value, list) and value:
+            mutations.update(grown=value + value[-1:], shrunk=value[:-1])
+        for name, new in mutations.items():
+            bad = copy.deepcopy(doc)
+            parent = functools.reduce(dict.get, parents, bad)
+            if new is _DROP:
+                del parent[leaf]
+            else:
+                parent[leaf] = copy.deepcopy(new)
+            breach = _contract_breach(bad, test)
+            if breach:
+                breaches.append((".".join(path), name, breach))
+    assert ("score", "kind") in paths
+    assert not breaches, breaches
