@@ -63,7 +63,7 @@ from .data import (
 )
 from .entropic import fit_entropic_map
 from .errors import (MethodError, NotFittedError, ParamError, ProvenanceError, _file_errors,
-                     _integer, _list, _object, _real)
+                     _integer, _list, _object, _real, _write_text)
 from .sinkhorn import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .sphere import DIRECTION_MODES, build_spherical_grid, halton_sequence
 
@@ -220,16 +220,9 @@ class MethodResult:
 class BenchReport:
     rows: list
 
-    def csv_lines(self, include_timings: bool = True) -> list[str]:
+    def csv_text(self, include_timings: bool = True) -> str:
         cols = REPORT_COLUMNS + (TIMING_COLUMNS if include_timings else ())
-        lines = [_csv_line(cols)]
-        for r in self.rows:
-            vals = [r.method, str(r.seed), r.status, repr(float(r.coverage)),
-                    repr(float(r.mean_region_size))]
-            if include_timings:
-                vals += [f"{r.fit_ms:.3f}", f"{r.calibrate_ms:.3f}", f"{r.predict_ms:.3f}"]
-            lines.append(_csv_line(vals))
-        return lines
+        return _table(cols, ([getattr(r, c) for c in cols] for r in self.rows))
 
     def aggregates(self) -> dict:
         """Per-method mean and standard error (std/sqrt(#seeds)) across seeds.
@@ -264,22 +257,34 @@ class BenchReport:
     def any_failed(self) -> bool:
         return any(r.status != "ok" for r in self.rows)
 
-    def write(self, out_dir, stem: str = "report") -> tuple[Path, Path]:
+    def write(self, out_dir) -> tuple[Path, Path]:
         out_dir = _output_dir(out_dir)
-        csv_path = out_dir / f"{stem}.csv"
-        csv_path.write_text("\n".join(self.csv_lines()) + "\n", encoding="utf-8")
-        json_path = out_dir / f"{stem}_summary.json"
-        json_path.write_text(json.dumps(self.aggregates(), indent=2, sort_keys=True,
-                                        allow_nan=False) + "\n", encoding="utf-8")
+        csv_path, json_path = out_dir / "report.csv", out_dir / "report_summary.json"
+        _write_text(csv_path, self.csv_text(), "report")
+        _write_text(json_path, json.dumps(self.aggregates(), indent=2, sort_keys=True,
+                                          allow_nan=False) + "\n", "report summary")
         return csv_path, json_path
 
 
-def _csv_line(fields) -> str:
-    """One CSV record without its line end; fields holding a comma, quote or
-    line break (failure messages can) are quoted, all others written as is."""
+def _field(column: str, value) -> str:
+    """One field of a CSV the harness writes: empty for None (a failed cell has no
+    value), a `*_ms` column to 3 decimals, a string as is, anything else as repr."""
+    if value is None:
+        return ""
+    if column.endswith("_ms"):
+        return f"{value:.3f}"
+    return value if isinstance(value, str) else repr(value)
+
+
+def _table(columns, rows) -> str:
+    """CSV text: a header of `columns`, then one record per row of values in column
+    order, each by _field; a field holding a comma, quote or line break (failure
+    messages can) is quoted, every other one written as is."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()[:-1]
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_field(c, v) for c, v in zip(columns, row)] for row in rows)
+    return buf.getvalue()
 
 
 def _output_dir(path) -> Path:
@@ -295,8 +300,6 @@ def _output_dir(path) -> Path:
 
 def marginal_coverage(pred: CalibratedPredictor, test: Dataset) -> float:
     """Fraction of test pairs whose response falls inside the prediction set."""
-    if test.n < 1:
-        raise ParamError("test set is empty")
     return float(pred.contains_rows(test.features, test.targets).mean())
 
 
@@ -462,11 +465,6 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     return report
 
 
-def _field(value) -> str:
-    """A sweep.csv field: empty when a failed cell has no value, repr otherwise."""
-    return "" if value is None else repr(value)
-
-
 def sweep(cfg: BenchConfig, eps_list=None, m_list=None) -> list[dict]:
     """Cross-product ablation of the transport method over (epsilon, m).
 
@@ -486,20 +484,13 @@ def sweep(cfg: BenchConfig, eps_list=None, m_list=None) -> list[dict]:
              for eps in eps_list for m in m_list]
     out = cfg.output_dir and _output_dir(cfg.output_dir)
     runs = [[(row, ms) for row, _, ms in _run_seed(cfg, seed, cells)] for seed in cfg.seeds]
-    records = [{"epsilon": cell.otcp["epsilon"], "m": cell.otcp["m"], "seed": row.seed,
-                "status": row.status, "coverage": row.coverage,
-                "mean_region_size": row.mean_region_size, "time_ms": ms,
-                **{key: row.solver.get(key) for key in _SOLVER_KEYS}}
+    records = [dict(zip(SWEEP_COLUMNS, (cell.otcp["epsilon"], cell.otcp["m"], row.seed,
+                                         row.status, row.coverage, row.mean_region_size, ms,
+                                         *(row.solver.get(key) for key in _SOLVER_KEYS))))
                for (_, cell, _), per_seed in zip(cells, zip(*runs)) for row, ms in per_seed]
     if out:
-        lines = [_csv_line(SWEEP_COLUMNS)]
-        for r in records:
-            lines.append(_csv_line([repr(float(r["epsilon"])), str(r["m"]), str(r["seed"]),
-                                    r["status"], repr(float(r["coverage"])),
-                                    repr(float(r["mean_region_size"])),
-                                    f"{r['time_ms']:.3f}",
-                                    *(_field(r[key]) for key in _SOLVER_KEYS)]))
-        (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_text(out / "sweep.csv", _table(SWEEP_COLUMNS, (r.values() for r in records)),
+                    "sweep")
     return records
 
 
@@ -508,8 +499,8 @@ def sweep(cfg: BenchConfig, eps_list=None, m_list=None) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def write_region_csv(region, path) -> None:
-    lines = ["y0,y1"] + [f"{float(vx)!r},{float(vy)!r}" for vx, vy in region.vertices]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    vertices = np.asarray(region.vertices, dtype=float).tolist()
+    _write_text(path, _table(("y0", "y1"), vertices), "contour")
 
 
 def export_contours(pred: CalibratedPredictor, xs, alphas, out_dir,
@@ -546,7 +537,7 @@ def export_contours(pred: CalibratedPredictor, xs, alphas, out_dir,
     _output_dir(out_dir)
     for path, region in traced:
         write_region_csv(region, path)
-    (out_dir / "contours.json").write_text(
-        json.dumps({"format": "contour-export", "version": 1, "points": manifest},
-                   indent=2) + "\n", encoding="utf-8")
+    _write_text(out_dir / "contours.json",
+                json.dumps({"format": "contour-export", "version": 1, "points": manifest},
+                           indent=2) + "\n", "contour manifest")
     return [path for path, _ in traced]

@@ -13,7 +13,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -116,18 +116,17 @@ class ScoreMatrix:
 _CSV_BLOCK_ROWS = 256
 
 
-def _parse_cells(records: list, ncols: int, first_row: int) -> list:
-    """The cells of `records` as float rows, data row `first_row` first, cell by cell.
+def _refuse_block(records: list, ncols: int, first_row: int) -> NoReturn:
+    """Raise ParseError for the first bad cell of a block the one-pass parse refused.
 
-    The first cell that is not a finite float, or the first row without `ncols`
-    cells, raises ParseError carrying its (row, col), with row 1 = first data row.
+    Walking `records` cell by cell, data row `first_row` first, the first row
+    without `ncols` cells or cell that is not a finite float raises ParseError
+    carrying its (row, col), with row 1 = first data row.
     """
-    rows = []
     for r, record in enumerate(records, start=first_row):
         if len(record) != ncols:
             raise ParseError(f"row {r} has {len(record)} cells, expected {ncols}",
                              row=r, col=len(record))
-        vals = []
         for c, cell in enumerate(record):
             try:
                 v = float(cell)
@@ -137,9 +136,6 @@ def _parse_cells(records: list, ncols: int, first_row: int) -> list:
             if not math.isfinite(v):
                 raise ParseError(f"row {r}, column {c}: non-finite cell {cell!r}",
                                  row=r, col=c)
-            vals.append(v)
-        rows.append(vals)
-    return rows
 
 
 def _parse_block(records: list, ncols: int, first_row: int) -> np.ndarray:
@@ -147,7 +143,7 @@ def _parse_block(records: list, ncols: int, first_row: int) -> np.ndarray:
 
     Every cell goes through float(), in one pass over the block when each
     record has ncols cells; when that pass fails or meets a non-finite value,
-    _parse_cells walks the block again to report the first bad cell.
+    _refuse_block walks the block again to report the first bad cell.
     """
     if all(len(record) == ncols for record in records):
         try:
@@ -157,7 +153,7 @@ def _parse_block(records: list, ncols: int, first_row: int) -> np.ndarray:
         else:
             if np.isfinite(vals).all():
                 return vals.reshape(len(records), ncols)
-    return np.array(_parse_cells(records, ncols, first_row), dtype=float)
+    _refuse_block(records, ncols, first_row)
 
 
 def load_dataset_csv(path, d_out: int, tag: str | None = None) -> Dataset:

@@ -1,4 +1,4 @@
-"""Exception and warning types, and the input checks that raise ParamError.
+"""Exception and warning types, the input checks that raise ParamError, the file writer.
 
 Input that breaks a documented precondition (an argument, config value, data or
 artifact file, or output path) raises ParamError or a subclass, which the CLI,
@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import numbers
+from pathlib import Path
 
 
 class ParamError(ValueError):
@@ -49,6 +50,13 @@ def _file_errors(action: str, path):
         yield
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, csv.Error) as exc:
         raise ParamError(f"cannot {action} {path}: {exc}") from None
+
+
+def _write_text(path, text: str, what: str) -> None:
+    """Write `text` to `path` as UTF-8, the one way a harness output file is written;
+    a path that cannot be written raises ParamError naming it as `what`."""
+    with _file_errors(f"write {what}", path):
+        Path(path).write_text(text, encoding="utf-8")
 
 
 class DimensionError(ParamError):

@@ -21,7 +21,8 @@ score.map.grid that holds no object, is named by its path) and each scalar of
 its kind (no integer is truncated): alpha and threshold in
 CalibratedPredictor, and k, lam, alpha_lo, alpha_hi, epsilon and n_o where
 their objects are built. A predictor file that cannot be read, is not UTF-8
-JSON or is not an object is a ParamError naming it.
+JSON or is not an object is a ParamError naming it, and save_predictor raises
+ParamError naming a path it cannot write.
 Both k-NN models go through one codec, and a map's `origin` key holds its
 fit_tag, the tag of the residual rows it was fitted on.
 """
@@ -37,7 +38,7 @@ import numpy as np
 from .conformal import CalibratedPredictor, Whitener, make_score_function
 from .data import Dataset, KnnMeanRegressor, KnnQuantilePredictor, RidgeRegressor
 from .entropic import EntropicMap
-from .errors import ParamError, _file_errors, _integer, _object, _real
+from .errors import ParamError, _file_errors, _integer, _object, _real, _write_text
 from .sinkhorn import DualPotentials, OtProblem, Standardizer
 from .sphere import SphericalGrid
 
@@ -255,8 +256,7 @@ def predictor_from_dict(doc: dict) -> CalibratedPredictor:
 
 
 def save_predictor(pred: CalibratedPredictor, path) -> None:
-    text = json.dumps(predictor_to_dict(pred), allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(predictor_to_dict(pred), allow_nan=False) + "\n", "model")
 
 
 def read_json_object(path, what: str) -> dict:

@@ -322,7 +322,7 @@ def test_criterion_9_report_determinism():
             seeds=(0, 1), mc_samples=500, region_size_points=4,
             otcp={"epsilon": 0.1, "m": 256}, save_models=False)
         report = run_benchmark(cfg)
-        return "\n".join(report.csv_lines(include_timings=False)).encode()
+        return report.csv_text(include_timings=False).encode()
 
     first, second = run_once(), run_once()
     _report(9, first == second,

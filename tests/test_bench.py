@@ -287,9 +287,9 @@ def test_identical_seeds_identical_rows():
 def test_report_determinism_bytes():
     cfg_a = _small_cfg(methods=("merge_l2", "otcp"), seeds=(0, 1))
     cfg_b = _small_cfg(methods=("merge_l2", "otcp"), seeds=(0, 1))
-    lines_a = run_benchmark(cfg_a).csv_lines(include_timings=False)
-    lines_b = run_benchmark(cfg_b).csv_lines(include_timings=False)
-    assert "\n".join(lines_a).encode() == "\n".join(lines_b).encode()
+    text_a = run_benchmark(cfg_a).csv_text(include_timings=False)
+    text_b = run_benchmark(cfg_b).csv_text(include_timings=False)
+    assert text_a.encode() == text_b.encode()
 
 
 def test_whitening_beats_plain_l2_on_anisotropic_noise():
@@ -786,3 +786,12 @@ def test_an_uncreatable_output_dir_is_refused_before_any_seed(tmp_path, monkeypa
     with pytest.raises(ParamError, match="cannot create output directory"):
         run(cfg)
     assert not entered
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda pred: region_size_mc(pred, [0.5], n_mc=0), ParamError, "n_mc must be >= 1"),
+], ids=["mc-samples-zero"])
+def test_refused_sizing_arguments(call, error, message):
+    with pytest.raises(error) as info:
+        call(_zero_center_predictor(1.0))
+    assert type(info.value) is error and message in str(info.value)

@@ -147,9 +147,13 @@ def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys, command, conte
 
 
 def _bad_input_files(root):
-    """A regular file, a directory and two garbled CSVs under `root`."""
+    """A regular file, a directory, two garbled CSVs and four output dirs, each
+    holding a directory where the CLI writes a file, under `root`."""
     (root / "file").write_text("")
     (root / "dir").mkdir()
+    for blocked in ("report/report.csv", "sweep/sweep.csv", "model/models/merge_l2.json",
+                    "contours/contours.json"):
+        (root / blocked).mkdir(parents=True)
     (root / "text.csv").write_bytes(b"x,y0,y1\n1,2,abc\n")
     (root / "latin.csv").write_bytes(b"x,y0,y1\n1,2,\xff\n")
 
@@ -173,9 +177,18 @@ _SWEEP = ["bench", "sweep", "--eps", "0.1", "--targets", "16"]
      "cannot create output directory file/ct"),
     (["synth", "--n", "10", "--out", "nodir/x.csv"], None, "cannot write dataset nodir/x.csv"),
     (["synth", "--n", "10", "--out", "dir"], None, "cannot write dataset dir"),
+    (["bench", "run", "--output-dir", "report"], {"n": 200},
+     "cannot write report report/report.csv"),
+    ([*_SWEEP, "--output-dir", "sweep"], {"n": 200}, "cannot write sweep sweep/sweep.csv"),
+    (["bench", "run", "--output-dir", "model"], {"n": 200},
+     "cannot write model model/models/merge_l2.json"),
+    (["contour", "--model", "m/models/merge_l2.json", "--x", "0.5", "--out", "contours"], None,
+     "cannot write contour manifest contours/contours.json"),
 ], ids=["split-empty-run", "split-empty-sweep", "csv-text-cell", "csv-missing", "csv-directory",
         "csv-not-utf8", "run-output-under-file", "sweep-output-under-file",
-        "contour-out-under-file", "synth-out-missing-dir", "synth-out-directory"])
+        "contour-out-under-file", "synth-out-missing-dir", "synth-out-directory",
+        "report-csv-directory", "sweep-csv-directory", "model-json-directory",
+        "contours-json-directory"])
 def test_bad_input_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, dataset, message):
     monkeypatch.chdir(tmp_path)
     _bad_input_files(tmp_path)
@@ -218,7 +231,7 @@ _README_CFG = _tiny_readme_config()
 @st.composite
 def _mutated_config(draw):
     """The tiny README config with one key dropped, retyped or pushed out of range,
-    or with its dataset or output dir pointed at a missing or garbled path."""
+    or with its dataset or output dir pointed at a missing, garbled or unwritable path."""
     cfg = copy.deepcopy(_README_CFG)
     *head, key = draw(st.sampled_from(list(_key_paths(cfg))))
     parent = cfg
@@ -236,7 +249,7 @@ def _mutated_config(draw):
                           "path": draw(st.sampled_from(["nope.csv", "dir", "text.csv",
                                                         "latin.csv", "file"]))}
     else:
-        cfg["output_dir"] = draw(st.sampled_from(["file", "file/out"]))
+        cfg["output_dir"] = draw(st.sampled_from(["file", "file/out", "report", "model"]))
     return cfg
 
 

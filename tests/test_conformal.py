@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 from otcp import (
     Dataset,
     DimensionError,
+    KnnMeanRegressor,
+    KnnQuantilePredictor,
     MethodError,
+    NotFittedError,
     ParamError,
     ProvenanceError,
     SplitSpec,
@@ -500,3 +504,63 @@ def test_region_infinite_threshold_error(gaussian_pipeline):
     pred = calibrate(fn, gp["calib"].take(np.arange(3)), alpha=0.05)
     with pytest.raises(MethodError):
         region_contour_2d(pred, gp["test"].features[0])
+
+
+def _calibrated(gp, kind):
+    parts = {"regressor": gp["reg"]}
+    if kind == "otcp":
+        parts["transport_map"] = gp["emap"]
+    elif kind == "mcp_max":
+        parts = {"quantile_predictor": fit_quantile_predictor(gp["train"], 25, 0.05, 0.95)}
+    return calibrate(make_score_function(kind, **parts), gp["calib"], alpha=0.1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda gp: make_score_function("merge_l2", regressor=KnnMeanRegressor(5)),
+     NotFittedError, "regressor must be fitted first"),
+    (lambda gp: make_score_function(
+        "mcp_max", quantile_predictor=KnnQuantilePredictor(5, 0.05, 0.95)),
+     NotFittedError, "quantile predictor must be fitted first"),
+    (lambda gp: region_contour_2d(_calibrated(gp, "mcp_max"), [0.5], threshold=-1e6),
+     MethodError, "interval region is empty at this threshold"),
+    (lambda gp: make_score_function(
+        "otcp", regressor=gp["reg"],
+        transport_map=fit_entropic_map(np.random.default_rng(0).standard_normal((40, 3)), m=16)),
+     DimensionError, "transport map dimension does not match targets"),
+    (lambda gp: _calibrated(gp, "otcp").score_fn.volume(0.5, gp["test"].features[:2]),
+     MethodError, "otcp regions have no closed-form volume"),
+    (lambda gp: estimate_covariance(gp["fit_resid"], ridge=-1.0), ParamError,
+     "ridge must be >= 0"),
+    (lambda gp: conformal_threshold([], 0.1), ParamError, "need at least one calibration score"),
+    (lambda gp: conformal_threshold([1.0], 1.5), ParamError, "alpha must lie in (0, 1)"),
+    (lambda gp: pit_values([], 0.5), ParamError, "need at least one calibration score"),
+    (lambda gp: dataclasses.replace(_calibrated(gp, "merge_l2"), threshold=-math.inf),
+     ParamError, "threshold must be finite or +inf"),
+    (lambda gp: calibrate(make_score_function("merge_l2", regressor=gp["reg"]),
+                          synth_dataset("gaussian", 20, 3, seed=1), 0.1),
+     DimensionError, "calibration targets do not match the score function"),
+    (lambda gp: region_contour_2d(_calibrated(gp, "merge_l2"), [0.5], n_angles=4),
+     ParamError, "need at least 8 contour vertices"),
+], ids=["regressor-unfitted", "quantile-unfitted", "interval-empty", "map-width",
+        "otcp-volume-unsampled", "ridge-negative", "threshold-no-scores", "threshold-alpha",
+        "pit-no-scores", "threshold-minus-inf", "calib-width", "contour-vertices"])
+def test_refused_score_and_calibration_inputs(gaussian_pipeline, call, error, message):
+    with pytest.raises(error) as info:
+        call(gaussian_pipeline)
+    assert type(info.value) is error and message in str(info.value)
+
+
+def test_reprs_are_one_short_line_with_sizes(gaussian_pipeline):
+    gp = gaussian_pipeline
+    emap = gp["emap"]
+    for obj, head in [
+            (gp["calib"], "Dataset(n=300, p=1, d=2, tag="),
+            (emap.grid, "SphericalGrid(dim=2, m=512, n_R=22, n_S=23, n_o=6)"),
+            (emap.potentials, "DualPotentials(n=300, m=512, eps=0.1, iterations="),
+            (emap, "EntropicMap(dim=2, n=300, m=512, eps=0.1, converged="),
+            (_calibrated(gp, "otcp"),
+             "CalibratedPredictor(kind='otcp', alpha=0.1, threshold=")]:
+        text = repr(obj)
+        assert text.startswith(head) and text.endswith(")")
+        assert "\n" not in text and "[" not in text and "array" not in text
+        assert len(text) <= 120

@@ -18,6 +18,7 @@ from otcp import (
     ParamError,
     ParseError,
     Regressor,
+    ScoreMatrix,
     SplitSpec,
     fit_quantile_predictor,
     fit_regressor,
@@ -575,3 +576,36 @@ def test_dataset_rejects_nonfinite():
         Dataset(np.array([[1.0], [np.nan]]), np.array([[1.0], [2.0]]))
     with pytest.raises(DimensionError):
         Dataset(np.ones((3, 1)), np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Dataset(np.zeros(3), np.zeros((3, 1))), DimensionError,
+     "features and targets must be 2-D arrays"),
+    (lambda: Dataset(np.zeros((0, 1)), np.zeros((0, 1))), DimensionError,
+     "need n >= 1, p >= 1, d >= 1"),
+    (lambda: ScoreMatrix(np.zeros(3)), DimensionError,
+     "scores must be an n x d matrix with d >= 1"),
+    (lambda: ScoreMatrix([[np.nan]]), ParamError, "score matrix contains NaN or Inf"),
+    (lambda: load_dataset_csv("never-opened.csv", 0), ParamError, "d_out must be >= 1"),
+    (lambda: split_dataset(synth_dataset("gaussian", 3, 2), SplitSpec()), ParamError,
+     "need at least 4 rows to split"),
+    (lambda: split_dataset(synth_dataset("gaussian", 10, 2), SplitSpec((0.45, 0.05, 0.25, 0.25))),
+     ParamError, "ot_fit split empty for n=10"),
+    (lambda: synth_dataset("gaussian", 10, 2, {"cov": [[1.0]]}), ParamError,
+     "covariance must be 2x2, got (1, 1)"),
+    (lambda: synth_dataset("gaussian", 0, 2), ParamError, "n must be >= 1"),
+    (lambda: synth_dataset("mixture", 10, 2, {"means": [0.0, 1.0]}), ParamError,
+     "mixture means must be k x 2"),
+    (lambda: synth_dataset("mixture", 10, 2, {"means": [[0.0, 0.0], [1.0, 1.0]],
+                                              "weights": [0.3, 0.3]}),
+     ParamError, "mixture weights must be nonnegative and sum to 1"),
+    (lambda: residuals(synth_dataset("gaussian", 10, 3),
+                       fit_regressor(synth_dataset("gaussian", 10, 2), "knn_mean", k=3)),
+     DimensionError, "regressor output dimension does not match targets"),
+], ids=["dataset-1d", "dataset-empty", "scores-1d", "scores-nan", "csv-d-out", "split-3-rows",
+        "split-empty-ot-fit", "synth-cov-shape", "synth-n-zero", "mixture-means",
+        "mixture-weights", "residual-width"])
+def test_refused_data_inputs(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and message in str(info.value)

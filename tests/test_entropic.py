@@ -13,6 +13,7 @@ from otcp import (
     DualPotentials,
     EntropicMap,
     OtProblem,
+    ParamError,
     SphericalGrid,
     Standardizer,
     build_spherical_grid,
@@ -343,3 +344,15 @@ def test_unconverged_map_still_valid_interface():
     assert not emap.potentials.converged
     r = emap.rank(rng.standard_normal((10, 2)))
     assert (r >= 0).all() and (r <= 1.0 + 1e-12).all()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda emap: emap.rank([[np.nan, 0.0]]), ParamError, "query contains non-finite values"),
+    (lambda emap: emap.forward_potential(np.zeros(3)), DimensionError, "expected a 2-vector"),
+    (lambda emap: fit_entropic_map(emap.source_std, build_spherical_grid(16, 3)),
+     DimensionError, "grid dim 3 != score dim 2"),
+], ids=["non-finite-query", "potential-width", "grid-dim"])
+def test_refused_map_inputs(small_map_2d, call, error, message):
+    with pytest.raises(error) as info:
+        call(small_map_2d[0])
+    assert type(info.value) is error and message in str(info.value)

@@ -13,6 +13,7 @@ from otcp import (
     SCORE_KINDS,
     MethodError,
     ParamError,
+    Regressor,
     SplitSpec,
     build_spherical_grid,
     calibrate,
@@ -412,3 +413,30 @@ def test_every_key_mutation_is_refused_or_loads_a_working_predictor(kind):
                 breaches.append((".".join(path), name, breach))
     assert ("score", "kind") in paths
     assert not breaches, breaches
+
+
+class _ConstantRegressor(Regressor):
+    """A fitted regressor of a kind no artifact stores: zero at every input."""
+
+    kind, p, d, fit_tag = "constant", 1, 2, "none"
+
+    def predict_rows(self, X):
+        return np.zeros((np.atleast_2d(X).shape[0], 2))
+
+
+def _l2_predictor(reg):
+    fn = make_score_function("merge_l2", regressor=reg)
+    return calibrate(fn, synth_dataset("gaussian", 20, 2, seed=1, tag="cal"), alpha=0.2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: save_predictor(_l2_predictor(_ConstantRegressor()), tmp / "p.json"),
+     ParamError, "cannot serialize regressor kind _ConstantRegressor"),
+    (lambda tmp: save_predictor(
+        _l2_predictor(fit_regressor(synth_dataset("gaussian", 20, 2), "ridge_linear")), tmp),
+     ParamError, "cannot write model"),
+], ids=["unknown-regressor", "into-a-directory"])
+def test_refused_saves(tmp_path, call, error, message):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert type(info.value) is error and message in str(info.value)

@@ -434,3 +434,16 @@ def test_problem_rejects_an_epsilon_that_is_not_positive(epsilon):
     # NaN fails every comparison, so only `not epsilon > 0` refuses it
     with pytest.raises(ParamError):
         OtProblem([[0.0]], [[1.0]], epsilon)
+
+
+_TINY_PROBLEM = OtProblem([[0.0, 0.0], [1.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]], 0.5)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sinkhorn_solve(_TINY_PROBLEM, tol=0.0), ParamError, "tol must be > 0"),
+    (lambda: sinkhorn_solve(_TINY_PROBLEM, max_iter=0), ParamError, "max_iter must be >= 1"),
+], ids=["tol-zero", "max-iter-zero"])
+def test_refused_solver_settings(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and message in str(info.value)

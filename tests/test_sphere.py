@@ -264,3 +264,19 @@ def test_import_loads_no_scipy_stats_or_spatial():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: halton_sequence(0, 2), ParamError, "count must be >= 1"),
+    (lambda: halton_sequence(4, 2, skip=-1), ParamError, "skip must be >= 0"),
+    (lambda: sphere_directions(0, 2), ParamError, "need n_s >= 1 and dim >= 1"),
+    (lambda: sphere_directions(4, 2, mode="grid"), ParamError,
+     "unknown direction mode 'grid'"),
+    (lambda: build_spherical_grid(1, 2), ParamError, "need m >= 2 grid points"),
+    (lambda: build_spherical_grid(16, 0), ParamError, "need dim >= 1"),
+], ids=["halton-count", "halton-skip", "directions-count", "directions-mode", "grid-m",
+        "grid-dim"])
+def test_refused_grid_arguments(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and message in str(info.value)
