@@ -63,7 +63,7 @@ from .data import (
 )
 from .entropic import fit_entropic_map
 from .errors import (MethodError, NotFittedError, ParamError, ProvenanceError, _file_errors,
-                     _integer, _list, _object, _real, _write_text)
+                     _distinct, _integer, _list, _object, _real, _write_text)
 from .sinkhorn import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .sphere import DIRECTION_MODES, build_spherical_grid, halton_sequence
 
@@ -134,6 +134,7 @@ class BenchConfig:
         self.seeds = tuple(_integer(s, "seed", 0) for s in _list(self.seeds, "seeds"))
         if not self.seeds:
             raise ParamError("need at least one seed")
+        _distinct(self.seeds, "seeds")
         self.mc_samples = _integer(self.mc_samples, "mc_samples", 1)
         self.region_size_points = _integer(self.region_size_points, "region_size_points", 1)
         self.bounds_inflation = _real(self.bounds_inflation, "bounds_inflation")
@@ -174,6 +175,7 @@ class BenchConfig:
         unknown = [m for m in self.methods if m not in SCORE_KINDS]
         if unknown:
             raise ParamError(f"unknown score kinds {unknown}; choose from {SCORE_KINDS}")
+        _distinct(self.methods, "methods")
         self.fractions = tuple(_real(f, "fractions") for f in _list(self.fractions, "fractions"))
         SplitSpec(self.fractions)  # rejects fractions split_dataset would
 
@@ -468,8 +470,9 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
 def sweep(cfg: BenchConfig, eps_list=None, m_list=None) -> list[dict]:
     """Cross-product ablation of the transport method over (epsilon, m).
 
-    Every cell's config is built, and so checked, and the output dir made before
-    any data is loaded; each seed is then prepared once for all cells. Returns
+    Every cell's config is built, and so checked, the axes are checked for
+    repeated values, and the output dir is made before any data is loaded;
+    each seed is then prepared once for all cells. Returns
     long-format records (epsilon, m, seed, status, coverage, mean_region_size,
     time_ms, the cell's own milliseconds, and the solve's sinkhorn_iters,
     converged and marginal_error, None for a failed cell) in (epsilon, m, seed)
@@ -482,6 +485,8 @@ def sweep(cfg: BenchConfig, eps_list=None, m_list=None) -> list[dict]:
         raise ParamError("sweep lists must be nonempty")
     cells = [("otcp", replace(cfg, otcp={**cfg.otcp, "epsilon": eps, "m": m}), 0)
              for eps in eps_list for m in m_list]
+    _distinct(eps_list, "sweep eps")
+    _distinct(m_list, "sweep targets")
     out = cfg.output_dir and _output_dir(cfg.output_dir)
     runs = [[(row, ms) for row, _, ms in _run_seed(cfg, seed, cells)] for seed in cfg.seeds]
     records = [dict(zip(SWEEP_COLUMNS, (cell.otcp["epsilon"], cell.otcp["m"], row.seed,

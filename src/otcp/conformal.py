@@ -53,6 +53,8 @@ class ScoreFunction:
         y = np.atleast_2d(np.asarray(y, dtype=float))
         if y.shape[1] != self.d:
             raise DimensionError(f"expected {self.d}-dimensional responses")
+        if not np.isfinite(y).all():
+            raise ParamError("responses contain non-finite values")
         if x.shape[0] not in (1, y.shape[0]):
             raise DimensionError(
                 f"{x.shape[0]} input rows for {y.shape[0]} responses; need 1 or one each")

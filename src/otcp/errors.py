@@ -43,6 +43,13 @@ def _list(value, name: str) -> tuple:
     return tuple(value)
 
 
+def _distinct(values: tuple, name: str) -> None:
+    """Refuse a list with a repeated entry, whose results would be counted twice."""
+    repeated = list(dict.fromkeys(v for i, v in enumerate(values) if v in values[:i]))
+    if repeated:
+        raise ParamError(f"{name} repeats {repeated}")
+
+
 @contextlib.contextmanager
 def _file_errors(action: str, path):
     """In the block, a file that cannot be opened, created, decoded or parsed raises ParamError."""

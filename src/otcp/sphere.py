@@ -9,14 +9,16 @@ the normal quantile function and normalized, or from normalized iid Gaussians.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ParamError, _integer
 
 DIRECTION_MODES = ("low_discrepancy", "iid")
+
+_STANDARD_NORMAL = statistics.NormalDist()
 
 # first 64 primes: Halton bases for up to 64 dimensions
 _PRIMES = [
@@ -55,11 +57,16 @@ def halton_sequence(count: int, dim: int, skip: int = 64) -> np.ndarray:
 
 
 def inverse_normal_cdf(p):
-    """Standard normal quantile (scipy's ndtri), vectorized; ParamError outside (0, 1)."""
+    """Standard normal quantile of each value; ParamError outside (0, 1).
+
+    Each value goes through the standard library's `statistics.NormalDist().inv_cdf`,
+    Wichura's algorithm AS241 (Appl. Statist. 37, 1988). A scalar gives a float,
+    an array an array of its shape.
+    """
     arr = np.asarray(p, dtype=float)
     if ((arr <= 0.0) | (arr >= 1.0)).any() or not np.isfinite(arr).all():
         raise ParamError("inverse_normal_cdf requires 0 < p < 1")
-    x = ndtri(arr)
+    x = np.array([_STANDARD_NORMAL.inv_cdf(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
     return float(x) if arr.ndim == 0 else x
 
 

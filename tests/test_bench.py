@@ -279,8 +279,7 @@ def test_run_single_cell():
 
 
 def test_identical_seeds_identical_rows():
-    report = run_benchmark(_small_cfg(seeds=(4, 4)))
-    a, b = report.rows
+    (a,), (b,) = (run_benchmark(_small_cfg(seeds=(4,))).rows for _ in range(2))
     assert (a.coverage, a.mean_region_size) == (b.coverage, b.mean_region_size)
 
 
@@ -483,6 +482,9 @@ def test_config_rejects_keys_nothing_reads(over):
     {"seeds": 0},
     {"output_dir": True},
     {"save_models": "no"},
+    {"seeds": (0, 0)},
+    {"seeds": (3, 1, 3)},
+    {"methods": ("merge_l2", "merge_l2")},
 ])
 def test_config_rejects_values_no_run_can_use(over, monkeypatch):
     _no_loading(monkeypatch)
@@ -733,7 +735,9 @@ def test_sweep_rejects_empty_axis(axes, monkeypatch):
 
 
 @pytest.mark.parametrize("axes", [{"eps_list": [0.1, -1.0]}, {"eps_list": [0.1, math.nan]},
-                                  {"m_list": [256, 1]}, {"m_list": [256.5]}])
+                                  {"m_list": [256, 1]}, {"m_list": [256.5]},
+                                  {"eps_list": [0.1, 0.1]}, {"eps_list": [1, 1.0]},
+                                  {"m_list": [256, 64, 256]}])
 def test_sweep_rejects_a_bad_axis_value_before_loading(axes, monkeypatch):
     _no_loading(monkeypatch)
     with pytest.raises(ParamError):

@@ -91,6 +91,8 @@ def test_contour_command(tmp_path, capsys):
     ("run", {"methods": ["merge_l3"]}, []),
     ("run", {"otcp": {"tol": 0}}, []),
     ("sweep", {"methods": ["otcp"]}, ["--eps", "-1"]),
+    ("run", {"seeds": [0, 0]}, []),
+    ("sweep", {"methods": ["otcp"]}, ["--eps", "0.1", "0.1"]),
 ])
 def test_refused_config_is_a_usage_error(tmp_path, capsys, command, over, flags):
     cfg = _write_cfg(tmp_path / "cfg.json", **over)

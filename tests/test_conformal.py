@@ -176,6 +176,15 @@ def test_pit_extremes_and_grid():
     assert pit_values(cal, 2.0) == pytest.approx(2 / 3)
 
 
+def test_predictor_pit_is_the_calibration_rank(gaussian_pipeline):
+    pred = _calibrated(gaussian_pipeline, "merge_l2")
+    n = pred.n_cal
+    assert np.unique(pred.cal_scores).size == n  # continuous scores: every rank is distinct
+    k = math.ceil((1 - Fraction(pred.alpha)) * (n + 1))
+    assert pred.pit(pred.threshold) == k / n
+    assert np.array_equal(pred.pit(pred.cal_scores), np.arange(1, n + 1) / n)
+
+
 def test_pit_discrete_uniform_distribution():
     # exchangeable scores: F_n(Z) hits each atom k/n with probability 1/(n+1)
     n, trials = 9, 10000
@@ -510,9 +519,31 @@ def _calibrated(gp, kind):
     parts = {"regressor": gp["reg"]}
     if kind == "otcp":
         parts["transport_map"] = gp["emap"]
+    elif kind == "merge_mahalanobis":
+        parts["whitener"] = estimate_covariance(gp["fit_resid"])
     elif kind == "mcp_max":
         parts = {"quantile_predictor": fit_quantile_predictor(gp["train"], 25, 0.05, 0.95)}
     return calibrate(make_score_function(kind, **parts), gp["calib"], alpha=0.1)
+
+
+@pytest.mark.parametrize("kind", ["abs_univariate", "merge_l2", "merge_mahalanobis",
+                                  "mcp_max", "otcp"])
+def test_non_finite_responses_are_refused(gaussian_pipeline, kind):
+    gp = gaussian_pipeline
+    if kind == "abs_univariate":
+        def first_target(ds, tag):
+            return Dataset(ds.features, ds.targets[:, :1], tag=tag)
+        reg = fit_regressor(first_target(gp["train"], "train1"), "knn_mean", k=25)
+        pred = calibrate(make_score_function(kind, regressor=reg),
+                         first_target(gp["calib"], "calib1"), alpha=0.1)
+    else:
+        pred = _calibrated(gp, kind)
+    X = gp["test"].features[:3]
+    for bad in (math.nan, math.inf, -math.inf):
+        Y = gp["test"].targets[:3, :pred.d].copy()
+        Y[1, -1] = bad
+        with pytest.raises(ParamError, match="responses contain non-finite values"):
+            pred.contains_rows(X, Y)
 
 
 @pytest.mark.parametrize("call, error, message", [
