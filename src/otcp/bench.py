@@ -63,7 +63,7 @@ from .data import (
 )
 from .entropic import fit_entropic_map
 from .errors import (MethodError, NotFittedError, ParamError, ProvenanceError, _file_errors,
-                     _distinct, _integer, _list, _object, _real, _write_text)
+                     _distinct, _integer, _list, _object, _positive, _real, _write_text)
 from .sinkhorn import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .sphere import DIRECTION_MODES, build_spherical_grid, halton_sequence
 
@@ -137,9 +137,7 @@ class BenchConfig:
         _distinct(self.seeds, "seeds")
         self.mc_samples = _integer(self.mc_samples, "mc_samples", 1)
         self.region_size_points = _integer(self.region_size_points, "region_size_points", 1)
-        self.bounds_inflation = _real(self.bounds_inflation, "bounds_inflation")
-        if not (math.isfinite(self.bounds_inflation) and self.bounds_inflation > 0):
-            raise ParamError("bounds_inflation must be finite and > 0")
+        self.bounds_inflation = _positive(self.bounds_inflation, "bounds_inflation")
         if not (self.output_dir is None or isinstance(self.output_dir, str)):
             raise ParamError(f"output_dir must be a string or null, got {self.output_dir!r}")
         if not isinstance(self.save_models, bool):
@@ -160,12 +158,9 @@ class BenchConfig:
         # rejects a regressor kind, parameter or value that fit_regressor would
         self.regressor = {"kind": kind, **regressor_params(kind, reg)}
         o = self.otcp = _filled("otcp", self.otcp, OTCP_DEFAULTS)
-        o.update(epsilon=_real(o["epsilon"], "otcp epsilon"), m=_integer(o["m"], "otcp m", 2),
-                 tol=_real(o["tol"], "otcp tol"),
+        o.update(epsilon=_positive(o["epsilon"], "otcp epsilon"),
+                 m=_integer(o["m"], "otcp m", 2), tol=_positive(o["tol"], "otcp tol"),
                  max_iter=_integer(o["max_iter"], "otcp max_iter", 1))
-        for key in ("epsilon", "tol"):
-            if not o[key] > 0:
-                raise ParamError(f"otcp {key} must be > 0, got {o[key]}")
         if o["grid_mode"] not in DIRECTION_MODES:
             raise ParamError(f"otcp grid_mode must be one of {DIRECTION_MODES}")
         KnnQuantilePredictor(*self._mcp_levels())  # rejects levels mcp_max would

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import Dataset, KnnQuantilePredictor, Regressor, ScoreMatrix
+from .data import Dataset, KnnQuantilePredictor, Regressor, _scores_and_origin
 from .entropic import EntropicMap
 from .errors import (DimensionError, MethodError, NotFittedError, ParamError, ProvenanceError,
                      _real)
@@ -309,10 +309,7 @@ def estimate_covariance(resid, ridge: float = 0.0) -> Whitener:
     A ScoreMatrix's origin becomes the whitener's fit_tag; a plain array
     gives an untagged whitener.
     """
-    fit_tag = ""
-    if isinstance(resid, ScoreMatrix):
-        resid, fit_tag = resid.scores, resid.origin
-    Z = np.atleast_2d(np.asarray(resid, dtype=float))
+    Z, fit_tag = _scores_and_origin(resid)
     if ridge < 0:
         raise ParamError("ridge must be >= 0")
     centered = Z - Z.mean(axis=0)
@@ -327,9 +324,7 @@ def estimate_covariance(resid, ridge: float = 0.0) -> Whitener:
 
 def default_mahalanobis_ridge(resid) -> float:
     """Ridge of 1e-6 * trace(cov)/d, guarding near-singular residual covariances."""
-    if isinstance(resid, ScoreMatrix):
-        resid = resid.scores
-    Z = np.atleast_2d(np.asarray(resid, dtype=float))
+    Z = _scores_and_origin(resid)[0]
     var = Z.var(axis=0, ddof=1).sum()
     return 1e-6 * float(var) / Z.shape[1]
 

@@ -107,6 +107,13 @@ class ScoreMatrix:
         object.__setattr__(self, "scores", Z)
 
 
+def _scores_and_origin(scores) -> tuple[np.ndarray, str]:
+    """(rows, origin) of a ScoreMatrix, or of a plain array as untagged rows."""
+    if isinstance(scores, ScoreMatrix):
+        return scores.scores, scores.origin
+    return np.atleast_2d(np.asarray(scores, dtype=float)), ""
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ScoreMatrix
+from .data import _scores_and_origin
 from .errors import DimensionError, ParamError
 from .sinkhorn import (
     DEFAULT_MAX_ITER,
@@ -136,11 +136,7 @@ def fit_entropic_map(scores, grid: SphericalGrid | None = None, *, m: int = 4096
     `scores` is a ScoreMatrix or plain (n, d) array. When `grid` is omitted one
     is built with m points in the matching dimension.
     """
-    if isinstance(scores, ScoreMatrix):
-        z, fit_tag = scores.scores, scores.origin
-    else:
-        z = np.atleast_2d(np.asarray(scores, dtype=float))
-        fit_tag = ""
+    z, fit_tag = _scores_and_origin(scores)
     if grid is None:
         grid = build_spherical_grid(m, z.shape[1], mode=mode, seed=seed)
     if grid.dim != z.shape[1]:

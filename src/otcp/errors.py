@@ -23,6 +23,14 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _positive(value, name: str) -> float:
+    """A real number that is finite and > 0."""
+    value = _real(value, name)
+    if not (math.isfinite(value) and value > 0):
+        raise ParamError(f"{name} must be > 0 and finite, got {value}")
+    return value
+
+
 def _integer(value, name: str, low: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParamError(f"{name} must be an integer, got {value!r}")

@@ -6,21 +6,20 @@ score and contour without refitting: regressor state, whitener, quantile
 predictor, or the full transport map (potentials, grid, standardized source,
 standardizer).
 
-Files are strict JSON (format v3): an infinite threshold, which calibration
-returns when alpha < 1/(n+1), is written as null. A map stores its grid as
-the radius ladder, the unit directions and the origin count, and the grid
-points are rebuilt from them on load; v1 and v2 files, which also stored
-the points, dim, n_r and n_s, load through the same path, which ignores
-those keys. v1 files wrote an infinite threshold as the bare token Infinity.
-A v3 whitener is its matrix plus the tag of the residual rows it was
-estimated on; v1 and v2 stored the bare matrix, which loads untagged.
+Files are strict JSON in format v3, the one format read: a file or map of
+any other version is refused with a ParamError naming it. An infinite
+threshold, which calibration returns when alpha < 1/(n+1), is written as
+null. A map stores its grid as the radius ladder, the unit directions and
+the origin count, and the grid points are rebuilt from them on load. A
+whitener is its matrix plus the tag of the residual rows it was estimated on.
 Loading checks every map array's shape against the others and the residual
-bounding box against the score's dimension, and requires finite values and
-every required key, raising ParamError (a missing key, or a key such as
-score.map.grid that holds no object, is named by its path) and each scalar of
-its kind (no integer is truncated): alpha and threshold in
-CalibratedPredictor, and k, lam, alpha_lo, alpha_hi, epsilon and n_o where
-their objects are built. A predictor file that cannot be read, is not UTF-8
+bounding box against the score's dimension, and requires finite values, every
+key the writer writes (tags included) and each scalar of its kind (no integer
+is truncated), raising ParamError; a missing key, or a key such as
+score.map.grid that holds no object, is named by its path. The scalars are
+checked where their objects are built: alpha and threshold in
+CalibratedPredictor, and k, lam, alpha_lo, alpha_hi, epsilon and n_o in
+theirs. A predictor file that cannot be read, is not UTF-8
 JSON or is not an object is a ParamError naming it, and save_predictor raises
 ParamError naming a path it cannot write.
 Both k-NN models go through one codec, and a map's `origin` key holds its
@@ -87,13 +86,9 @@ def _array(value, name: str, shape: tuple) -> np.ndarray:
 
 
 def _check_header(doc: dict, expected: str):
-    version = doc.get("version")
-    # True == 1, so a bool version is refused before the membership test
-    if (doc.get("format") != expected or isinstance(version, bool)
-            or version not in (1, 2, VERSION)):
+    if doc.get("format") != expected or doc.get("version") != VERSION:
         raise ParamError(
-            f"expected {expected} v1 to v{VERSION}, "
-            f"got {doc.get('format')} v{doc.get('version')}")
+            f"expected {expected} v{VERSION}, got {doc.get('format')} v{doc.get('version')}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +103,7 @@ def _knn_to_dict(model, params: dict) -> dict:
 
 def _knn_from_dict(model, doc: dict):
     X, Y = (_array(doc[key], f"k-NN {key}", (None, None)) for key in ("X", "Y"))
-    return model.fit(Dataset(X, Y, tag=doc.get("tag")))
+    return model.fit(Dataset(X, Y, tag=doc["tag"]))
 
 
 def _regressor_to_dict(reg) -> dict:
@@ -127,7 +122,7 @@ def _regressor_from_dict(doc: dict):
         reg = RidgeRegressor(doc["lam"])
         reg.p, reg.d = _integer(doc["p"], "ridge p", 1), _integer(doc["d"], "ridge d", 1)
         reg.coef = _array(doc["coef"], "ridge coef", (reg.p + 1, reg.d))
-        reg.fit_tag = doc.get("tag")
+        reg.fit_tag = doc["tag"]
         return reg
     raise ParamError(f"unknown regressor kind {doc['kind']!r}")
 
@@ -168,7 +163,6 @@ def map_from_dict(doc: dict) -> EntropicMap:
         doc = _Section(doc)
     _check_header(doc, MAP_FORMAT)
     g = doc.section("grid")
-    # the points, dim, n_r and n_s that v1 and v2 also stored follow from these
     grid = SphericalGrid(_array(g["radii"], "grid radii", (None,)),
                          _array(g["directions"], "grid directions", (None, None)),
                          g["n_o"])
@@ -185,17 +179,15 @@ def map_from_dict(doc: dict) -> EntropicMap:
     if (scale <= 0).any():
         raise ParamError("standardizer scale must be positive")
     std = Standardizer(_array(sd["mean"], "standardizer mean", (dim,)), scale)
-    return EntropicMap(pot, grid, std, doc.get("origin", ""))
+    return EntropicMap(pot, grid, std, doc["origin"])
 
 
 def _whitener_to_dict(w: Whitener) -> dict:
     return {"matrix": _arr(w.matrix), "tag": w.fit_tag}
 
 
-def _whitener_from_dict(doc) -> Whitener:
-    if not isinstance(doc, dict):  # v1 and v2 stored the bare matrix, untagged
-        doc = {"matrix": doc}
-    return Whitener(_array(doc["matrix"], "whitener", (None, None)), doc.get("tag", ""))
+def _whitener_from_dict(doc: dict) -> Whitener:
+    return Whitener(_array(doc["matrix"], "whitener", (None, None)), doc["tag"])
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +212,8 @@ def _score_fn_to_dict(fn) -> dict:
 
 
 def _score_fn_from_dict(doc: _Section):
-    # every component is an object but a v1/v2 whitener, a bare matrix
-    parts = {name: decode(doc[key] if key == "whitener" else doc.section(key))
-             for name, (key, _, decode) in _COMPONENTS.items() if key in doc}
+    parts = {name: decode(doc.section(key)) for name, (key, _, decode) in _COMPONENTS.items()
+             if key in doc}
     return make_score_function(doc["kind"], **parts)
 
 

@@ -6,9 +6,10 @@ entropic maps is built from three helpers. `_factors` is the one place that
 forms the expanded cost: it returns two thin factors whose product is the
 logits phi_i + psi_j - |s_i - t_j|^2/eps, so a block of logits is one BLAS
 product into a caller's buffer (`_logits`). `_gibbs` is the one Gibbs kernel:
-it max-shifts a block of logits along one axis, drops the entries that would
-exponentiate to subnormals, exponentiates the rest in place and sums them, so
-small epsilon neither overflows nor runs at subnormal speed.
+it max-shifts a block of logits along one axis, then `_exp_normal`, which the
+absorbed kernel K below shares, drops the entries that would exponentiate to
+subnormals and exponentiates the rest in place; `_gibbs` sums them, so small
+epsilon neither overflows nor runs at subnormal speed.
 
 The solver takes its first f and g half-steps in the log domain through
 `_gibbs`, then iterates in the scaling domain (Cuturi, arXiv:1306.0895): it
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParamError, SinkhornNotConverged, _real
+from .errors import DimensionError, ParamError, SinkhornNotConverged, _integer, _positive
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 2000
@@ -91,9 +92,7 @@ class OtProblem:
             raise DimensionError(f"source dim {src.shape[1]} != target dim {tgt.shape[1]}")
         if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
             raise ParamError("OT problem contains non-finite points")
-        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
-        if not self.epsilon > 0:
-            raise ParamError("epsilon must be > 0")
+        object.__setattr__(self, "epsilon", _positive(self.epsilon, "epsilon"))
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", tgt)
 
@@ -129,22 +128,30 @@ class DualPotentials:
         return self.problem.epsilon
 
 
+def _exp_normal(logits: np.ndarray) -> np.ndarray:
+    """Exponentiate logits in place, storing as 0 every entry that would be subnormal.
+
+    Subnormals slow exp and the products that read its result several-fold,
+    and next to the entries of a max-shifted block, or of a kernel whose
+    scalings are bounded by exp(_ABSORB_LOG), they weigh nothing in any sum.
+    """
+    logits[logits < _LOG_TINY] = -np.inf
+    return np.exp(logits, out=logits)
+
+
 def _gibbs(logits: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """The Gibbs kernel: exponentiate logits in place, max-shifted along axis.
 
     Overwrites `logits` with exp(logits - top), top being the max along axis,
-    so every entry lies in [0, 1] whatever the scale of the logits. A shifted
-    entry below the log of the smallest normal float is stored as 0, as in
-    `_kernel`: next to the top entry's 1 it weighs nothing in any sum, and
-    subnormals slow exp and the products that read the weights several-fold.
+    so every entry lies in [0, 1] whatever the scale of the logits, through
+    `_exp_normal`, which stores a would-be subnormal entry as 0.
     Returns (log_mean, total) along axis: log_mean = log(mean(exp(logits)))
     of the original logits, and total the sum of the overwritten entries, so
     that logits / total are the softmax weights.
     """
     top = logits.max(axis=axis, keepdims=True)
     np.subtract(logits, top, out=logits)
-    logits[logits < _LOG_TINY] = -np.inf
-    np.exp(logits, out=logits)
+    _exp_normal(logits)
     total = logits.sum(axis=axis)
     return np.log(total / logits.shape[axis]) + np.squeeze(top, axis=axis), total
 
@@ -176,15 +183,9 @@ def _logits(source: np.ndarray, target: np.ndarray, eps: float, phi, psi,
 
 def _kernel(prob: OtProblem, phi: np.ndarray, psi: np.ndarray,
             out: np.ndarray) -> np.ndarray:
-    """The absorbed kernel K_ij = exp(phi_i + psi_j - c_ij/eps), written into out.
-
-    Entries below the smallest normal float are stored as 0: subnormals slow
-    both exp and the matrix-vector products several-fold, and with scalings
-    bounded by exp(_ABSORB_LOG) they weigh nothing in any row or column sum.
-    """
-    logits = _logits(prob.source, prob.target, prob.epsilon, phi, psi, out)
-    logits[logits < _LOG_TINY] = -np.inf
-    return np.exp(logits, out=out)
+    """The absorbed kernel K_ij = exp(phi_i + psi_j - c_ij/eps), written into out
+    by `_exp_normal`, so entries below the smallest normal float are 0."""
+    return _exp_normal(_logits(prob.source, prob.target, prob.epsilon, phi, psi, out))
 
 
 def _overrelax(plain: np.ndarray, ratio: np.ndarray, low: float, over: float) -> np.ndarray:
@@ -249,10 +250,8 @@ def sinkhorn_solve(prob: OtProblem, tol: float = DEFAULT_TOL,
     the iterate is recorded at the start of each iteration. Potentials are
     gauged so mean(g) = 0. Deterministic for identical inputs.
     """
-    if tol <= 0:
-        raise ParamError("tol must be > 0")
-    if max_iter < 1:
-        raise ParamError("max_iter must be >= 1")
+    tol = _positive(tol, "tol")
+    max_iter = _integer(max_iter, "max_iter", 1)
     n, m = prob.n, prob.m
     eps = prob.epsilon
     kernel = np.empty((n, m))  # the one n x m array: logits first, then K

@@ -439,7 +439,11 @@ def test_config_rejects_keys_nothing_reads(over):
     {"fractions": (0.4, 0.2, 0.2, 0.3)},
     {"fractions": (1.2, -0.2, 0.0, 0.0)},
     {"otcp": {"tol": 0}},
+    {"otcp": {"tol": math.inf}},
+    {"otcp": {"tol": math.nan}},
+    {"otcp": {"epsilon": math.inf}},
     {"otcp": {"max_iter": 0}},
+    {"otcp": {"max_iter": 2.5}},
     {"otcp": {"grid_mode": "sobol"}},
     {"mcp": {"alpha_lo": 0.9, "alpha_hi": 0.1}},
     {"otcp": {"m": 64.7}},

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,25 +47,6 @@ def _json_round_trip(doc: dict) -> dict:
     return json.loads(json.dumps(doc, allow_nan=False))
 
 
-def _as_version(doc: dict, version: int, pred) -> dict:
-    """A v3 predictor document as v1 or v2 wrote it.
-
-    Those versions also stored each map grid's points, dim, n_r and n_s, and a
-    whitener as its bare matrix.
-    """
-    doc = copy.deepcopy(doc)
-    doc["version"] = version
-    score = doc["score"]
-    if "whitener" in score:
-        score["whitener"] = score["whitener"]["matrix"]
-    if "map" in score:
-        grid = pred.score_fn.transport_map.grid
-        score["map"]["version"] = version
-        score["map"]["grid"].update(dim=grid.dim, n_r=grid.n_r, n_s=grid.n_s,
-                                    points=grid.points.tolist())
-    return doc
-
-
 def test_map_round_trip(fitted):
     emap = fitted["emap"]
     back = map_from_dict(_json_round_trip(map_to_dict(emap)))
@@ -73,10 +55,9 @@ def test_map_round_trip(fitted):
     assert np.array_equal(back.forward(queries), emap.forward(queries))
     assert np.array_equal(back.inverse(queries / 3), emap.inverse(queries / 3))
     assert back.potentials.iterations == emap.potentials.iterations
-    # v1 and v2 also stored the points, dim, n_r and n_s; loading ignores them
-    old = {**map_to_dict(emap), "version": 2}
-    old["grid"].update(points=[[0.0]], dim=7, n_r=1, n_s=1)
-    assert np.array_equal(map_from_dict(old).grid.points, emap.grid.points)
+    # v3 is the one format read
+    with pytest.raises(ParamError, match="expected entropic-map v3, got entropic-map v2"):
+        map_from_dict({**map_to_dict(emap), "version": 2})
 
 
 @pytest.mark.parametrize("kind", ["merge_l2", "merge_mahalanobis", "mcp_max", "otcp"])
@@ -166,20 +147,37 @@ def test_infinite_threshold_is_standard_json(fitted, tmp_path):
     assert back.contains_rows(X, Y).all()
 
 
-def test_loads_version_1_documents(fitted, tmp_path):
-    fn = make_score_function("otcp", regressor=fitted["reg"],
-                             transport_map=fitted["emap"])
-    pred = calibrate(fn, fitted["calib"].take(np.arange(40)), alpha=0.001)
-    save_predictor(pred, tmp_path / "v3.json")
-    doc = _as_version(json.loads((tmp_path / "v3.json").read_text()), 1, pred)
-    # v1 wrote the bare token Infinity for an infinite threshold
-    doc["threshold"] = math.inf
-    (tmp_path / "v1.json").write_text(json.dumps(doc))
-    assert "Infinity" in (tmp_path / "v1.json").read_text()
-    back = load_predictor(tmp_path / "v1.json")
-    assert back.threshold == math.inf
-    X, Y = fitted["test"].features[:30], fitted["test"].targets[:30]
-    assert np.array_equal(back.score_fn.score_rows(X, Y), pred.score_fn.score_rows(X, Y))
+# v3 predictors as save_predictor writes them, kept as files so that a change
+# to the reader cannot drop one: banana n=200 with noise 0.3, seed 0,
+# SplitSpec(seed=0), knn_mean k=10, alpha 0.1; otcp on m=64 grid points at
+# epsilon 0.1, and merge_mahalanobis whitened with default_mahalanobis_ridge
+_GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["otcp_v3", "merge_mahalanobis_v3"])
+def test_golden_v3_files_load_and_save_byte_identically(tmp_path, name):
+    path = _GOLDEN / f"{name}.json"
+    pred = load_predictor(path)
+    save_predictor(pred, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    score = json.loads(path.read_text())["score"]
+    fitted_on = score.get("map", {}).get("origin") or score["whitener"]["tag"]
+    assert pred.score_fn.fit_tags == {score["regressor"]["tag"], fitted_on}
+    X = [[0.1], [0.3], [0.5], [0.7], [0.9]]
+    Y = [[0.0, 0.0], [0.5, 1.0], [-1.0, 2.0], [2.0, -2.0], [10.0, 10.0]]
+    flags = pred.contains_rows(X, Y)
+    assert flags.shape == (5,) and flags.dtype == bool
+
+
+@pytest.mark.parametrize("version", [1, 2, 4])
+@pytest.mark.parametrize("document", ["predictor", "map"])
+def test_any_version_but_3_is_refused_naming_it(document, version):
+    doc = json.loads((_GOLDEN / "otcp_v3.json").read_text())
+    header = doc if document == "predictor" else doc["score"]["map"]
+    header["version"] = version
+    fmt = "conformal-predictor" if document == "predictor" else "entropic-map"
+    with pytest.raises(ParamError, match=f"expected {fmt} v3, got {fmt} v{version}$"):
+        predictor_from_dict(doc)
 
 
 def _edit(doc, path, fn):
@@ -309,14 +307,10 @@ def test_round_trip_is_bit_identical_for_random_shapes(kind, d, n, m, seed):
     doc = _json_round_trip(predictor_to_dict(pred))
     X, Y = test.features, test.targets
     scores, inside = pred.score_fn.score_rows(X, Y), pred.contains_rows(X, Y)
-    for back in (predictor_from_dict(doc), predictor_from_dict(_as_version(doc, 2, pred))):
-        assert np.array_equal(back.score_fn.score_rows(X, Y), scores)
-        assert np.array_equal(back.contains_rows(X, Y), inside)
-        assert back.threshold == pred.threshold
-    if kind == "merge_mahalanobis":
-        # a v2 whitener is a bare matrix, so it loads untagged
-        assert predictor_from_dict(doc).score_fn.whitener.fit_tag
-        assert not predictor_from_dict(_as_version(doc, 2, pred)).score_fn.whitener.fit_tag
+    back = predictor_from_dict(doc)
+    assert np.array_equal(back.score_fn.score_rows(X, Y), scores)
+    assert np.array_equal(back.contains_rows(X, Y), inside)
+    assert back.threshold == pred.threshold
 
 
 def _key_paths(doc, prefix=()):
@@ -331,8 +325,7 @@ def _key_paths(doc, prefix=()):
 def test_a_missing_key_is_a_param_error_naming_it(kind):
     pred, _ = _random_predictor(kind, 1 if kind == "abs_univariate" else 2, 60, 16, 0)
     doc = _json_round_trip(predictor_to_dict(pred))
-    optional = {"tag", "origin"}
-    paths = [path for path in _key_paths(doc) if path[-1] not in optional]
+    paths = list(_key_paths(doc))
     assert ("score", "kind") in paths and ("alpha",) in paths
     for path in paths:
         bad = copy.deepcopy(doc)
@@ -351,6 +344,7 @@ def test_a_missing_key_is_a_param_error_naming_it(kind):
     ("otcp", ("score", "map", "grid")),
     ("otcp", ("score", "map", "standardizer")),
     ("mcp_max", ("score", "quantile_predictor")),
+    ("merge_mahalanobis", ("score", "whitener")),
     ("otcp", ("score", "kind")),
 ], ids=lambda v: v if isinstance(v, str) else ".".join(v))
 def test_a_wrong_type_where_an_object_or_kind_belongs_is_a_param_error(kind, path, value):

@@ -429,9 +429,10 @@ def test_problem_validation():
         OtProblem([[np.inf]], [[1.0]], 0.5)
 
 
-@pytest.mark.parametrize("epsilon", [math.nan, -0.5])
+@pytest.mark.parametrize("epsilon", [math.nan, -0.5, math.inf])
 def test_problem_rejects_an_epsilon_that_is_not_positive(epsilon):
-    # NaN fails every comparison, so only `not epsilon > 0` refuses it
+    # NaN fails every comparison, so only `not epsilon > 0` refuses it; an
+    # infinite one is refused too, as its potentials f = eps * phi are NaN
     with pytest.raises(ParamError):
         OtProblem([[0.0]], [[1.0]], epsilon)
 
@@ -441,8 +442,12 @@ _TINY_PROBLEM = OtProblem([[0.0, 0.0], [1.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]], 0.
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: sinkhorn_solve(_TINY_PROBLEM, tol=0.0), ParamError, "tol must be > 0"),
+    (lambda: sinkhorn_solve(_TINY_PROBLEM, tol=math.inf), ParamError, "tol must be > 0"),
+    (lambda: sinkhorn_solve(_TINY_PROBLEM, tol=math.nan), ParamError, "tol must be a real"),
     (lambda: sinkhorn_solve(_TINY_PROBLEM, max_iter=0), ParamError, "max_iter must be >= 1"),
-], ids=["tol-zero", "max-iter-zero"])
+    (lambda: sinkhorn_solve(_TINY_PROBLEM, max_iter=2.5), ParamError,
+     "max_iter must be an integer"),
+], ids=["tol-zero", "tol-inf", "tol-nan", "max-iter-zero", "max-iter-fraction"])
 def test_refused_solver_settings(call, error, message):
     with pytest.raises(error) as info:
         call()
