@@ -377,7 +377,8 @@ def _fitted_rows(model, X) -> np.ndarray:
 
 
 _KNN_BLOCK_ENTRIES = 1 << 18  # cap on query rows * training rows per distance block
-_KNN_SLAB_SHARE = 0.5  # a block whose widest slab holds more of the training rows runs dense
+# a block whose widest slab, and then whose screen, keeps more of the training rows runs dense
+_KNN_SLAB_SHARE = 0.5
 
 
 def _sq_distances(rows: np.ndarray, columns: np.ndarray, idx, d2: np.ndarray,
@@ -421,12 +422,14 @@ def _nearest_first(d2: np.ndarray, k: int) -> np.ndarray:
 
 
 class _KnnIndex(NamedTuple):
-    """Training rows prepared for _knn_indices: the search's sort, built once per fit."""
+    """Training rows prepared for _knn_indices, built once per fit."""
 
-    columns: np.ndarray  # (p, n + 1): feature j in row j, then inf at index n (slab padding)
+    columns: np.ndarray  # (p, n + 1): feature j in row j, then inf at index n (padding)
     s: int  # the widest feature
     order: np.ndarray  # (n + 1,): training indices sorted along feature s, then n
     sorted_s: np.ndarray  # (n,): feature s in that order
+    center: np.ndarray  # (p,): the training mean c
+    screen: np.ndarray  # (p + 1, n): -2 (t - c) feature by feature, then |t - c|^2
 
 
 def _knn_index(train_X: np.ndarray) -> _KnnIndex:
@@ -437,7 +440,58 @@ def _knn_index(train_X: np.ndarray) -> _KnnIndex:
     columns[:, n] = np.inf
     s = int(np.argmax(np.ptp(train_X, axis=0)))
     order = np.argsort(train_X[:, s])
-    return _KnnIndex(columns, s, np.append(order, n), train_X[order, s])
+    # an overflow here leaves some |t - c|^2 inf or nan, and that turns the screen off
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = train_X.mean(axis=0)
+        screen = np.empty((p + 1, n))
+        np.subtract(columns[:, :n], center[:, None], out=screen[:p])
+        screen[p] = np.square(screen[:p]).sum(axis=0)
+        screen[:p] *= -2
+    return _KnnIndex(columns, s, np.append(order, n), train_X[order, s], center, screen)
+
+
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+
+
+def _screened(index: _KnnIndex, rows: np.ndarray, k: int, d2: np.ndarray):
+    """Training rows that may be among each of `rows`' k nearest, or None.
+
+    The product [x - c, 1] @ index.screen is |x - t|^2 - |x - c|^2 for every
+    training row t, and the second term is the same along a row. In floats it is
+    within delta = 16 (p + 2) (eps S + tiny) of the direct distance minus that
+    term, where S = 2 |x - c|^2 + 2 max |t - c|^2 >= (|x - c| + max |t - c|)^2:
+    this covers the rounding of the centered values, of the product in any
+    summation order and of the direct per-feature sum, underflow included, with
+    room to spare. So a row of the k nearest is within 2 delta of the row's k-th
+    smallest screened value, which an in-place partition of the product finds.
+    The product is formed a second time, which is cheaper than keeping a copy in
+    a second (rows, n) buffer, to pick the rows within that value plus 2 delta.
+    They come back as a (rows, w) array of training indices, ascending
+    per row and padded with index n. None when some row's bound is not finite
+    (nothing is multiplied then), or when some row keeps more than
+    _KNN_SLAB_SHARE of the training rows: the caller measures every row.
+    d2 is (rows, n) scratch.
+    """
+    center, screen = index.center, index.screen
+    p, n = center.size, d2.shape[1]
+    left = np.ones((len(rows), p + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(rows, center, out=left[:, :p])
+        scale = 2 * (np.square(left[:, :p]).sum(axis=1) + screen[p].max())
+    if not np.isfinite(scale).all():
+        return None
+    np.matmul(left, screen, out=d2)
+    d2.partition(k - 1, axis=1)
+    limit = d2[:, k - 1] + 32 * (p + 2) * (_EPS * scale + _TINY)
+    np.matmul(left, screen, out=d2)
+    near = d2 <= limit[:, None]
+    count = np.count_nonzero(near, axis=1)
+    w = int(count.max())
+    if w > _KNN_SLAB_SHARE * n:
+        return None
+    cand = np.full((len(rows), w), n, dtype=np.intp)
+    cand[np.arange(w) < count[:, None]] = np.flatnonzero(near) % n
+    return cand
 
 
 def _knn_indices(index: _KnnIndex, X: np.ndarray, k: int) -> np.ndarray:
@@ -454,16 +508,22 @@ def _knn_indices(index: _KnnIndex, X: np.ndarray, k: int) -> np.ndarray:
     The training rows are sorted along their widest feature s. The k sorted rows
     around a query's place in that order bound its k-th distance by their largest
     one, B, and every row with (x_s - t_s)^2 <= B lies in one slab of the sorted
-    order (widened by a few ulps against rounding). A block's slabs are measured
-    as one padded array of candidates in training-index order, padding at
-    distance inf, so ties still go to the lowest index. When a block's widest
-    slab holds more than _KNN_SLAB_SHARE of the training rows, as it does for a
-    few uniform features, the block measures every training row instead. Queries
-    run in blocks of at most _KNN_BLOCK_ENTRIES distances either way, so memory
-    does not grow with q. The sort and the padded columns come from `index`,
-    built once per training set by _knn_index.
+    order (widened by a few ulps against rounding). When a block's widest slab
+    holds more than _KNN_SLAB_SHARE of the training rows, as it does for a few
+    features of similar range, the block is screened instead (_screened): one
+    matrix product ranks every training row up to a rounding bound, and the
+    candidates are the rows within twice that bound of each query's k-th
+    screened value. Either way a block's candidates are measured directly as
+    one padded array in training-index order, padding at distance inf, so the
+    neighbours, their ties and their order are those of measuring every row.
+    A block measures every training row when its screen bound is not finite
+    (features near the square root of the largest float) or its screen keeps
+    more than _KNN_SLAB_SHARE of the rows. Queries run in blocks of at most
+    _KNN_BLOCK_ENTRIES distances, so memory does not grow with q. The sort, the
+    padded columns and the screen's training factor come from `index`, built
+    once per training set by _knn_index.
     """
-    columns, s, order, sorted_s = index
+    columns, s, order, sorted_s, *_ = index
     n = sorted_s.size
     q = X.shape[0]
     step = max(1, min(q, _KNN_BLOCK_ENTRIES // n))
@@ -482,13 +542,14 @@ def _knn_indices(index: _KnnIndex, X: np.ndarray, k: int) -> np.ndarray:
         first = np.searchsorted(sorted_s, xs - radius, "left")
         last = np.searchsorted(sorted_s, xs + radius, "right")
         w = int((last - first).max())
-        if w > _KNN_SLAB_SHARE * n:  # measure every training row
-            cand, w = None, n
-        else:
+        if w <= _KNN_SLAB_SHARE * n:
             pos = first[:, None] + np.arange(w)
             pos[pos >= last[:, None]] = n
             cand = order[pos]
             cand.sort(axis=1)
+        else:
+            cand = _screened(index, rows, k, d2_buf[:r * n].reshape(r, n))
+        w = n if cand is None else cand.shape[1]  # None: measure every training row
         d2, sq = d2_buf[:r * w].reshape(r, w), sq_buf[:r * w].reshape(r, w)
         _sq_distances(rows, columns[:, :n] if cand is None else columns, cand, d2, sq)
         near = _nearest_first(d2, k)

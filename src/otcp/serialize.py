@@ -14,9 +14,10 @@ the origin count, and the grid points are rebuilt from them on load. A
 whitener is its matrix plus the tag of the residual rows it was estimated on.
 Loading checks every map array's shape against the others and the residual
 bounding box against the score's dimension, and requires finite values, every
-key the writer writes (tags included) and each scalar of its kind (no integer
-is truncated), raising ParamError; a missing key, or a key such as
-score.map.grid that holds no object, is named by its path. The scalars are
+key the writer writes (tags included), each tag and map origin a string or
+null, and each scalar of its kind (no integer is truncated), raising
+ParamError; a missing key, a key such as score.map.grid that holds no
+object, or a tag of another type, is named by its path. The scalars are
 checked where their objects are built: alpha and threshold in
 CalibratedPredictor, and k, lam, alpha_lo, alpha_hi, epsilon and n_o in
 theirs. A predictor file that cannot be read, is not UTF-8
@@ -67,6 +68,13 @@ class _Section(dict):
         """The object at `key`; anything else there raises ParamError naming its path."""
         return _Section(self[key], f"{self.path}{key}.")
 
+    def tag(self, key) -> str | None:
+        """The tag at `key`, a string or None; anything else raises ParamError naming it."""
+        value = self[key]
+        if value is not None and not isinstance(value, str):
+            raise ParamError(f"artifact {self.path}{key} must be a string or null, got {value!r}")
+        return value
+
 
 def _arr(a) -> list:
     return np.asarray(a, dtype=float).tolist()
@@ -103,7 +111,7 @@ def _knn_to_dict(model, params: dict) -> dict:
 
 def _knn_from_dict(model, doc: dict):
     X, Y = (_array(doc[key], f"k-NN {key}", (None, None)) for key in ("X", "Y"))
-    return model.fit(Dataset(X, Y, tag=doc["tag"]))
+    return model.fit(Dataset(X, Y, tag=doc.tag("tag")))
 
 
 def _regressor_to_dict(reg) -> dict:
@@ -122,7 +130,7 @@ def _regressor_from_dict(doc: dict):
         reg = RidgeRegressor(doc["lam"])
         reg.p, reg.d = _integer(doc["p"], "ridge p", 1), _integer(doc["d"], "ridge d", 1)
         reg.coef = _array(doc["coef"], "ridge coef", (reg.p + 1, reg.d))
-        reg.fit_tag = doc["tag"]
+        reg.fit_tag = doc.tag("tag")
         return reg
     raise ParamError(f"unknown regressor kind {doc['kind']!r}")
 
@@ -179,7 +187,7 @@ def map_from_dict(doc: dict) -> EntropicMap:
     if (scale <= 0).any():
         raise ParamError("standardizer scale must be positive")
     std = Standardizer(_array(sd["mean"], "standardizer mean", (dim,)), scale)
-    return EntropicMap(pot, grid, std, doc["origin"])
+    return EntropicMap(pot, grid, std, doc.tag("origin"))
 
 
 def _whitener_to_dict(w: Whitener) -> dict:
@@ -187,7 +195,7 @@ def _whitener_to_dict(w: Whitener) -> dict:
 
 
 def _whitener_from_dict(doc: dict) -> Whitener:
-    return Whitener(_array(doc["matrix"], "whitener", (None, None)), doc["tag"])
+    return Whitener(_array(doc["matrix"], "whitener", (None, None)), doc.tag("tag"))
 
 
 # ---------------------------------------------------------------------------

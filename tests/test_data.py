@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -457,16 +458,16 @@ def test_knn_measures_only_the_slab_when_it_is_narrow():
     # one uniform feature: each query's slab holds a few dozen of 800 rows
     assert _measured_entries(rng.uniform(size=(800, 1)), rng.uniform(size=(500, 1)),
                              25) < 0.15 * 500 * 800
-    # three uniform features: the slabs hold most rows, so every row is measured
-    # once more, after the k window rows that bounded the slab
+    # three uniform features: the slabs hold most rows, so the block is screened and
+    # only the rows within the screen's bound are measured, after the k window rows
     assert _measured_entries(rng.uniform(size=(800, 3)), rng.uniform(size=(500, 3)),
-                             25) == 500 * (800 + 25)
+                             25) <= 500 * (25 + 2 * 25)
 
 
 def test_knn_search_memory_stays_within_a_few_blocks():
     rng = np.random.default_rng(0)
     block_bytes = data._KNN_BLOCK_ENTRIES * 8
-    # p=3 measures every training row, p=1 only each query's slab
+    # p=3 is screened, p=1 measures only each query's slab
     for p in (3, 1):
         train_X, X = rng.uniform(size=(1200, p)), rng.uniform(size=(4000, p))
         tracemalloc.start()
@@ -476,9 +477,85 @@ def test_knn_search_memory_stays_within_a_few_blocks():
         finally:
             tracemalloc.stop()
         assert idx.shape == (4000, 25)
-        # two distance buffers, the partitioned copy, tie masks and the output come
-        # to about 3.7 blocks; a (q, n, p) difference tensor alone would be 115 MB
-        assert peak < 5 * block_bytes
+        # two distance buffers, the screen's mask and the output come to about 2.7
+        # blocks; a (q, n, p) difference tensor alone would be 115 MB
+        assert peak < 3 * block_bytes
+
+
+def _search_paths(train_X, X, k):
+    """The search's indices, and each block's path: "slab", "screen" or "dense"."""
+    log, measure, screen = [], data._sq_distances, data._screened
+
+    def measured(rows, columns, idx, d2, sq):
+        log.append(("measure", idx is None))
+        return measure(rows, columns, idx, d2, sq)
+
+    def screened(*args):
+        cand = screen(*args)
+        log.append(("screen", cand is not None))
+        return cand
+
+    with (mock.patch.object(data, "_sq_distances", measured),
+          mock.patch.object(data, "_screened", screened)):
+        idx = data._knn_indices(data._knn_index(train_X), X, k)
+    paths = []
+    while log:  # per block: the window, then maybe the screen, then the measured rows
+        assert log.pop(0) == ("measure", False)
+        if log[0][0] == "screen":
+            paths.append("screen" if log.pop(0)[1] else "dense")
+        else:
+            paths.append("slab")
+        assert log.pop(0) == ("measure", paths[-1] == "dense")
+    return idx, paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 150), st.integers(1, 40), st.floats(0.0, 1.0),
+       st.sampled_from(["normal", "decimal", "grid", "duplicated", "offset", "huge"]),
+       st.integers(30, 3000), st.integers(0, 2**31 - 1))
+def test_knn_screen_matches_a_stable_sort(p, n, q, k_share, kind, block, seed):
+    rng = np.random.default_rng(seed)
+    k = 1 + round(k_share * (n - 1))
+    if kind == "grid":  # integer values: many exactly tied distances
+        def draw(rows):
+            return rng.integers(-2, 3, size=(rows, p)).astype(float)
+    elif kind == "decimal":  # ties in exact arithmetic that rounding may split
+        def draw(rows):
+            return rng.integers(-10, 11, size=(rows, p)) / 10
+    elif kind == "huge":  # every squared difference overflows
+        def draw(rows):
+            return rng.choice([-1e160, 1e160], (rows, p)) * 10 ** rng.uniform(0, 140, (rows, p))
+    else:
+        def draw(rows):
+            return rng.standard_normal((rows, p))
+    train_X, X = draw(n), draw(q)
+    if kind == "duplicated":  # each training row repeated a few times
+        train_X = train_X[rng.integers(0, max(1, n // 4), n)]
+    if kind == "offset":  # a tenth of the rows 1e8 away widens every query's bound
+        train_X[:max(1, n // 10)] += 1e8
+    with (np.errstate(over="ignore"), mock.patch.object(data, "_KNN_BLOCK_ENTRIES", block),
+          mock.patch.object(np, "matmul", wraps=np.matmul) as product):
+        idx, paths = _search_paths(train_X, X, k)
+        assert np.array_equal(idx, _knn_reference(train_X, np.arange(n), X, k))
+    if kind == "huge":  # the bound is not finite: every block is dense, with no product
+        assert set(paths) == {"dense"} and not product.called
+    if kind == "offset" and n >= 3:  # the screen keeps most rows, so the block runs dense
+        assert "screen" not in paths
+
+
+def test_knn_screen_without_a_finite_bound_adds_no_warning():
+    rng = np.random.default_rng(2)
+    train_X, X = 1e200 * rng.standard_normal((300, 3)), 1e200 * rng.standard_normal((50, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        index = data._knn_index(train_X)  # the fit warns of nothing
+    with pytest.warns(RuntimeWarning) as searched:
+        data._knn_indices(index, X, 5)
+    # measuring every row directly overflows the same way; the screen adds nothing
+    d2, sq = np.empty((50, 300)), np.empty((50, 300))
+    with pytest.warns(RuntimeWarning) as direct:
+        data._sq_distances(X, index.columns[:, :300], None, d2, sq)
+    assert {str(w.message) for w in searched} == {str(w.message) for w in direct}
 
 
 def test_predictors_reject_nonfinite_queries():

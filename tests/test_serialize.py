@@ -180,6 +180,41 @@ def test_any_version_but_3_is_refused_naming_it(document, version):
         predictor_from_dict(doc)
 
 
+def _tagged_document(name):
+    # a golden file, or a fresh predictor for the tag readers the golden files skip
+    if name.endswith("_v3"):
+        return json.loads((_GOLDEN / f"{name}.json").read_text())
+    train = synth_dataset("gaussian", 60, 2, seed=0, tag="train")
+    parts = ({"quantile_predictor": fit_quantile_predictor(train, 3, 0.1, 0.9)}
+             if name == "mcp_max" else {"regressor": fit_regressor(train, "ridge_linear")})
+    fn = make_score_function("mcp_max" if name == "mcp_max" else "merge_l2", **parts)
+    calib = synth_dataset("gaussian", 20, 2, seed=1, tag="cal")
+    return _json_round_trip(predictor_to_dict(calibrate(fn, calib, alpha=0.2)))
+
+
+@pytest.mark.parametrize("value", [5, True, {}, [1]], ids=["number", "true", "object", "list"])
+@pytest.mark.parametrize("name, path", [
+    ("otcp_v3", ("score", "regressor", "tag")),
+    ("otcp_v3", ("score", "map", "origin")),
+    ("merge_mahalanobis_v3", ("score", "regressor", "tag")),
+    ("merge_mahalanobis_v3", ("score", "whitener", "tag")),
+    ("mcp_max", ("score", "quantile_predictor", "tag")),
+    ("ridge", ("score", "regressor", "tag")),
+], ids=lambda v: v if isinstance(v, str) else ".".join(v))
+def test_a_tag_that_is_not_a_string_or_null_is_refused_naming_it(name, path, value):
+    doc = _tagged_document(name)
+    *parents, leaf = path
+    parent = functools.reduce(dict.get, parents, doc)
+    tags, tag = predictor_from_dict(doc).score_fn.fit_tags, parent[leaf]
+    assert isinstance(tag, str) and tag in tags
+    parent[leaf] = None  # null is an untagged fit: it loads, and its tag leaves fit_tags
+    assert predictor_from_dict(doc).score_fn.fit_tags == tags - {tag}
+    parent[leaf] = value
+    message = f"artifact {'.'.join(path)} must be a string or null, got {value!r}"
+    with pytest.raises(ParamError, match=re.escape(message)):
+        predictor_from_dict(doc)
+
+
 def _edit(doc, path, fn):
     # replace the field at path by fn(field), or delete it when fn gives None;
     # an absent field reads as None, so fn can add a key the writer leaves out
