@@ -69,7 +69,6 @@ from .sinkhorn import (
     DualPotentials,
     OtProblem,
     Standardizer,
-    coupling_marginal_error,
     sinkhorn_solve,
 )
 from .sphere import (

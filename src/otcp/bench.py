@@ -19,9 +19,9 @@ taken over independent random shifts. Reports aggregate mean and standard
 error across seeds and serialize as long-format CSV plus a JSON summary, which
 also holds each method's region-size standard error and each otcp seed's
 Sinkhorn diagnostics; bytes are reproducible for a fixed config once the
-timing columns are set aside. `region_size_mc` is plain Monte Carlo at one
-input, kept as an oracle for the exact volumes. BenchConfig resolves and checks
-a config once, when built, so a value no run can use fails before data loads.
+timing columns are set aside. `region_size_mc`, plain Monte Carlo at one input
+over a given box, is the oracle for the exact volumes. BenchConfig resolves and
+checks a config once, when built, so a value no run can use fails before data loads.
 """
 
 from __future__ import annotations
@@ -307,13 +307,6 @@ def residual_box(pred: CalibratedPredictor, inflate: float = 1.5):
     return mid - inflate * half, mid + inflate * half
 
 
-def default_mc_bounds(pred: CalibratedPredictor, x, inflate: float = 1.5):
-    """Per-dim box: the residual box recentered at x's center."""
-    low, high = residual_box(pred, inflate)
-    center = pred.score_fn.center(x)
-    return center + low, center + high
-
-
 def _checked_box(low, high) -> tuple[np.ndarray, np.ndarray]:
     low = np.asarray(low, dtype=float)
     high = np.asarray(high, dtype=float)
@@ -322,13 +315,12 @@ def _checked_box(low, high) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
-def region_size_mc(pred: CalibratedPredictor, x, bounds=None, n_mc: int = 10000,
+def region_size_mc(pred: CalibratedPredictor, x, bounds, n_mc: int = 10000,
                    seed: int = 0) -> float:
-    """Monte-Carlo volume of the prediction set at x: hit fraction times box volume."""
+    """Monte-Carlo volume of the set at x: hit fraction times the volume of box `bounds`."""
     if n_mc < 1:
         raise ParamError("n_mc must be >= 1")
-    low, high = default_mc_bounds(pred, x) if bounds is None else bounds
-    low, high = _checked_box(low, high)
+    low, high = _checked_box(*bounds)
     volume = float(np.prod(high - low))
     rng = np.random.default_rng(seed)
     samples = rng.uniform(low, high, size=(n_mc, low.size))

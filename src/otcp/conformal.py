@@ -310,8 +310,9 @@ def estimate_covariance(resid, ridge: float = 0.0) -> Whitener:
     gives an untagged whitener.
     """
     Z, fit_tag = _scores_and_origin(resid)
-    if ridge < 0:
-        raise ParamError("ridge must be >= 0")
+    ridge = _real(ridge, "ridge")
+    if not 0.0 <= ridge < math.inf:
+        raise ParamError(f"ridge must be >= 0 and finite, got {ridge}")
     centered = Z - Z.mean(axis=0)
     denom = max(Z.shape[0] - 1, 1)
     cov = centered.T @ centered / denom + ridge * np.eye(Z.shape[1])
@@ -325,6 +326,8 @@ def estimate_covariance(resid, ridge: float = 0.0) -> Whitener:
 def default_mahalanobis_ridge(resid) -> float:
     """Ridge of 1e-6 * trace(cov)/d, guarding near-singular residual covariances."""
     Z = _scores_and_origin(resid)[0]
+    if Z.shape[0] < 2:
+        raise ParamError(f"a Mahalanobis ridge needs at least 2 residual rows, got {Z.shape[0]}")
     var = Z.var(axis=0, ddof=1).sum()
     return 1e-6 * float(var) / Z.shape[1]
 
@@ -467,7 +470,7 @@ def region_contour_2d(pred: CalibratedPredictor, x, n_angles: int = 128,
         raise MethodError("region contours are defined for d = 2 only")
     if n_angles < 8:
         raise ParamError("need at least 8 contour vertices")
-    r = pred.threshold if threshold is None else threshold
+    r = pred.threshold if threshold is None else _real(threshold, "threshold")
     if not math.isfinite(r):
         raise MethodError("threshold is infinite (region is the whole plane)")
     x = np.asarray(x, dtype=float)

@@ -28,7 +28,6 @@ from .sinkhorn import (
     Standardizer,
     _factors,
     _gibbs,
-    _logits,
     sinkhorn_solve,
 )
 from .sphere import SphericalGrid, build_spherical_grid
@@ -111,37 +110,23 @@ class EntropicMap:
             self._gibbs_average(u, src, self.potentials.f, src))
         return img[0] if single else img
 
-    def forward_potential(self, z_std) -> float:
-        """Potential whose gradient displacement is the map: forward = z - grad.
-
-        Evaluated at standardized queries. Uses the half-squared-cost scaling
-        (half the raw soft-min of ||z-u_j||^2 - g_j), which leaves the Gibbs
-        weights untouched but makes the gradient identity hold with no factor
-        of two.
-        """
-        z_std = np.asarray(z_std, dtype=float)
-        if z_std.shape != (self.dim,):
-            raise DimensionError(f"expected a {self.dim}-vector")
-        logits = _logits(z_std[None, :], self.grid.points, self.epsilon, 0.0,
-                         self.potentials.g / self.epsilon, np.empty((1, self.grid.m)))
-        return -0.5 * self.epsilon * float(_gibbs(logits, axis=1)[0][0])
-
 
 def fit_entropic_map(scores, grid: SphericalGrid | None = None, *, m: int = 4096,
                      epsilon: float = 0.1, mode: str = "low_discrepancy",
-                     seed: int = 0, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                     standardize: bool = True) -> EntropicMap:
+                     seed: int = 0, tol: float = DEFAULT_TOL,
+                     max_iter: int = DEFAULT_MAX_ITER) -> EntropicMap:
     """Standardize residuals, solve the regularized OT onto the grid, wrap the maps.
 
-    `scores` is a ScoreMatrix or plain (n, d) array. When `grid` is omitted one
-    is built with m points in the matching dimension.
+    `scores` is a ScoreMatrix or plain (n, d) array, standardized per dimension
+    by its own mean and deviation (queries reuse the transform). When `grid` is
+    omitted one is built with m points in the matching dimension.
     """
     z, fit_tag = _scores_and_origin(scores)
     if grid is None:
         grid = build_spherical_grid(m, z.shape[1], mode=mode, seed=seed)
     if grid.dim != z.shape[1]:
         raise DimensionError(f"grid dim {grid.dim} != score dim {z.shape[1]}")
-    std = Standardizer.fit(z) if standardize else Standardizer.identity(z.shape[1])
+    std = Standardizer.fit(z)
     zs = std.transform(z)
     pot = sinkhorn_solve(OtProblem(zs, grid.points, epsilon), tol=tol,
                          max_iter=max_iter)

@@ -66,10 +66,6 @@ class Standardizer:
         scale = np.where(scale < 1e-12, 1.0, scale)
         return cls(mean, scale)
 
-    @classmethod
-    def identity(cls, dim: int) -> "Standardizer":
-        return cls(np.zeros(dim), np.ones(dim))
-
     def transform(self, z: np.ndarray) -> np.ndarray:
         return (np.asarray(z, dtype=float) - self.mean) / self.scale
 
@@ -298,19 +294,3 @@ def sinkhorn_solve(prob: OtProblem, tol: float = DEFAULT_TOL,
             f"{err:.3e} > tol={tol:.1e}", SinkhornNotConverged, stacklevel=2)
     return pot
 
-
-def coupling_log_matrix(pot: DualPotentials) -> np.ndarray:
-    """log P_ij of the implied coupling P = (1/(nm)) exp((f+g-c)/eps)."""
-    prob, eps = pot.problem, pot.epsilon
-    return _logits(prob.source, prob.target, eps,
-                   pot.f / eps - np.log(prob.n * prob.m), pot.g / eps,
-                   np.empty((prob.n, prob.m)))
-
-
-def coupling_marginal_error(pot: DualPotentials) -> float:
-    """Worst absolute deviation of coupling row sums from 1/n and column sums from 1/m."""
-    # one n x m logits array alive at a time: each reduction builds its own
-    n, m = pot.problem.n, pot.problem.m
-    rows = np.exp(_gibbs(coupling_log_matrix(pot), axis=1)[0]) * m
-    cols = np.exp(_gibbs(coupling_log_matrix(pot), axis=0)[0]) * n
-    return float(max(np.abs(rows - 1.0 / n).max(), np.abs(cols - 1.0 / m).max()))

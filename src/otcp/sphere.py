@@ -46,12 +46,11 @@ def halton_sequence(count: int, dim: int, skip: int = 64) -> np.ndarray:
     Indexing is 1-based (index 1 in base 2 is 0.5), so any skip >= 0 keeps all
     coordinates strictly inside the open unit cube.
     """
-    if count < 1:
-        raise ParamError("count must be >= 1")
+    count = _integer(count, "count", 1)
+    dim = _integer(dim, "dim")
     if dim < 1 or dim > len(_PRIMES):
         raise ParamError(f"dim must be in [1, {len(_PRIMES)}]")
-    if skip < 0:
-        raise ParamError("skip must be >= 0")
+    skip = _integer(skip, "skip", 0)
     idx = np.arange(skip + 1, skip + count + 1, dtype=np.int64)
     return np.column_stack([_radical_inverse(idx, b) for b in _PRIMES[:dim]])
 
@@ -76,6 +75,7 @@ def sphere_directions(n_s: int, dim: int, mode: str = "low_discrepancy",
 
     dim=1 always alternates +1/-1 so both half-lines are covered.
     """
+    n_s, dim = _integer(n_s, "n_s"), _integer(dim, "dim")
     if n_s < 1 or dim < 1:
         raise ParamError("need n_s >= 1 and dim >= 1")
     if mode not in DIRECTION_MODES:
@@ -156,6 +156,7 @@ def build_spherical_grid(m: int, dim: int, factorization=None,
     remaining n_o = m - n_R*n_S >= 1 points at the origin. An explicit
     (n_R, n_S, n_o) triple must satisfy n_R*n_S + n_o = m.
     """
+    m, dim = _integer(m, "m"), _integer(dim, "dim")
     if m < 2:
         raise ParamError("need m >= 2 grid points")
     if dim < 1:
@@ -165,7 +166,7 @@ def build_spherical_grid(m: int, dim: int, factorization=None,
         n_s = (m - 1) // n_r
         n_o = m - n_r * n_s
     else:
-        n_r, n_s, n_o = (int(v) for v in factorization)
+        n_r, n_s, n_o = (_integer(v, "factorization entry") for v in factorization)
         if n_r < 1 or n_s < 1 or n_o < 0 or n_r * n_s + n_o != m:
             raise ParamError(f"factorization {factorization} inconsistent with m={m}")
     return SphericalGrid(np.arange(1, n_r + 1, dtype=float) / n_r,

@@ -123,12 +123,6 @@ def test_region_size_degenerate_box():
         region_size_mc(pred, [0.5], bounds=(np.zeros(2), np.zeros(2)), n_mc=10)
 
 
-def test_default_bounds_from_calibration_residuals():
-    pred = _zero_center_predictor(1.0)
-    est = region_size_mc(pred, [0.5], n_mc=50000, seed=1)  # box = +/-3 per dim
-    assert abs(est - math.pi) / math.pi < 0.05
-
-
 def test_evaluate_honours_bounds_inflation(monkeypatch, banana_parts):
     # the config's inflation sets otcp's residual-space sampling box: residual
     # box (-1, 3) x (0, 2), middle (1, 1), half-widths (2, 1), times 3
@@ -196,7 +190,8 @@ def test_otcp_volume_matches_pooled_monte_carlo(banana_parts):
     volumes, se = region_volumes(pred, X,
                                  lambda inside: bench.qmc_volume(inside, low, high, 4000, 5))
     assert se > 0.0 and (volumes == volumes[0]).all()
-    box = bench.default_mc_bounds(pred, X[0], 1.5)  # the same box, moved to X[0]
+    center = pred.score_fn.center(X[0])
+    box = (center + low, center + high)  # the same box, moved to X[0]
     n, seeds = 50000, range(4)
     pooled = float(np.mean([region_size_mc(pred, X[0], box, n_mc=n, seed=s) for s in seeds]))
     box_volume = float(np.prod(box[1] - box[0]))
@@ -344,6 +339,16 @@ def test_method_failure_isolated():
     assert by_method["abs_univariate"].status.startswith("failed: DimensionError: ")
     assert by_method["merge_l2"].status == "ok"
     assert report.any_failed
+
+
+def test_mahalanobis_on_one_fit_row_fails_naming_its_cause():
+    # n=60 at these fractions leaves one ot_fit row, too few for the sample
+    # covariance behind the ridge; the row names that, not a NaN downstream
+    cfg = _small_cfg(dataset={"kind": "synthetic", "generator": "gaussian", "n": 60, "d": 2},
+                     methods=("merge_mahalanobis",), fractions=(0.5, 0.02, 0.24, 0.24))
+    (row,) = run_benchmark(cfg).rows
+    assert row.status == ("failed: ParamError: a Mahalanobis ridge needs at least 2 "
+                          "residual rows, got 1")
 
 
 def test_programming_error_propagates(monkeypatch):
@@ -797,7 +802,8 @@ def test_an_uncreatable_output_dir_is_refused_before_any_seed(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda pred: region_size_mc(pred, [0.5], n_mc=0), ParamError, "n_mc must be >= 1"),
+    (lambda pred: region_size_mc(pred, [0.5], (np.full(2, -1.5), np.full(2, 1.5)), n_mc=0),
+     ParamError, "n_mc must be >= 1"),
 ], ids=["mc-samples-zero"])
 def test_refused_sizing_arguments(call, error, message):
     with pytest.raises(error) as info:

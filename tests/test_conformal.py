@@ -20,6 +20,7 @@ from otcp import (
     build_spherical_grid,
     calibrate,
     conformal_threshold,
+    default_mahalanobis_ridge,
     estimate_covariance,
     fit_entropic_map,
     fit_quantile_predictor,
@@ -562,6 +563,12 @@ def test_non_finite_responses_are_refused(gaussian_pipeline, kind):
      MethodError, "otcp regions have no closed-form volume"),
     (lambda gp: estimate_covariance(gp["fit_resid"], ridge=-1.0), ParamError,
      "ridge must be >= 0"),
+    (lambda gp: estimate_covariance(gp["fit_resid"], ridge=math.nan), ParamError,
+     "ridge must be a real number, got nan"),
+    (lambda gp: estimate_covariance(gp["fit_resid"], ridge=math.inf), ParamError,
+     "ridge must be >= 0 and finite, got inf"),
+    (lambda gp: default_mahalanobis_ridge(gp["fit_resid"].scores[:1]), ParamError,
+     "a Mahalanobis ridge needs at least 2 residual rows, got 1"),
     (lambda gp: conformal_threshold([], 0.1), ParamError, "need at least one calibration score"),
     (lambda gp: conformal_threshold([1.0], 1.5), ParamError, "alpha must lie in (0, 1)"),
     (lambda gp: pit_values([], 0.5), ParamError, "need at least one calibration score"),
@@ -572,9 +579,12 @@ def test_non_finite_responses_are_refused(gaussian_pipeline, kind):
      DimensionError, "calibration targets do not match the score function"),
     (lambda gp: region_contour_2d(_calibrated(gp, "merge_l2"), [0.5], n_angles=4),
      ParamError, "need at least 8 contour vertices"),
+    (lambda gp: region_contour_2d(_calibrated(gp, "merge_l2"), [0.5], threshold=math.nan),
+     ParamError, "threshold must be a real number, got nan"),
 ], ids=["regressor-unfitted", "quantile-unfitted", "interval-empty", "map-width",
-        "otcp-volume-unsampled", "ridge-negative", "threshold-no-scores", "threshold-alpha",
-        "pit-no-scores", "threshold-minus-inf", "calib-width", "contour-vertices"])
+        "otcp-volume-unsampled", "ridge-negative", "ridge-nan", "ridge-infinite",
+        "ridge-one-row", "threshold-no-scores", "threshold-alpha", "pit-no-scores",
+        "threshold-minus-inf", "calib-width", "contour-vertices", "contour-threshold-nan"])
 def test_refused_score_and_calibration_inputs(gaussian_pipeline, call, error, message):
     with pytest.raises(error) as info:
         call(gaussian_pipeline)

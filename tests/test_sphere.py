@@ -275,8 +275,21 @@ def test_import_loads_no_scipy():
      "unknown direction mode 'grid'"),
     (lambda: build_spherical_grid(1, 2), ParamError, "need m >= 2 grid points"),
     (lambda: build_spherical_grid(16, 0), ParamError, "need dim >= 1"),
+    (lambda: build_spherical_grid(200, 1, factorization=(100.7, 2, 0)), ParamError,
+     "factorization entry must be an integer, got 100.7"),
+    (lambda: build_spherical_grid(200, 1, factorization=(True, 199, 1)), ParamError,
+     "factorization entry must be an integer, got True"),
+    (lambda: build_spherical_grid(16.0, 2), ParamError, "m must be an integer, got 16.0"),
+    (lambda: build_spherical_grid(16, 2.0), ParamError, "dim must be an integer, got 2.0"),
+    (lambda: halton_sequence(2.5, 1), ParamError, "count must be an integer, got 2.5"),
+    (lambda: halton_sequence(4, 1.5), ParamError, "dim must be an integer, got 1.5"),
+    (lambda: halton_sequence(4, 2, skip=0.5), ParamError, "skip must be an integer, got 0.5"),
+    (lambda: sphere_directions(3.5, 2), ParamError, "n_s must be an integer, got 3.5"),
+    (lambda: sphere_directions(4, 2.0), ParamError, "dim must be an integer, got 2.0"),
 ], ids=["halton-count", "halton-skip", "directions-count", "directions-mode", "grid-m",
-        "grid-dim"])
+        "grid-dim", "grid-factor-float", "grid-factor-bool", "grid-m-float", "grid-dim-float",
+        "halton-count-float", "halton-dim-float", "halton-skip-float", "directions-count-float",
+        "directions-dim-float"])
 def test_refused_grid_arguments(call, error, message):
     with pytest.raises(error) as info:
         call()
