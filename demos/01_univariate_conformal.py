@@ -23,7 +23,7 @@ print(f"threshold (k-th order statistic, k = ceil((1-alpha)(n+1))): "
       f"{pred.threshold:.4f}")
 
 x = test.features[0]
-yhat = reg.predict(x)[0]
+yhat = reg.predict_rows(x[None])[0, 0]
 print(f"interval at x = {x[0]:.3f}: "
       f"[{yhat - pred.threshold:.4f}, {yhat + pred.threshold:.4f}]")
 
@@ -33,4 +33,4 @@ print(f"empirical coverage on {test.n} test points: {coverage:.4f} "
 
 # PIT view: empirical CDF values of fresh scores are near-uniform on the grid
 scores = score.score_rows(test.features[:20], test.targets[:20])
-print("PIT of 20 fresh scores:", np.round(pred.pit(scores), 3))
+print("PIT of 20 fresh scores:", np.round(otcp.pit_values(pred.cal_scores, scores), 3))

@@ -21,7 +21,7 @@ train, ot_fit, calib, test = otcp.split_dataset(
 reg = otcp.fit_regressor(train, "knn_mean", k=25)
 fit_resid = otcp.residuals(ot_fit, reg)
 
-emap = otcp.fit_entropic_map(fit_resid, m=2048, epsilon=0.1)
+emap = otcp.fit_entropic_map(fit_resid, otcp.build_spherical_grid(2048, 2), epsilon=0.1)
 score_fns = {
     "merge_l2": otcp.make_score_function("merge_l2", regressor=reg),
     "merge_mahalanobis": otcp.make_score_function(

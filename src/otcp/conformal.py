@@ -60,9 +60,6 @@ class ScoreFunction:
                 f"{x.shape[0]} input rows for {y.shape[0]} responses; need 1 or one each")
         return x, y
 
-    def score(self, x, y) -> float:
-        return float(self.score_rows(x, y)[0])
-
     def score_rows(self, X, Y) -> np.ndarray:
         """Scores of paired rows (X_i, Y_i), or of every Y row at a single X row."""
         return self.score_center_rows(X, Y)[0]
@@ -107,6 +104,8 @@ def _per_row(X, value: float) -> np.ndarray:
 
 
 class _RegressionScore(ScoreFunction):
+    """A score of the residual y - yhat(x); subclasses define _score_residuals(resid)."""
+
     components = ("regressor",)
 
     def __init__(self, regressor: Regressor):
@@ -123,9 +122,6 @@ class _RegressionScore(ScoreFunction):
 
     def _centers(self, pred):
         return pred
-
-    def _score_residuals(self, resid) -> np.ndarray:
-        raise NotImplementedError
 
 
 class AbsoluteResidualScore(_RegressionScore):
@@ -240,7 +236,7 @@ class TransportRankScore(_RegressionScore):
         self.transport_map = transport_map
 
     def _score_residuals(self, resid):
-        return np.atleast_1d(self.transport_map.rank(resid))
+        return self.transport_map.rank(resid)
 
     def contour_2d(self, x, r, circle):
         # pull the radius-r sphere shell back through the inverse map
@@ -313,9 +309,10 @@ def estimate_covariance(resid, ridge: float = 0.0) -> Whitener:
     ridge = _real(ridge, "ridge")
     if not 0.0 <= ridge < math.inf:
         raise ParamError(f"ridge must be >= 0 and finite, got {ridge}")
+    if Z.shape[0] < 2:
+        raise ParamError(f"a covariance needs at least 2 residual rows, got {Z.shape[0]}")
     centered = Z - Z.mean(axis=0)
-    denom = max(Z.shape[0] - 1, 1)
-    cov = centered.T @ centered / denom + ridge * np.eye(Z.shape[1])
+    cov = centered.T @ centered / (Z.shape[0] - 1) + ridge * np.eye(Z.shape[1])
     vals, vecs = np.linalg.eigh(cov)
     if vals.min() <= 1e-12:
         raise ParamError(
@@ -355,15 +352,13 @@ def conformal_threshold(cal_scores, alpha: float) -> float:
     return float(np.sort(scores)[k - 1])
 
 
-def pit_values(cal_scores, test_score):
-    """Empirical CDF of the calibration scores at the test score(s), on {0,1/n,...,1}."""
+def pit_values(cal_scores, test_scores):
+    """Empirical CDF of the calibration scores at each test score, on {0,1/n,...,1}."""
     sorted_scores = np.sort(np.asarray(cal_scores, dtype=float).ravel())
     n = sorted_scores.size
     if n < 1:
         raise ParamError("need at least one calibration score")
-    t = np.asarray(test_score, dtype=float)
-    ranks = np.searchsorted(sorted_scores, np.atleast_1d(t), side="right") / n
-    return float(ranks[0]) if t.ndim == 0 else ranks
+    return np.searchsorted(sorted_scores, test_scores, side="right") / n
 
 
 @dataclass(eq=False)
@@ -398,13 +393,6 @@ class CalibratedPredictor:
     @property
     def d(self) -> int:
         return self.score_fn.d
-
-    def pit(self, score):
-        return pit_values(self.cal_scores, score)
-
-    def contains(self, x, y) -> bool:
-        return bool(self.contains_rows(np.atleast_2d(np.asarray(x, dtype=float)),
-                                       np.atleast_2d(np.asarray(y, dtype=float)))[0])
 
     def contains_rows(self, X, Y) -> np.ndarray:
         return self.score_fn.score_rows(X, Y) <= self.threshold

@@ -18,7 +18,7 @@ from typing import NamedTuple, NoReturn
 import numpy as np
 
 from .errors import (DimensionError, NotFittedError, ParamError, ParseError, _file_errors,
-                     _integer, _object, _real)
+                     _integer, _object, _real, _rows)
 
 SPLIT_NAMES = ("train", "ot_fit", "calib", "test")
 
@@ -108,10 +108,10 @@ class ScoreMatrix:
 
 
 def _scores_and_origin(scores) -> tuple[np.ndarray, str]:
-    """(rows, origin) of a ScoreMatrix, or of a plain array as untagged rows."""
+    """(rows, origin) of a ScoreMatrix, or of a plain 2-D array as untagged rows."""
     if isinstance(scores, ScoreMatrix):
         return scores.scores, scores.origin
-    return np.atleast_2d(np.asarray(scores, dtype=float)), ""
+    return _rows(scores, "residuals"), ""
 
 
 # ---------------------------------------------------------------------------
@@ -352,23 +352,17 @@ def synth_dataset(kind: str, n: int, d: int = 2, params: dict | None = None,
 # ---------------------------------------------------------------------------
 
 class Regressor:
-    """Base point predictor; subclasses fill predict_rows."""
+    """Base point predictor; subclasses define predict_rows(X), one prediction per row of X."""
 
     kind = "base"
     p = d = fit_tag = None  # feature and target widths and data tag, set by fit
-
-    def predict(self, x) -> np.ndarray:
-        return self.predict_rows(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
-    def predict_rows(self, X) -> np.ndarray:
-        raise NotImplementedError
 
 
 def _fitted_rows(model, X) -> np.ndarray:
     """X as float rows, once `model` is fitted on as many features as X has."""
     if model.p is None:
         raise NotFittedError(f"{model.kind} model is not fitted")
-    X = np.asarray(X, dtype=float)
+    X = _rows(X, "query features")
     if X.shape[1] != model.p:
         raise DimensionError(f"expected {model.p} features, got {X.shape[1]}")
     if not np.isfinite(X).all():

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _scores_and_origin
-from .errors import DimensionError, ParamError
+from .errors import DimensionError, ParamError, _rows
 from .sinkhorn import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -30,7 +30,7 @@ from .sinkhorn import (
     _gibbs,
     sinkhorn_solve,
 )
-from .sphere import SphericalGrid, build_spherical_grid
+from .sphere import SphericalGrid
 
 _CHUNK_ENTRIES = 1 << 17  # rows*points per logits block: 1 MB, inside a core's L2
 
@@ -62,15 +62,14 @@ class EntropicMap:
         """Fitted residuals in standardized coordinates (the solve's source)."""
         return self.potentials.problem.source
 
-    def _queries(self, z) -> tuple[np.ndarray, bool]:
-        z = np.asarray(z, dtype=float)
-        single = z.ndim == 1
-        z = np.atleast_2d(z)
+    def _queries(self, z) -> np.ndarray:
+        """Finite query rows of the map's dimension, as a float (q, dim) array."""
+        z = _rows(z, "queries")
         if z.shape[1] != self.dim:
             raise DimensionError(f"expected dim {self.dim}, got {z.shape[1]}")
         if not np.isfinite(z).all():
             raise ParamError("query contains non-finite values")
-        return z, single
+        return z
 
     def _gibbs_average(self, queries, points, potential, values) -> np.ndarray:
         """Per query row, softmax_j((potential_j - ||q - points_j||^2)/eps) @ values."""
@@ -93,41 +92,32 @@ class EntropicMap:
                                    self.potentials.g, self.grid.points)
 
     def forward(self, z) -> np.ndarray:
-        """Map residual(s) into the unit ball as a convex combination of grid points."""
-        z, single = self._queries(z)
-        img = self.forward_std(self.standardizer.transform(z))
-        return img[0] if single else img
+        """Map residual rows into the unit ball as convex combinations of grid points."""
+        return self.forward_std(self.standardizer.transform(self._queries(z)))
 
-    def rank(self, z):
-        """Transport rank ||forward(z)|| in [0, 1]."""
-        return np.linalg.norm(self.forward(z), axis=-1)
+    def rank(self, z) -> np.ndarray:
+        """Transport rank ||forward(z)|| in [0, 1] of each residual row."""
+        return np.linalg.norm(self.forward(z), axis=1)
 
     def inverse(self, u) -> np.ndarray:
-        """Pull ball point(s) back to a convex combination of fitted residuals."""
-        u, single = self._queries(u)
+        """Pull ball rows back to convex combinations of fitted residuals."""
         src = self.source_std
-        img = self.standardizer.inverse_transform(
-            self._gibbs_average(u, src, self.potentials.f, src))
-        return img[0] if single else img
+        return self.standardizer.inverse_transform(
+            self._gibbs_average(self._queries(u), src, self.potentials.f, src))
 
 
-def fit_entropic_map(scores, grid: SphericalGrid | None = None, *, m: int = 4096,
-                     epsilon: float = 0.1, mode: str = "low_discrepancy",
-                     seed: int = 0, tol: float = DEFAULT_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER) -> EntropicMap:
-    """Standardize residuals, solve the regularized OT onto the grid, wrap the maps.
+def fit_entropic_map(scores, grid: SphericalGrid, *, epsilon: float = 0.1,
+                     tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> EntropicMap:
+    """Standardize residuals, solve the regularized OT onto `grid`, wrap the maps.
 
     `scores` is a ScoreMatrix or plain (n, d) array, standardized per dimension
-    by its own mean and deviation (queries reuse the transform). When `grid` is
-    omitted one is built with m points in the matching dimension.
+    by its own mean and deviation (queries reuse the transform). `grid` is a
+    built target measure of the same dimension (see `build_spherical_grid`).
     """
     z, fit_tag = _scores_and_origin(scores)
-    if grid is None:
-        grid = build_spherical_grid(m, z.shape[1], mode=mode, seed=seed)
     if grid.dim != z.shape[1]:
         raise DimensionError(f"grid dim {grid.dim} != score dim {z.shape[1]}")
     std = Standardizer.fit(z)
-    zs = std.transform(z)
-    pot = sinkhorn_solve(OtProblem(zs, grid.points, epsilon), tol=tol,
+    pot = sinkhorn_solve(OtProblem(std.transform(z), grid.points, epsilon), tol=tol,
                          max_iter=max_iter)
     return EntropicMap(pot, grid, std, fit_tag)

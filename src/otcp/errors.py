@@ -12,6 +12,8 @@ import math
 import numbers
 from pathlib import Path
 
+import numpy as np
+
 
 class ParamError(ValueError):
     """An argument violates a documented precondition."""
@@ -76,6 +78,14 @@ def _write_text(path, text: str, what: str) -> None:
 
 class DimensionError(ParamError):
     """Array shapes are incompatible with the operation."""
+
+
+def _rows(value, name: str) -> np.ndarray:
+    """`value` as a float array of rows; anything but a 2-D array raises DimensionError."""
+    rows = np.asarray(value, dtype=float)
+    if rows.ndim != 2:
+        raise DimensionError(f"{name} must be rows of a 2-D array, got {rows.ndim}-D")
+    return rows
 
 
 class ParseError(ParamError):

@@ -166,6 +166,8 @@ def build_spherical_grid(m: int, dim: int, factorization=None,
         n_s = (m - 1) // n_r
         n_o = m - n_r * n_s
     else:
+        if np.ndim(factorization) != 1 or len(factorization) != 3:
+            raise ParamError(f"factorization must be (n_R, n_S, n_o), got {factorization}")
         n_r, n_s, n_o = (_integer(v, "factorization entry") for v in factorization)
         if n_r < 1 or n_s < 1 or n_o < 0 or n_r * n_s + n_o != m:
             raise ParamError(f"factorization {factorization} inconsistent with m={m}")
@@ -181,6 +183,8 @@ def grid_radius_index(n_total: int, n_r: int, n_s: int, n_o: int, alpha: float):
     a ratio of integers), that is ceil((n_total*(q - p) - n_o*q) / (q*n_S)),
     computed in integers so the ceiling never flips on float knife edges.
     """
+    n_total, n_r, n_s, n_o = (_integer(n_total, "n_total"), _integer(n_r, "n_r"),
+                              _integer(n_s, "n_s"), _integer(n_o, "n_o"))
     if n_r < 1 or n_s < 1 or n_o < 0 or n_r * n_s + n_o != n_total:
         raise ParamError(f"counts ({n_r}, {n_s}, {n_o}) inconsistent with n_total={n_total}")
     if not (0.0 < alpha < 1.0):

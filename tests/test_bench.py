@@ -17,6 +17,7 @@ from otcp import (
     MethodError,
     ParamError,
     SplitSpec,
+    build_spherical_grid,
     calibrate,
     export_contours,
     fit_entropic_map,
@@ -53,7 +54,8 @@ def banana_parts():
     ds = synth_dataset("banana", 800, 2, params={"noise": 0.3}, seed=3)
     train, ot_fit, calib, test = split_dataset(ds, SplitSpec(seed=3))
     reg = fit_regressor(train, "knn_mean", k=20)
-    emap = fit_entropic_map(residuals(ot_fit, reg), m=256, epsilon=0.1)
+    emap = fit_entropic_map(residuals(ot_fit, reg), build_spherical_grid(256, 2),
+                            epsilon=0.1)
     otcp_pred = calibrate(make_score_function("otcp", regressor=reg, transport_map=emap),
                           calib, alpha=0.1)
     qp = fit_quantile_predictor(train, 20, 0.05, 0.95)

@@ -14,6 +14,7 @@ from otcp import (
     KnnQuantilePredictor,
     MethodError,
     NotFittedError,
+    OtProblem,
     ParamError,
     ProvenanceError,
     SplitSpec,
@@ -65,7 +66,7 @@ def test_mcp_max_hand_example():
     train = Dataset(np.array([[0.0], [1.0]]), np.array([[0.0, 0.0], [1.0, 2.0]]))
     qp = fit_quantile_predictor(train, k=2, alpha_lo=0.0, alpha_hi=1.0)
     fn = make_score_function("mcp_max", quantile_predictor=qp)
-    assert fn.score([0.5], [2.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+    assert fn.score_rows([[0.5]], [[2.0, 1.0]])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_otcp_score_is_transport_rank(gaussian_pipeline):
@@ -73,9 +74,10 @@ def test_otcp_score_is_transport_rank(gaussian_pipeline):
     fn = make_score_function("otcp", regressor=gp["reg"], transport_map=gp["emap"])
     x = gp["test"].features[3]
     y = gp["test"].targets[3]
-    resid = y - gp["reg"].predict(x)
-    assert fn.score(x, y) == pytest.approx(gp["emap"].rank(resid), abs=1e-12)
-    assert 0.0 <= fn.score(x, y) <= 1.0
+    resid = y - gp["reg"].predict_rows(x[None])[0]
+    assert fn.score_rows(x[None], y[None])[0] == pytest.approx(
+        gp["emap"].rank(resid[None])[0], abs=1e-12)
+    assert 0.0 <= fn.score_rows(x[None], y[None])[0] <= 1.0
 
 
 def test_abs_univariate_score():
@@ -83,7 +85,7 @@ def test_abs_univariate_score():
     reg = fit_regressor(ds, "knn_mean", k=50)
     fn = make_score_function("abs_univariate", regressor=reg)
     c = ds.targets.mean(axis=0)[0]
-    assert fn.score([0.5], [c + 1.25]) == pytest.approx(1.25, abs=1e-12)
+    assert fn.score_rows([[0.5]], [[c + 1.25]])[0] == pytest.approx(1.25, abs=1e-12)
 
 
 def test_abs_univariate_rejects_multivariate(gaussian_pipeline):
@@ -182,8 +184,8 @@ def test_predictor_pit_is_the_calibration_rank(gaussian_pipeline):
     n = pred.n_cal
     assert np.unique(pred.cal_scores).size == n  # continuous scores: every rank is distinct
     k = math.ceil((1 - Fraction(pred.alpha)) * (n + 1))
-    assert pred.pit(pred.threshold) == k / n
-    assert np.array_equal(pred.pit(pred.cal_scores), np.arange(1, n + 1) / n)
+    assert pit_values(pred.cal_scores, pred.threshold) == k / n
+    assert np.array_equal(pit_values(pred.cal_scores, pred.cal_scores), np.arange(1, n + 1) / n)
 
 
 def test_pit_discrete_uniform_distribution():
@@ -212,8 +214,8 @@ def test_calibrate_perfect_regressor_degenerate_region():
     pred = calibrate(fn, Dataset(X, Y, tag="cal"), alpha=0.1)
     assert pred.threshold <= 1e-9
     x = [0.3]
-    assert pred.contains(x, reg.predict(x))
-    assert not pred.contains(x, reg.predict(x) + np.array([0.01, 0.0]))
+    assert pred.contains_rows([x], reg.predict_rows([x]))[0]
+    assert not pred.contains_rows([x], reg.predict_rows([x]) + np.array([0.01, 0.0]))[0]
 
 
 def test_calibrate_otcp_threshold_in_unit_interval(gaussian_pipeline):
@@ -285,7 +287,7 @@ def test_contains_candidates_checks_response_width(gaussian_pipeline, kind):
     pred = calibrate(make_score_function(kind, **parts), gp["calib"], alpha=0.1)
     x = gp["test"].features[0]
     Y = np.random.default_rng(0).standard_normal((7, 2))
-    expected = [pred.contains(x, y) for y in Y]
+    expected = [pred.contains_rows(x[None], y[None])[0] for y in Y]
     assert pred.contains_candidates(x, Y).tolist() == expected
     for width in (1, 3):
         with pytest.raises(DimensionError):
@@ -310,7 +312,7 @@ def test_contains_infinite_threshold(gaussian_pipeline):
     tiny_cal = gp["calib"].take(np.arange(3))
     pred = calibrate(fn, tiny_cal, alpha=0.1)  # k=4 > 3 -> +inf
     assert pred.threshold == math.inf
-    assert pred.contains([0.5], [1e9, -1e9])
+    assert pred.contains_rows([[0.5]], [[1e9, -1e9]])[0]
 
 
 def test_contains_l2_is_euclidean_ball(gaussian_pipeline):
@@ -318,11 +320,11 @@ def test_contains_l2_is_euclidean_ball(gaussian_pipeline):
     fn = make_score_function("merge_l2", regressor=gp["reg"])
     pred = calibrate(fn, gp["calib"], alpha=0.2)
     x = gp["test"].features[0]
-    center = gp["reg"].predict(x)
+    center = gp["reg"].predict_rows(x[None])[0]
     r = pred.threshold
     for direction in np.array([[1.0, 0.0], [0.6, -0.8]]):
-        assert pred.contains(x, center + 0.999 * r * direction)
-        assert not pred.contains(x, center + 1.001 * r * direction)
+        assert pred.contains_rows(x[None], [center + 0.999 * r * direction])[0]
+        assert not pred.contains_rows(x[None], [center + 1.001 * r * direction])[0]
 
 
 def test_univariate_interval_endpoints_inclusive():
@@ -336,10 +338,10 @@ def test_univariate_interval_endpoints_inclusive():
     pred = calibrate(fn, cal, alpha=0.2)
     r = pred.threshold
     x = [0.5]
-    yhat = reg.predict(x)[0]
-    assert pred.contains(x, [yhat + r])
-    assert pred.contains(x, [yhat - r])
-    assert not pred.contains(x, [yhat + r + 1e-9])
+    yhat = reg.predict_rows([x])[0, 0]
+    assert pred.contains_rows([x], [[yhat + r]])[0]
+    assert pred.contains_rows([x], [[yhat - r]])[0]
+    assert not pred.contains_rows([x], [[yhat + r + 1e-9]])[0]
 
 
 def test_nested_regions_in_alpha(gaussian_pipeline):
@@ -397,7 +399,7 @@ def _simulate_coverage(kind, trials=200, n_cal=99, alpha=0.1, seed=0):
             fresh = Dataset(fresh.features, fresh.targets[:, :1], tag="fresh")
         cal = fresh.take(np.arange(n_cal), tag="cal")
         pred = calibrate(fn, cal, alpha)
-        hits += int(pred.contains(fresh.features[n_cal], fresh.targets[n_cal]))
+        hits += int(pred.contains_rows(fresh.features[n_cal:], fresh.targets[n_cal:])[0])
     return hits / trials
 
 
@@ -440,7 +442,7 @@ def test_region_circle_exact(gaussian_pipeline):
     pred = calibrate(fn, gp["calib"], alpha=0.1)
     x = gp["test"].features[0]
     region = region_contour_2d(pred, x, n_angles=64)
-    center = gp["reg"].predict(x)
+    center = gp["reg"].predict_rows(x[None])[0]
     radii = np.linalg.norm(region.vertices - center, axis=1)
     assert np.abs(radii - pred.threshold).max() <= 1e-9
     assert region.vertices.shape == (65, 2)
@@ -454,7 +456,7 @@ def test_region_ellipse_on_threshold_surface(gaussian_pipeline):
     pred = calibrate(fn, gp["calib"], alpha=0.1)
     x = gp["test"].features[1]
     region = region_contour_2d(pred, x, n_angles=32)
-    center = gp["reg"].predict(x)
+    center = gp["reg"].predict_rows(x[None])[0]
     scores = np.linalg.norm((region.vertices[:-1] - center) @ W.T, axis=1)
     assert np.abs(scores - pred.threshold).max() <= 1e-9
 
@@ -557,7 +559,8 @@ def test_non_finite_responses_are_refused(gaussian_pipeline, kind):
      MethodError, "interval region is empty at this threshold"),
     (lambda gp: make_score_function(
         "otcp", regressor=gp["reg"],
-        transport_map=fit_entropic_map(np.random.default_rng(0).standard_normal((40, 3)), m=16)),
+        transport_map=fit_entropic_map(np.random.default_rng(0).standard_normal((40, 3)),
+                                       build_spherical_grid(16, 3))),
      DimensionError, "transport map dimension does not match targets"),
     (lambda gp: _calibrated(gp, "otcp").score_fn.volume(0.5, gp["test"].features[:2]),
      MethodError, "otcp regions have no closed-form volume"),
@@ -569,6 +572,10 @@ def test_non_finite_responses_are_refused(gaussian_pipeline, kind):
      "ridge must be >= 0 and finite, got inf"),
     (lambda gp: default_mahalanobis_ridge(gp["fit_resid"].scores[:1]), ParamError,
      "a Mahalanobis ridge needs at least 2 residual rows, got 1"),
+    (lambda gp: estimate_covariance(np.zeros((0, 2)), ridge=0.5), ParamError,
+     "a covariance needs at least 2 residual rows, got 0"),
+    (lambda gp: estimate_covariance(gp["fit_resid"].scores[:1], ridge=0.5), ParamError,
+     "a covariance needs at least 2 residual rows, got 1"),
     (lambda gp: conformal_threshold([], 0.1), ParamError, "need at least one calibration score"),
     (lambda gp: conformal_threshold([1.0], 1.5), ParamError, "alpha must lie in (0, 1)"),
     (lambda gp: pit_values([], 0.5), ParamError, "need at least one calibration score"),
@@ -583,12 +590,38 @@ def test_non_finite_responses_are_refused(gaussian_pipeline, kind):
      ParamError, "threshold must be a real number, got nan"),
 ], ids=["regressor-unfitted", "quantile-unfitted", "interval-empty", "map-width",
         "otcp-volume-unsampled", "ridge-negative", "ridge-nan", "ridge-infinite",
-        "ridge-one-row", "threshold-no-scores", "threshold-alpha", "pit-no-scores",
-        "threshold-minus-inf", "calib-width", "contour-vertices", "contour-threshold-nan"])
+        "ridge-one-row", "covariance-no-rows", "covariance-one-row", "threshold-no-scores",
+        "threshold-alpha", "pit-no-scores", "threshold-minus-inf", "calib-width",
+        "contour-vertices", "contour-threshold-nan"])
 def test_refused_score_and_calibration_inputs(gaussian_pipeline, call, error, message):
     with pytest.raises(error) as info:
         call(gaussian_pipeline)
     assert type(info.value) is error and message in str(info.value)
+
+
+_FEATURES = np.array([0.5])  # the features of one input (p = 1), not a row of them
+_POINT = np.array([0.3, -0.2])  # one residual or ball point (d = 2), not a row of them
+
+
+@pytest.mark.parametrize("call", [
+    lambda gp: gp["reg"].predict_rows(_FEATURES),
+    lambda gp: fit_regressor(gp["train"], "ridge_linear").predict_rows(_FEATURES),
+    lambda gp: fit_quantile_predictor(gp["train"], 10, 0.05, 0.95).bounds_rows(_FEATURES),
+    lambda gp: gp["emap"].forward(_POINT),
+    lambda gp: gp["emap"].rank(_POINT),
+    lambda gp: gp["emap"].inverse(_POINT),
+    lambda gp: OtProblem(np.arange(5.0), np.arange(5.0) + 1, 1.0),
+    lambda gp: fit_entropic_map(_POINT, build_spherical_grid(16, 2)),
+    lambda gp: estimate_covariance(_POINT, 0.5),
+    lambda gp: default_mahalanobis_ridge(_POINT),
+], ids=["knn-predict", "ridge-predict", "knn-bounds", "map-forward", "map-rank",
+        "map-inverse", "ot-problem", "map-fit", "covariance", "mahalanobis-ridge"])
+def test_model_calls_refuse_a_1d_array(gaussian_pipeline, call):
+    # every model call takes rows: a 1-D array is refused, never read as one row
+    with pytest.raises(DimensionError) as info:
+        call(gaussian_pipeline)
+    assert type(info.value) is DimensionError
+    assert "must be rows of a 2-D array, got 1-D" in str(info.value)
 
 
 def test_reprs_are_one_short_line_with_sizes(gaussian_pipeline):

@@ -274,13 +274,13 @@ def test_knn_all_neighbors_gives_global_mean():
     ds = synth_dataset("gaussian", 40, 2, seed=1)
     reg = fit_regressor(ds, "knn_mean", k=40)
     for x in ([0.1], [0.9], [55.0]):
-        assert np.allclose(reg.predict(x), ds.targets.mean(axis=0))
+        assert np.allclose(reg.predict_rows([x])[0], ds.targets.mean(axis=0))
 
 
 def test_knn_single_point():
     ds = Dataset(np.array([[0.3]]), np.array([[2.0, -1.0]]))
     reg = fit_regressor(ds, "knn_mean", k=1)
-    assert np.allclose(reg.predict([17.0]), [2.0, -1.0])
+    assert np.allclose(reg.predict_rows([[17.0]])[0], [2.0, -1.0])
 
 
 def test_knn_k_too_large():
@@ -308,7 +308,7 @@ def test_knn_prediction_in_neighbor_hull():
     reg = fit_regressor(ds, "knn_mean", k=7)
     rng = np.random.default_rng(0)
     for x in rng.uniform(size=(20, 2)):
-        pred = reg.predict(x)
+        pred = reg.predict_rows(x[None])[0]
         d2 = ((ds.features - x) ** 2).sum(axis=1)
         neigh = ds.targets[np.argsort(d2, kind="stable")[:7]]
         assert (pred >= neigh.min(axis=0) - 1e-12).all()

@@ -57,7 +57,7 @@ def test_weights_single_grid_point():
     grid = SphericalGrid(np.array([1.0]), np.array([[1.0, 0.0]]), 0)
     emap = fit_entropic_map(np.random.default_rng(0).standard_normal((5, 2)),
                             grid, epsilon=0.5)
-    out = emap.forward([0.3, 0.3])
+    out = emap.forward([[0.3, 0.3]])[0]
     assert out.shape == (2,)
     np.testing.assert_allclose(out, [1.0, 0.0], rtol=0, atol=1e-15)
 
@@ -85,7 +85,7 @@ def test_weights_match_direct_formula():
         np.exp(-(((zs - u) ** 2).sum() - gj) / 0.5)
         for u, gj in zip(grid.points, emap.potentials.g)
     ])
-    assert np.abs(emap.forward(zq) - raw / raw.sum() @ grid.points).max() <= 1e-10
+    assert np.abs(emap.forward(zq[None])[0] - raw / raw.sum() @ grid.points).max() <= 1e-10
 
 
 def test_weights_normalized_even_for_extreme_queries(small_map_2d):
@@ -193,7 +193,7 @@ def test_rank_memory_stays_within_one_cache_sized_block():
 def test_weights_dimension_error(small_map_2d):
     emap, _ = small_map_2d
     with pytest.raises(DimensionError):
-        emap.forward([1.0, 2.0, 3.0])
+        emap.forward([[1.0, 2.0, 3.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def test_forward_uniform_limit_hits_barycenter():
     rng = np.random.default_rng(4)
     grid = build_spherical_grid(1024, 2)
     emap = fit_entropic_map(rng.standard_normal((100, 2)), grid, epsilon=1e9)
-    out = emap.forward([3.0, -2.0])
+    out = emap.forward([[3.0, -2.0]])[0]
     assert np.abs(out - grid.points.mean(axis=0)).max() <= 1e-8
     assert np.linalg.norm(out) <= 0.05
 
@@ -222,7 +222,7 @@ def test_rank_range_and_center(small_map_2d):
     emap, z = small_map_2d
     ranks = emap.rank(z)
     assert (ranks >= 0).all() and (ranks <= 1.0 + 1e-12).all()
-    assert emap.rank(z.mean(axis=0)) <= 0.1
+    assert emap.rank(z.mean(axis=0)[None])[0] <= 0.1
 
 
 def test_forward_1d_monotone():
@@ -278,7 +278,7 @@ def test_inverse_single_source_point():
     grid = build_spherical_grid(16, 2)
     emap = fit_entropic_map(np.array([[3.0, -1.0]]), grid, epsilon=0.5)
     for u in ([0.0, 0.0], [0.9, 0.1], [-0.5, 0.5]):
-        assert np.allclose(emap.inverse(u), [3.0, -1.0], atol=1e-12)
+        assert np.allclose(emap.inverse([u])[0], [3.0, -1.0], atol=1e-12)
 
 
 def test_inverse_uniform_limit_source_barycenter():
@@ -286,7 +286,7 @@ def test_inverse_uniform_limit_source_barycenter():
     z = rng.standard_normal((50, 2)) + np.array([5.0, -2.0])
     grid = build_spherical_grid(64, 2)
     emap = fit_entropic_map(z, grid, epsilon=1e9)
-    assert np.abs(emap.inverse([0.3, 0.3]) - z.mean(axis=0)).max() <= 1e-6
+    assert np.abs(emap.inverse([[0.3, 0.3]])[0] - z.mean(axis=0)).max() <= 1e-6
 
 
 def test_inverse_forward_round_trip(normal_map_2d):
@@ -320,7 +320,7 @@ def test_unconverged_map_still_valid_interface():
     rng = np.random.default_rng(12)
     z = rng.standard_normal((100, 2))
     with pytest.warns(Warning):
-        emap = fit_entropic_map(z, m=128, epsilon=0.001, max_iter=2)
+        emap = fit_entropic_map(z, build_spherical_grid(128, 2), epsilon=0.001, max_iter=2)
     assert not emap.potentials.converged
     r = emap.rank(rng.standard_normal((10, 2)))
     assert (r >= 0).all() and (r <= 1.0 + 1e-12).all()

@@ -286,10 +286,14 @@ def test_import_loads_no_scipy():
     (lambda: halton_sequence(4, 2, skip=0.5), ParamError, "skip must be an integer, got 0.5"),
     (lambda: sphere_directions(3.5, 2), ParamError, "n_s must be an integer, got 3.5"),
     (lambda: sphere_directions(4, 2.0), ParamError, "dim must be an integer, got 2.0"),
+    (lambda: grid_radius_index(10.5, 2, 5, 0.5, 0.1), ParamError,
+     "n_total must be an integer, got 10.5"),
+    (lambda: build_spherical_grid(200, 1, factorization=(100, 2)), ParamError,
+     "factorization must be (n_R, n_S, n_o), got (100, 2)"),
 ], ids=["halton-count", "halton-skip", "directions-count", "directions-mode", "grid-m",
         "grid-dim", "grid-factor-float", "grid-factor-bool", "grid-m-float", "grid-dim-float",
         "halton-count-float", "halton-dim-float", "halton-skip-float", "directions-count-float",
-        "directions-dim-float"])
+        "directions-dim-float", "radius-index-float", "grid-factor-pair"])
 def test_refused_grid_arguments(call, error, message):
     with pytest.raises(error) as info:
         call()
