@@ -63,7 +63,7 @@ from .data import (
 )
 from .entropic import fit_entropic_map
 from .errors import (MethodError, NotFittedError, ParamError, ProvenanceError, _file_errors,
-                     _distinct, _integer, _list, _object, _positive, _real, _write_text)
+                     _distinct, _integer, _level, _list, _object, _positive, _real, _write_text)
 from .sinkhorn import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .sphere import DIRECTION_MODES, build_spherical_grid, halton_sequence
 
@@ -128,9 +128,7 @@ class BenchConfig:
     save_models: bool = True
 
     def __post_init__(self):
-        self.alpha = _real(self.alpha, "alpha")
-        if not (0.0 < self.alpha < 1.0):
-            raise ParamError("alpha must lie in (0, 1)")
+        self.alpha = _level(self.alpha, "alpha")
         self.seeds = tuple(_integer(s, "seed", 0) for s in _list(self.seeds, "seeds"))
         if not self.seeds:
             raise ParamError("need at least one seed")
@@ -318,8 +316,7 @@ def _checked_box(low, high) -> tuple[np.ndarray, np.ndarray]:
 def region_size_mc(pred: CalibratedPredictor, x, bounds, n_mc: int = 10000,
                    seed: int = 0) -> float:
     """Monte-Carlo volume of the set at x: hit fraction times the volume of box `bounds`."""
-    if n_mc < 1:
-        raise ParamError("n_mc must be >= 1")
+    n_mc = _integer(n_mc, "n_mc", 1)
     low, high = _checked_box(*bounds)
     volume = float(np.prod(high - low))
     rng = np.random.default_rng(seed)
@@ -338,8 +335,7 @@ def qmc_volume(inside, low, high, n_samples: int, seed: int) -> tuple[float, flo
     error, their standard deviation over sqrt(VOLUME_SHIFTS). `inside` maps
     (N, d) rows to N flags and is called once, on every point.
     """
-    if n_samples < 1:
-        raise ParamError("n_samples must be >= 1")
+    n_samples = _integer(n_samples, "n_samples", 1)
     low, high = _checked_box(low, high)
     per_shift = -(-n_samples // VOLUME_SHIFTS)
     shifts = np.random.default_rng(seed).random((VOLUME_SHIFTS, 1, low.size))
@@ -506,7 +502,8 @@ def export_contours(pred: CalibratedPredictor, xs, alphas, out_dir,
     """
     out_dir = Path(out_dir)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    alphas = sorted(float(a) for a in alphas)
+    alphas = sorted(_real(a, "alpha") for a in alphas)
+    _distinct(tuple(alphas), "alphas")
     traced, manifest = [], []
     for i, x in enumerate(xs):
         areas = []

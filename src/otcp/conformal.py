@@ -16,10 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import Dataset, KnnQuantilePredictor, Regressor, _scores_and_origin
+from .data import Dataset, KnnQuantilePredictor, Regressor, _fitted_rows, _scores_and_origin
 from .entropic import EntropicMap
 from .errors import (DimensionError, MethodError, NotFittedError, ParamError, ProvenanceError,
-                     _real)
+                     _integer, _level, _real, _rows)
 
 # ---------------------------------------------------------------------------
 # Score functions
@@ -50,11 +50,7 @@ class ScoreFunction:
 
     def _check_pair(self, x, y):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        if y.shape[1] != self.d:
-            raise DimensionError(f"expected {self.d}-dimensional responses")
-        if not np.isfinite(y).all():
-            raise ParamError("responses contain non-finite values")
+        y = _rows(np.atleast_2d(y), "responses", self.d)
         if x.shape[0] not in (1, y.shape[0]):
             raise DimensionError(
                 f"{x.shape[0]} input rows for {y.shape[0]} responses; need 1 or one each")
@@ -89,7 +85,8 @@ class ScoreFunction:
         without one has the same set, up to translation, at every x, and sizes
         it once in residual space through `sampler(inside)`: `inside` flags the
         residual rows that lie in the set, and the sampler returns the set's
-        volume and that estimate's standard error.
+        volume and that estimate's standard error. X is refused as the score's
+        model refuses query rows: not 2-D, of another width, or not finite.
         """
         raise MethodError(f"no region volume for score kind {self.kind!r}")
 
@@ -99,12 +96,9 @@ def _ball_volume(d: int, r: float) -> float:
     return max(r, 0.0) ** d * math.pi ** (d / 2) / math.gamma(d / 2 + 1)
 
 
-def _per_row(X, value: float) -> np.ndarray:
-    return np.full(np.atleast_2d(X).shape[0], value)
-
-
 class _RegressionScore(ScoreFunction):
-    """A score of the residual y - yhat(x); subclasses define _score_residuals(resid)."""
+    """A score of the residual y - yhat(x); subclasses define _score_residuals(resid)
+    and _volume(r, sampler), the volume of the set at any x and its standard error."""
 
     components = ("regressor",)
 
@@ -123,6 +117,11 @@ class _RegressionScore(ScoreFunction):
     def _centers(self, pred):
         return pred
 
+    def volume(self, r, X, sampler=None):
+        # the set is the same, up to translation, at every x: size it once
+        vol, stderr = self._volume(r, sampler)
+        return np.full(len(_fitted_rows(self.regressor, X)), vol), stderr
+
 
 class AbsoluteResidualScore(_RegressionScore):
     """|yhat(x) - y| for univariate targets."""
@@ -137,8 +136,8 @@ class AbsoluteResidualScore(_RegressionScore):
     def _score_residuals(self, resid):
         return np.abs(resid[:, 0])
 
-    def volume(self, r, X, sampler=None):
-        return _per_row(X, 2.0 * max(r, 0.0)), 0.0
+    def _volume(self, r, sampler):
+        return 2.0 * max(r, 0.0), 0.0
 
 
 class EuclideanResidualScore(_RegressionScore):
@@ -152,8 +151,8 @@ class EuclideanResidualScore(_RegressionScore):
     def contour_2d(self, x, r, circle):
         return self.center(x)[None, :] + r * circle, False
 
-    def volume(self, r, X, sampler=None):
-        return _per_row(X, _ball_volume(self.d, r)), 0.0
+    def _volume(self, r, sampler):
+        return _ball_volume(self.d, r), 0.0
 
 
 class MahalanobisResidualScore(_RegressionScore):
@@ -176,10 +175,9 @@ class MahalanobisResidualScore(_RegressionScore):
         half = np.linalg.inv(self.whitener.matrix)  # maps the unit ball to the ellipse
         return self.center(x)[None, :] + (r * circle) @ half.T, False
 
-    def volume(self, r, X, sampler=None):
+    def _volume(self, r, sampler):
         # the set is W^-1 times a radius-r ball
-        ball = _ball_volume(self.d, r)
-        return _per_row(X, ball / abs(float(np.linalg.det(self.whitener.matrix)))), 0.0
+        return _ball_volume(self.d, r) / abs(float(np.linalg.det(self.whitener.matrix))), 0.0
 
 
 class MaxIntervalScore(ScoreFunction):
@@ -219,7 +217,7 @@ class MaxIntervalScore(ScoreFunction):
         return np.vstack(edges), False
 
     def volume(self, r, X, sampler=None):
-        lo, hi = self.quantile_predictor.bounds_rows(np.atleast_2d(X))
+        lo, hi = self.quantile_predictor.bounds_rows(X)
         return np.prod(np.maximum(hi - lo + 2.0 * r, 0.0), axis=1), 0.0
 
 
@@ -250,11 +248,10 @@ class TransportRankScore(_RegressionScore):
         monotone = (steps < 0).sum() == 1 or (steps > 0).sum() == 1
         return pulled[np.argsort(ang, kind="stable")], not monotone
 
-    def volume(self, r, X, sampler=None):
+    def _volume(self, r, sampler):
         if sampler is None:
             raise MethodError("otcp regions have no closed-form volume; pass a sampler")
-        vol, stderr = sampler(lambda z: self._score_residuals(z) <= r)
-        return _per_row(X, vol), stderr
+        return sampler(lambda z: self._score_residuals(z) <= r)
 
 
 SCORE_CLASSES = {cls.kind: cls for cls in (
@@ -344,9 +341,7 @@ def conformal_threshold(cal_scores, alpha: float) -> float:
     n = scores.size
     if n < 1:
         raise ParamError("need at least one calibration score")
-    if not (0.0 < alpha < 1.0):
-        raise ParamError("alpha must lie in (0, 1)")
-    k = math.ceil((n + 1) * (1 - Fraction(alpha)))
+    k = math.ceil((n + 1) * (1 - Fraction(_level(alpha, "alpha"))))
     if k > n:
         return math.inf
     return float(np.sort(scores)[k - 1])
@@ -374,9 +369,7 @@ class CalibratedPredictor:
 
     def __post_init__(self):
         # calibrate and artifact loading both build predictors, so both pass here
-        self.alpha = _real(self.alpha, "alpha")
-        if not 0.0 < self.alpha < 1.0:
-            raise ParamError(f"alpha must lie in (0, 1), got {self.alpha}")
+        self.alpha = _level(self.alpha, "alpha")
         self.threshold = _real(self.threshold, "threshold")
         if self.threshold == -math.inf:
             raise ParamError("threshold must be finite or +inf")
@@ -413,15 +406,13 @@ def calibrate(score_fn: ScoreFunction, calib: Dataset, alpha: float,
     the score's fit_tags), unless allow_same_data is set (the
     permutation-invariant single-split variant).
     """
-    if calib.d != score_fn.d:
-        raise DimensionError("calibration targets do not match the score function")
     if calib.tag and calib.tag in score_fn.fit_tags and not allow_same_data:
         raise ProvenanceError(
             f"score function was fitted on {calib.tag!r}; pass allow_same_data=True "
             "to calibrate on the same split anyway")
     scores, centers = score_fn.score_center_rows(calib.features, calib.targets)
     resid = calib.targets - centers
-    return CalibratedPredictor(score_fn, float(alpha), conformal_threshold(scores, alpha),
+    return CalibratedPredictor(score_fn, alpha, conformal_threshold(scores, alpha),
                                np.sort(scores), resid.min(axis=0), resid.max(axis=0))
 
 
@@ -456,7 +447,7 @@ def region_contour_2d(pred: CalibratedPredictor, x, n_angles: int = 128,
     """
     if pred.d != 2:
         raise MethodError("region contours are defined for d = 2 only")
-    if n_angles < 8:
+    if _integer(n_angles, "n_angles") < 8:
         raise ParamError("need at least 8 contour vertices")
     r = pred.threshold if threshold is None else _real(threshold, "threshold")
     if not math.isfinite(r):

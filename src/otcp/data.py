@@ -34,17 +34,12 @@ class Dataset:
     tag: str | None = None
 
     def __post_init__(self):
-        X = np.asarray(self.features, dtype=float)
-        Y = np.asarray(self.targets, dtype=float)
-        if X.ndim != 2 or Y.ndim != 2:
-            raise DimensionError("features and targets must be 2-D arrays")
+        X, Y = _rows(self.features, "features"), _rows(self.targets, "targets")
         if X.shape[0] != Y.shape[0]:
             raise DimensionError(
                 f"row mismatch: {X.shape[0]} feature rows vs {Y.shape[0]} target rows")
         if X.shape[0] < 1 or X.shape[1] < 1 or Y.shape[1] < 1:
             raise DimensionError("need n >= 1, p >= 1, d >= 1")
-        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-            raise ParamError("dataset contains NaN or Inf entries")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "targets", Y)
         if not self.feature_names:
@@ -85,10 +80,12 @@ class SplitSpec:
     def __post_init__(self):
         if len(self.fractions) != 4:
             raise ParamError("need exactly four split fractions")
-        if any(f < 0 or f > 1 for f in self.fractions):
+        fractions = [_real(f, "split fraction") for f in self.fractions]
+        if any(f < 0 or f > 1 for f in fractions):
             raise ParamError("split fractions must lie in [0, 1]")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ParamError(f"split fractions sum to {sum(self.fractions)}, expected 1")
+        if abs(sum(fractions) - 1.0) > 1e-9:
+            raise ParamError(f"split fractions sum to {sum(fractions)}, expected 1")
+        _integer(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +96,9 @@ class ScoreMatrix:
     origin: str = ""
 
     def __post_init__(self):
-        Z = np.asarray(self.scores, dtype=float)
-        if Z.ndim != 2 or Z.shape[1] < 1:
+        Z = _rows(self.scores, "scores")
+        if Z.shape[1] < 1:
             raise DimensionError("scores must be an n x d matrix with d >= 1")
-        if not np.isfinite(Z).all():
-            raise ParamError("score matrix contains NaN or Inf")
         object.__setattr__(self, "scores", Z)
 
 
@@ -301,14 +296,13 @@ def synth_dataset(kind: str, n: int, d: int = 2, params: dict | None = None,
                   (params: spread, curvature, noise)
       mixture  -- Gaussian mixture noise (params: means, weights, covs|cov)
 
-    A params key the kind does not read, a p that is not an integer >= 1 or a
-    slope, spread, curvature or noise that is not a real number raises
-    ParamError. A gaussian is the one-component, zero-mean mixture, drawn by
+    A params key the kind does not read, an n or p that is not an integer >= 1,
+    a seed that is not an integer >= 0 or a slope, spread, curvature or noise
+    that is not a real number raises ParamError. A gaussian is the one-component, zero-mean mixture, drawn by
     the same code. Feature, noise, and mixture-assignment streams are seeded
     independently.
     """
-    if n < 1:
-        raise ParamError("n must be >= 1")
+    n, seed = _integer(n, "n", 1), _integer(seed, "seed", 0)
     params = synth_params(kind, d, params)
     p = int(params.get("p", 1))
     slope = float(params.get("slope", 1.0))
@@ -359,15 +353,10 @@ class Regressor:
 
 
 def _fitted_rows(model, X) -> np.ndarray:
-    """X as float rows, once `model` is fitted on as many features as X has."""
+    """X as finite float rows, once `model` is fitted on as many features as X has."""
     if model.p is None:
         raise NotFittedError(f"{model.kind} model is not fitted")
-    X = _rows(X, "query features")
-    if X.shape[1] != model.p:
-        raise DimensionError(f"expected {model.p} features, got {X.shape[1]}")
-    if not np.isfinite(X).all():
-        raise ParamError("query features contain NaN or Inf")
-    return X
+    return _rows(X, "query features", model.p)
 
 
 _KNN_BLOCK_ENTRIES = 1 << 18  # cap on query rows * training rows per distance block

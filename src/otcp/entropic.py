@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _scores_and_origin
-from .errors import DimensionError, ParamError, _rows
+from .errors import DimensionError, _rows
 from .sinkhorn import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -62,15 +62,6 @@ class EntropicMap:
         """Fitted residuals in standardized coordinates (the solve's source)."""
         return self.potentials.problem.source
 
-    def _queries(self, z) -> np.ndarray:
-        """Finite query rows of the map's dimension, as a float (q, dim) array."""
-        z = _rows(z, "queries")
-        if z.shape[1] != self.dim:
-            raise DimensionError(f"expected dim {self.dim}, got {z.shape[1]}")
-        if not np.isfinite(z).all():
-            raise ParamError("query contains non-finite values")
-        return z
-
     def _gibbs_average(self, queries, points, potential, values) -> np.ndarray:
         """Per query row, softmax_j((potential_j - ||q - points_j||^2)/eps) @ values."""
         q, m = queries.shape[0], points.shape[0]
@@ -93,7 +84,7 @@ class EntropicMap:
 
     def forward(self, z) -> np.ndarray:
         """Map residual rows into the unit ball as convex combinations of grid points."""
-        return self.forward_std(self.standardizer.transform(self._queries(z)))
+        return self.forward_std(self.standardizer.transform(_rows(z, "queries", self.dim)))
 
     def rank(self, z) -> np.ndarray:
         """Transport rank ||forward(z)|| in [0, 1] of each residual row."""
@@ -103,7 +94,7 @@ class EntropicMap:
         """Pull ball rows back to convex combinations of fitted residuals."""
         src = self.source_std
         return self.standardizer.inverse_transform(
-            self._gibbs_average(self._queries(u), src, self.potentials.f, src))
+            self._gibbs_average(_rows(u, "queries", self.dim), src, self.potentials.f, src))
 
 
 def fit_entropic_map(scores, grid: SphericalGrid, *, epsilon: float = 0.1,

@@ -3,6 +3,8 @@
 Input that breaks a documented precondition (an argument, config value, data or
 artifact file, or output path) raises ParamError or a subclass, which the CLI,
 like MethodError, reports as a usage error with exit 2; anything else is a bug.
+Row blocks (features, responses, residuals, map queries, OT points) go through
+`_rows`, which checks shape, width and finiteness; miscoverage levels go through `_level`.
 """
 
 import contextlib
@@ -30,6 +32,14 @@ def _positive(value, name: str) -> float:
     value = _real(value, name)
     if not (math.isfinite(value) and value > 0):
         raise ParamError(f"{name} must be > 0 and finite, got {value}")
+    return value
+
+
+def _level(value, name: str) -> float:
+    """A real number strictly between 0 and 1, such as a miscoverage level."""
+    value = _real(value, name)
+    if not 0.0 < value < 1.0:
+        raise ParamError(f"{name} must lie in (0, 1), got {value}")
     return value
 
 
@@ -80,11 +90,16 @@ class DimensionError(ParamError):
     """Array shapes are incompatible with the operation."""
 
 
-def _rows(value, name: str) -> np.ndarray:
-    """`value` as a float array of rows; anything but a 2-D array raises DimensionError."""
+def _rows(value, name: str, width: int | None = None) -> np.ndarray:
+    """`value` as a float array of rows, `width` wide if given: DimensionError when it is
+    not 2-D or has another width, ParamError when an entry is NaN or infinite."""
     rows = np.asarray(value, dtype=float)
     if rows.ndim != 2:
         raise DimensionError(f"{name} must be rows of a 2-D array, got {rows.ndim}-D")
+    if width is not None and rows.shape[1] != width:
+        raise DimensionError(f"{name} must have width {width}, got {rows.shape[1]}")
+    if not np.isfinite(rows).all():
+        raise ParamError(f"{name} must be finite, got NaN or Inf")
     return rows
 
 

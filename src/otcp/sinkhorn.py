@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParamError, SinkhornNotConverged, _integer, _positive, _rows
+from .errors import SinkhornNotConverged, _integer, _positive, _rows
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 2000
@@ -82,11 +82,8 @@ class OtProblem:
     epsilon: float
 
     def __post_init__(self):
-        src, tgt = _rows(self.source, "OT source"), _rows(self.target, "OT target")
-        if src.shape[1] != tgt.shape[1]:
-            raise DimensionError(f"source dim {src.shape[1]} != target dim {tgt.shape[1]}")
-        if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
-            raise ParamError("OT problem contains non-finite points")
+        src = _rows(self.source, "OT source")
+        tgt = _rows(self.target, "OT target", src.shape[1])
         object.__setattr__(self, "epsilon", _positive(self.epsilon, "epsilon"))
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", tgt)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamError, _integer
+from .errors import ParamError, _integer, _level
 
 DIRECTION_MODES = ("low_discrepancy", "iid")
 
@@ -187,8 +187,6 @@ def grid_radius_index(n_total: int, n_r: int, n_s: int, n_o: int, alpha: float):
                               _integer(n_s, "n_s"), _integer(n_o, "n_o"))
     if n_r < 1 or n_s < 1 or n_o < 0 or n_r * n_s + n_o != n_total:
         raise ParamError(f"counts ({n_r}, {n_s}, {n_o}) inconsistent with n_total={n_total}")
-    if not (0.0 < alpha < 1.0):
-        raise ParamError("alpha must lie in (0, 1)")
-    p, q = float(alpha).as_integer_ratio()
+    p, q = _level(alpha, "alpha").as_integer_ratio()
     j = min(max(-((n_o * q - n_total * (q - p)) // (q * n_s)), 0), n_r)
     return j, j / n_r

@@ -806,7 +806,11 @@ def test_an_uncreatable_output_dir_is_refused_before_any_seed(tmp_path, monkeypa
 @pytest.mark.parametrize("call, error, message", [
     (lambda pred: region_size_mc(pred, [0.5], (np.full(2, -1.5), np.full(2, 1.5)), n_mc=0),
      ParamError, "n_mc must be >= 1"),
-], ids=["mc-samples-zero"])
+    (lambda pred: region_size_mc(pred, [0.5], (np.full(2, -1.5), np.full(2, 1.5)), n_mc=10.5),
+     ParamError, "n_mc must be an integer, got 10.5"),
+    (lambda pred: bench.qmc_volume(lambda z: z[:, 0] > 0, [0.0], [1.0], 10.5, seed=0),
+     ParamError, "n_samples must be an integer, got 10.5"),
+], ids=["mc-samples-zero", "mc-samples-float", "qmc-samples-float"])
 def test_refused_sizing_arguments(call, error, message):
     with pytest.raises(error) as info:
         call(_zero_center_predictor(1.0))

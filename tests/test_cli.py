@@ -108,8 +108,9 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys, command, over, flags)
 
 @pytest.mark.parametrize("d, flags, message", [
     (3, ["--x", "0.5"], "region contours are defined for d = 2 only"),
-    (2, ["--x", "0.5", "0.5"], "expected 1 features, got 2"),
+    (2, ["--x", "0.5", "0.5"], "query features must have width 1, got 2"),
     (2, ["--x", "0.5", "--alphas", "0.001"], "threshold at alpha=0.001 is infinite"),
+    (2, ["--x", "0.5", "--alphas", "0.1", "0.1"], "alphas repeats [0.1]"),
 ])
 def test_contour_failure_is_a_usage_error(tmp_path, capsys, d, flags, message):
     cfg = _write_cfg(tmp_path / "cfg.json",

@@ -29,6 +29,7 @@ from otcp import (
     make_score_function,
     pit_values,
     region_contour_2d,
+    region_volumes,
     residuals,
     split_dataset,
     synth_dataset,
@@ -519,6 +520,12 @@ def test_region_infinite_threshold_error(gaussian_pipeline):
 
 
 def _calibrated(gp, kind):
+    if kind == "abs_univariate":  # the first target only
+        def first_target(ds, tag):
+            return Dataset(ds.features, ds.targets[:, :1], tag=tag)
+        reg = fit_regressor(first_target(gp["train"], "train1"), "knn_mean", k=25)
+        return calibrate(make_score_function(kind, regressor=reg),
+                         first_target(gp["calib"], "calib1"), alpha=0.1)
     parts = {"regressor": gp["reg"]}
     if kind == "otcp":
         parts["transport_map"] = gp["emap"]
@@ -527,6 +534,13 @@ def _calibrated(gp, kind):
     elif kind == "mcp_max":
         parts = {"quantile_predictor": fit_quantile_predictor(gp["train"], 25, 0.05, 0.95)}
     return calibrate(make_score_function(kind, **parts), gp["calib"], alpha=0.1)
+
+
+def _with_entry(rows, value):
+    """A copy of `rows` whose first entry is `value`."""
+    rows = rows.copy()
+    rows[0, 0] = value
+    return rows
 
 
 @pytest.mark.parametrize("kind", ["abs_univariate", "merge_l2", "merge_mahalanobis",
@@ -545,7 +559,7 @@ def test_non_finite_responses_are_refused(gaussian_pipeline, kind):
     for bad in (math.nan, math.inf, -math.inf):
         Y = gp["test"].targets[:3, :pred.d].copy()
         Y[1, -1] = bad
-        with pytest.raises(ParamError, match="responses contain non-finite values"):
+        with pytest.raises(ParamError, match="responses must be finite, got NaN or Inf"):
             pred.contains_rows(X, Y)
 
 
@@ -583,16 +597,37 @@ def test_non_finite_responses_are_refused(gaussian_pipeline, kind):
      ParamError, "threshold must be finite or +inf"),
     (lambda gp: calibrate(make_score_function("merge_l2", regressor=gp["reg"]),
                           synth_dataset("gaussian", 20, 3, seed=1), 0.1),
-     DimensionError, "calibration targets do not match the score function"),
+     DimensionError, "responses must have width 2, got 3"),
     (lambda gp: region_contour_2d(_calibrated(gp, "merge_l2"), [0.5], n_angles=4),
      ParamError, "need at least 8 contour vertices"),
     (lambda gp: region_contour_2d(_calibrated(gp, "merge_l2"), [0.5], threshold=math.nan),
      ParamError, "threshold must be a real number, got nan"),
+    (lambda gp: conformal_threshold([1.0, 2.0, 3.0], "0.1"), ParamError,
+     "alpha must be a real number, got '0.1'"),
+    (lambda gp: region_contour_2d(_calibrated(gp, "merge_l2"), [0.5], n_angles=10.5),
+     ParamError, "n_angles must be an integer, got 10.5"),
+    *((lambda gp, kind=kind, X=X: region_volumes(_calibrated(gp, kind), X), error, message)
+      for kind in ("abs_univariate", "merge_l2", "merge_mahalanobis")
+      for X, error, message in [
+          (np.zeros((2, 2, 1)), DimensionError,
+           "query features must be rows of a 2-D array, got 3-D"),
+          (np.ones((4, 3)), DimensionError, "query features must have width 1, got 3"),
+          ([[math.nan]], ParamError, "query features must be finite, got NaN or Inf")]),
+    *((lambda gp, call=call, bad=bad: call(_with_entry(gp["fit_resid"].scores, bad)),
+       ParamError, "residuals must be finite, got NaN or Inf")
+      for call in (lambda z: estimate_covariance(z, 0.5), default_mahalanobis_ridge,
+                   lambda z: fit_entropic_map(z, build_spherical_grid(16, 2)))
+      for bad in (math.nan, math.inf)),
 ], ids=["regressor-unfitted", "quantile-unfitted", "interval-empty", "map-width",
         "otcp-volume-unsampled", "ridge-negative", "ridge-nan", "ridge-infinite",
         "ridge-one-row", "covariance-no-rows", "covariance-one-row", "threshold-no-scores",
         "threshold-alpha", "pit-no-scores", "threshold-minus-inf", "calib-width",
-        "contour-vertices", "contour-threshold-nan"])
+        "contour-vertices", "contour-threshold-nan", "threshold-alpha-string",
+        "contour-vertices-float",
+        *(f"volume-{kind}-{fault}" for kind in ("abs", "l2", "mahalanobis")
+          for fault in ("3d", "width", "nan")),
+        *(f"{call}-{bad}" for call in ("covariance", "mahalanobis-ridge", "map-fit")
+          for bad in ("nan", "inf"))])
 def test_refused_score_and_calibration_inputs(gaussian_pipeline, call, error, message):
     with pytest.raises(error) as info:
         call(gaussian_pipeline)
@@ -614,8 +649,12 @@ _POINT = np.array([0.3, -0.2])  # one residual or ball point (d = 2), not a row 
     lambda gp: fit_entropic_map(_POINT, build_spherical_grid(16, 2)),
     lambda gp: estimate_covariance(_POINT, 0.5),
     lambda gp: default_mahalanobis_ridge(_POINT),
+    lambda gp: region_volumes(_calibrated(gp, "abs_univariate"), _FEATURES),
+    lambda gp: region_volumes(_calibrated(gp, "merge_l2"), _FEATURES),
+    lambda gp: region_volumes(_calibrated(gp, "merge_mahalanobis"), _FEATURES),
 ], ids=["knn-predict", "ridge-predict", "knn-bounds", "map-forward", "map-rank",
-        "map-inverse", "ot-problem", "map-fit", "covariance", "mahalanobis-ridge"])
+        "map-inverse", "ot-problem", "map-fit", "covariance", "mahalanobis-ridge",
+        "volume-abs", "volume-l2", "volume-mahalanobis"])
 def test_model_calls_refuse_a_1d_array(gaussian_pipeline, call):
     # every model call takes rows: a 1-D array is refused, never read as one row
     with pytest.raises(DimensionError) as info:

@@ -657,12 +657,12 @@ def test_dataset_rejects_nonfinite():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: Dataset(np.zeros(3), np.zeros((3, 1))), DimensionError,
-     "features and targets must be 2-D arrays"),
+     "features must be rows of a 2-D array, got 1-D"),
     (lambda: Dataset(np.zeros((0, 1)), np.zeros((0, 1))), DimensionError,
      "need n >= 1, p >= 1, d >= 1"),
     (lambda: ScoreMatrix(np.zeros(3)), DimensionError,
-     "scores must be an n x d matrix with d >= 1"),
-    (lambda: ScoreMatrix([[np.nan]]), ParamError, "score matrix contains NaN or Inf"),
+     "scores must be rows of a 2-D array, got 1-D"),
+    (lambda: ScoreMatrix([[np.nan]]), ParamError, "scores must be finite, got NaN or Inf"),
     (lambda: load_dataset_csv("never-opened.csv", 0), ParamError, "d_out must be >= 1"),
     (lambda: split_dataset(synth_dataset("gaussian", 3, 2), SplitSpec()), ParamError,
      "need at least 4 rows to split"),
@@ -679,9 +679,17 @@ def test_dataset_rejects_nonfinite():
     (lambda: residuals(synth_dataset("gaussian", 10, 3),
                        fit_regressor(synth_dataset("gaussian", 10, 2), "knn_mean", k=3)),
      DimensionError, "regressor output dimension does not match targets"),
+    (lambda: synth_dataset("gaussian", 10.5, 2), ParamError, "n must be an integer, got 10.5"),
+    (lambda: synth_dataset("gaussian", True, 2), ParamError, "n must be an integer, got True"),
+    (lambda: synth_dataset("gaussian", 10, 2, seed=1.5), ParamError,
+     "seed must be an integer, got 1.5"),
+    (lambda: SplitSpec(seed=1.5), ParamError, "seed must be an integer, got 1.5"),
+    (lambda: SplitSpec(("a", 1, 1, 1)), ParamError,
+     "split fraction must be a real number, got 'a'"),
 ], ids=["dataset-1d", "dataset-empty", "scores-1d", "scores-nan", "csv-d-out", "split-3-rows",
         "split-empty-ot-fit", "synth-cov-shape", "synth-n-zero", "mixture-means",
-        "mixture-weights", "residual-width"])
+        "mixture-weights", "residual-width", "synth-n-float", "synth-n-bool", "synth-seed-float",
+        "split-seed-float", "split-fraction-string"])
 def test_refused_data_inputs(call, error, message):
     with pytest.raises(error) as info:
         call()

@@ -327,7 +327,7 @@ def test_unconverged_map_still_valid_interface():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda emap: emap.rank([[np.nan, 0.0]]), ParamError, "query contains non-finite values"),
+    (lambda emap: emap.rank([[np.nan, 0.0]]), ParamError, "queries must be finite, got NaN or Inf"),
     (lambda emap: fit_entropic_map(emap.source_std, build_spherical_grid(16, 3)),
      DimensionError, "grid dim 3 != score dim 2"),
 ], ids=["non-finite-query", "grid-dim"])

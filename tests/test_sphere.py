@@ -290,10 +290,13 @@ def test_import_loads_no_scipy():
      "n_total must be an integer, got 10.5"),
     (lambda: build_spherical_grid(200, 1, factorization=(100, 2)), ParamError,
      "factorization must be (n_R, n_S, n_o), got (100, 2)"),
+    (lambda: grid_radius_index(10, 3, 3, 1, "0.1"), ParamError,
+     "alpha must be a real number, got '0.1'"),
 ], ids=["halton-count", "halton-skip", "directions-count", "directions-mode", "grid-m",
         "grid-dim", "grid-factor-float", "grid-factor-bool", "grid-m-float", "grid-dim-float",
         "halton-count-float", "halton-dim-float", "halton-skip-float", "directions-count-float",
-        "directions-dim-float", "radius-index-float", "grid-factor-pair"])
+        "directions-dim-float", "radius-index-float", "grid-factor-pair",
+        "radius-index-alpha-string"])
 def test_refused_grid_arguments(call, error, message):
     with pytest.raises(error) as info:
         call()
