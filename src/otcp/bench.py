@@ -62,8 +62,9 @@ from .data import (
     synth_params,
 )
 from .entropic import fit_entropic_map
-from .errors import (MethodError, NotFittedError, ParamError, ProvenanceError, _file_errors,
-                     _distinct, _integer, _level, _list, _object, _positive, _real, _write_text)
+from .errors import (MethodError, NotFittedError, ParamError, ProvenanceError, _array,
+                     _distinct, _file_errors, _integer, _level, _list, _object, _positive,
+                     _real, _write_text)
 from .sinkhorn import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .sphere import DIRECTION_MODES, build_spherical_grid, halton_sequence
 
@@ -306,17 +307,17 @@ def residual_box(pred: CalibratedPredictor, inflate: float = 1.5):
 
 
 def _checked_box(low, high) -> tuple[np.ndarray, np.ndarray]:
-    low = np.asarray(low, dtype=float)
-    high = np.asarray(high, dtype=float)
-    if not (np.isfinite(low).all() and np.isfinite(high).all() and (high > low).all()):
-        raise ParamError("bounds must be finite with positive side lengths")
+    low = _array(low, "bounds low", (None,))
+    high = _array(high, "bounds high", low.shape)
+    if not (high > low).all():
+        raise ParamError("bounds must have positive side lengths")
     return low, high
 
 
 def region_size_mc(pred: CalibratedPredictor, x, bounds, n_mc: int = 10000,
                    seed: int = 0) -> float:
     """Monte-Carlo volume of the set at x: hit fraction times the volume of box `bounds`."""
-    n_mc = _integer(n_mc, "n_mc", 1)
+    n_mc, seed = _integer(n_mc, "n_mc", 1), _integer(seed, "seed", 0)
     low, high = _checked_box(*bounds)
     volume = float(np.prod(high - low))
     rng = np.random.default_rng(seed)
@@ -335,7 +336,7 @@ def qmc_volume(inside, low, high, n_samples: int, seed: int) -> tuple[float, flo
     error, their standard deviation over sqrt(VOLUME_SHIFTS). `inside` maps
     (N, d) rows to N flags and is called once, on every point.
     """
-    n_samples = _integer(n_samples, "n_samples", 1)
+    n_samples, seed = _integer(n_samples, "n_samples", 1), _integer(seed, "seed", 0)
     low, high = _checked_box(low, high)
     per_shift = -(-n_samples // VOLUME_SHIFTS)
     shifts = np.random.default_rng(seed).random((VOLUME_SHIFTS, 1, low.size))

@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset, KnnQuantilePredictor, Regressor, _fitted_rows, _scores_and_origin
 from .entropic import EntropicMap
 from .errors import (DimensionError, MethodError, NotFittedError, ParamError, ProvenanceError,
-                     _integer, _level, _real, _rows)
+                     _array, _integer, _level, _real)
 
 # ---------------------------------------------------------------------------
 # Score functions
@@ -50,7 +50,7 @@ class ScoreFunction:
 
     def _check_pair(self, x, y):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = _rows(np.atleast_2d(y), "responses", self.d)
+        y = _array(np.atleast_2d(y), "responses", (None, self.d))
         if x.shape[0] not in (1, y.shape[0]):
             raise DimensionError(
                 f"{x.shape[0]} input rows for {y.shape[0]} responses; need 1 or one each")
@@ -64,7 +64,8 @@ class ScoreFunction:
         """Scores of paired rows and the region centers at X, from one prediction."""
         X, Y = self._check_pair(X, Y)
         pred = self._predict_rows(X)
-        return self._scores(pred, Y), self._centers(pred)
+        # a NaN score compares False with every threshold, so it is refused
+        return _array(self._scores(pred, Y), "scores", (None,)), self._centers(pred)
 
     def center(self, x) -> np.ndarray:
         """Representative center of the region at x (used for sizing bounds)."""
@@ -164,8 +165,7 @@ class MahalanobisResidualScore(_RegressionScore):
     def __init__(self, regressor, whitener: Whitener | np.ndarray):
         super().__init__(regressor)
         W = whitener if isinstance(whitener, Whitener) else Whitener(whitener)
-        if W.matrix.shape != (self.d, self.d):
-            raise DimensionError(f"whitener must be {self.d}x{self.d}")
+        _array(W.matrix, "whitener", (self.d, self.d))
         self.whitener = W
 
     def _score_residuals(self, resid):
@@ -286,7 +286,7 @@ class Whitener:
     fit_tag: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
+        object.__setattr__(self, "matrix", _array(self.matrix, "whitener", (None, None)))
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix, dtype=dtype)
@@ -337,7 +337,7 @@ def conformal_threshold(cal_scores, alpha: float) -> float:
     the whole space. The ceiling is evaluated in exact rational arithmetic so
     float rounding cannot shift the rank.
     """
-    scores = np.asarray(cal_scores, dtype=float).ravel()
+    scores = _array(cal_scores, "calibration scores", (None,))
     n = scores.size
     if n < 1:
         raise ParamError("need at least one calibration score")
@@ -349,7 +349,7 @@ def conformal_threshold(cal_scores, alpha: float) -> float:
 
 def pit_values(cal_scores, test_scores):
     """Empirical CDF of the calibration scores at each test score, on {0,1/n,...,1}."""
-    sorted_scores = np.sort(np.asarray(cal_scores, dtype=float).ravel())
+    sorted_scores = np.sort(_array(cal_scores, "calibration scores", (None,)))
     n = sorted_scores.size
     if n < 1:
         raise ParamError("need at least one calibration score")

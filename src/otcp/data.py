@@ -18,7 +18,7 @@ from typing import NamedTuple, NoReturn
 import numpy as np
 
 from .errors import (DimensionError, NotFittedError, ParamError, ParseError, _file_errors,
-                     _integer, _object, _real, _rows)
+                     _array, _integer, _object, _real)
 
 SPLIT_NAMES = ("train", "ot_fit", "calib", "test")
 
@@ -34,7 +34,8 @@ class Dataset:
     tag: str | None = None
 
     def __post_init__(self):
-        X, Y = _rows(self.features, "features"), _rows(self.targets, "targets")
+        X, Y = (_array(self.features, "features", (None, None)),
+                _array(self.targets, "targets", (None, None)))
         if X.shape[0] != Y.shape[0]:
             raise DimensionError(
                 f"row mismatch: {X.shape[0]} feature rows vs {Y.shape[0]} target rows")
@@ -96,7 +97,7 @@ class ScoreMatrix:
     origin: str = ""
 
     def __post_init__(self):
-        Z = _rows(self.scores, "scores")
+        Z = _array(self.scores, "scores", (None, None))
         if Z.shape[1] < 1:
             raise DimensionError("scores must be an n x d matrix with d >= 1")
         object.__setattr__(self, "scores", Z)
@@ -106,7 +107,7 @@ def _scores_and_origin(scores) -> tuple[np.ndarray, str]:
     """(rows, origin) of a ScoreMatrix, or of a plain 2-D array as untagged rows."""
     if isinstance(scores, ScoreMatrix):
         return scores.scores, scores.origin
-    return _rows(scores, "residuals"), ""
+    return _array(scores, "residuals", (None, None)), ""
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +251,27 @@ def _mean_function(X: np.ndarray, d: int, slope: float) -> np.ndarray:
     return np.repeat(m[:, None], d, axis=1)
 
 
-def _check_spd(cov: np.ndarray, d: int) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (d, d):
-        raise ParamError(f"covariance must be {d}x{d}, got {cov.shape}")
-    if not np.allclose(cov, cov.T, atol=1e-12):
+def _mixture(params: dict, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means (k x d), weights (k) and covariance Cholesky factors (k x d x d) of gaussian or
+    mixture `params` (a gaussian is the one-component, zero-mean mixture); weights that are
+    negative or do not sum to 1, a covariance not symmetric positive definite, or covs
+    given with cov raise ParamError."""
+    means = _array(params.get("means", np.zeros((1, d))), "mixture means", (None, d))
+    k = len(means)
+    weights = _array(params.get("weights", np.full(k, 1.0 / k)), "mixture weights", (k,))
+    if (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-9:
+        raise ParamError("mixture weights must be nonnegative and sum to 1")
+    if "covs" in params:
+        if "cov" in params:
+            raise ParamError("mixture reads covs or cov, not both")
+        covs = _array(params["covs"], "mixture covs", (k, d, d))
+    else:
+        covs = np.broadcast_to(_array(params.get("cov", np.eye(d)), "covariance", (d, d)),
+                               (k, d, d))
+    if not np.allclose(covs, covs.swapaxes(1, 2), atol=1e-12):
         raise ParamError("covariance must be symmetric")
     try:
-        return np.linalg.cholesky(cov)
+        return means, weights, np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
         raise ParamError("covariance must be positive definite") from None
 
@@ -283,6 +297,8 @@ def synth_params(kind: str, d: int, params: dict | None) -> dict:
     for key in ("slope", "spread", "curvature", "noise"):
         if key in params:
             _real(params[key], key)
+    if kind != "banana":
+        _mixture(params, d)
     return params
 
 
@@ -297,10 +313,10 @@ def synth_dataset(kind: str, n: int, d: int = 2, params: dict | None = None,
       mixture  -- Gaussian mixture noise (params: means, weights, covs|cov)
 
     A params key the kind does not read, an n or p that is not an integer >= 1,
-    a seed that is not an integer >= 0 or a slope, spread, curvature or noise
-    that is not a real number raises ParamError. A gaussian is the one-component, zero-mean mixture, drawn by
-    the same code. Feature, noise, and mixture-assignment streams are seeded
-    independently.
+    a seed that is not an integer >= 0, a slope, spread, curvature or noise
+    that is not a real number, or a means, weights, cov or covs array _mixture
+    refuses raises ParamError. Feature, noise, and mixture-assignment streams
+    are seeded independently.
     """
     n, seed = _integer(n, "n", 1), _integer(seed, "seed", 0)
     params = synth_params(kind, d, params)
@@ -319,17 +335,8 @@ def synth_dataset(kind: str, n: int, d: int = 2, params: dict | None = None,
         t = spread * Z[:, 0]
         noise = np.column_stack([t, curvature * (t**2 - spread**2) + vnoise * Z[:, 1]])
     else:  # a gaussian is the one-component, zero-mean mixture
-        means = np.asarray(params.get("means", np.zeros((1, d))), dtype=float)
-        if means.ndim != 2 or means.shape[1] != d:
-            raise ParamError(f"mixture means must be k x {d}")
-        k = means.shape[0]
-        weights = np.asarray(params.get("weights", np.full(k, 1.0 / k)), dtype=float)
-        if weights.shape != (k,) or (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-9:
-            raise ParamError("mixture weights must be nonnegative and sum to 1")
-        covs = params.get("covs")
-        if covs is None:
-            covs = [params.get("cov", np.eye(d))] * k
-        Ls = [_check_spd(np.asarray(c, dtype=float), d) for c in covs]
+        means, weights, Ls = _mixture(params, d)
+        k = len(weights)
         Z = rng_noise.standard_normal((n, d))
         assign = np.random.default_rng(ss_assign).choice(k, size=n, p=weights)
         noise = np.empty((n, d))
@@ -356,7 +363,7 @@ def _fitted_rows(model, X) -> np.ndarray:
     """X as finite float rows, once `model` is fitted on as many features as X has."""
     if model.p is None:
         raise NotFittedError(f"{model.kind} model is not fitted")
-    return _rows(X, "query features", model.p)
+    return _array(X, "query features", (None, model.p))
 
 
 _KNN_BLOCK_ENTRIES = 1 << 18  # cap on query rows * training rows per distance block

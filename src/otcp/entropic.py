@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _scores_and_origin
-from .errors import DimensionError, _rows
+from .errors import DimensionError, _array
 from .sinkhorn import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -84,7 +84,7 @@ class EntropicMap:
 
     def forward(self, z) -> np.ndarray:
         """Map residual rows into the unit ball as convex combinations of grid points."""
-        return self.forward_std(self.standardizer.transform(_rows(z, "queries", self.dim)))
+        return self.forward_std(self.standardizer.transform(_array(z, "queries", (None, self.dim))))
 
     def rank(self, z) -> np.ndarray:
         """Transport rank ||forward(z)|| in [0, 1] of each residual row."""
@@ -92,9 +92,9 @@ class EntropicMap:
 
     def inverse(self, u) -> np.ndarray:
         """Pull ball rows back to convex combinations of fitted residuals."""
-        src = self.source_std
+        u, src = _array(u, "queries", (None, self.dim)), self.source_std
         return self.standardizer.inverse_transform(
-            self._gibbs_average(_rows(u, "queries", self.dim), src, self.potentials.f, src))
+            self._gibbs_average(u, src, self.potentials.f, src))
 
 
 def fit_entropic_map(scores, grid: SphericalGrid, *, epsilon: float = 0.1,

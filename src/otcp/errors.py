@@ -3,8 +3,9 @@
 Input that breaks a documented precondition (an argument, config value, data or
 artifact file, or output path) raises ParamError or a subclass, which the CLI,
 like MethodError, reports as a usage error with exit 2; anything else is a bug.
-Row blocks (features, responses, residuals, map queries, OT points) go through
-`_rows`, which checks shape, width and finiteness; miscoverage levels go through `_level`.
+Every array from outside (row blocks, generator params, calibration scores, grids,
+whiteners, sizing boxes, artifact arrays) goes through `_array`, which checks that it
+is numeric, its shape and its finiteness; miscoverage levels go through `_level`.
 """
 
 import contextlib
@@ -90,17 +91,24 @@ class DimensionError(ParamError):
     """Array shapes are incompatible with the operation."""
 
 
-def _rows(value, name: str, width: int | None = None) -> np.ndarray:
-    """`value` as a float array of rows, `width` wide if given: DimensionError when it is
-    not 2-D or has another width, ParamError when an entry is NaN or infinite."""
-    rows = np.asarray(value, dtype=float)
-    if rows.ndim != 2:
-        raise DimensionError(f"{name} must be rows of a 2-D array, got {rows.ndim}-D")
-    if width is not None and rows.shape[1] != width:
-        raise DimensionError(f"{name} must have width {width}, got {rows.shape[1]}")
-    if not np.isfinite(rows).all():
+def _array(value, name: str, shape: tuple) -> np.ndarray:
+    """`value` as a float array of `shape` (None matches any extent): ParamError when numpy
+    cannot read it as floats, then DimensionError on another shape, then ParamError on a
+    NaN or infinite entry."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ParamError(f"{name} is not a numeric array") from None
+    if a.ndim != len(shape):
+        form = "rows of a 2-D array" if len(shape) == 2 else f"a {len(shape)}-D array"
+        raise DimensionError(f"{name} must be {form}, got {a.ndim}-D")
+    for axis, (got, want) in enumerate(zip(a.shape, shape)):
+        if want is not None and got != want:
+            extent = ("length", "width", "depth")[axis]
+            raise DimensionError(f"{name} must have {extent} {want}, got {got}")
+    if not np.isfinite(a).all():
         raise ParamError(f"{name} must be finite, got NaN or Inf")
-    return rows
+    return a
 
 
 class ParseError(ParamError):

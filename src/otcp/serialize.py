@@ -12,17 +12,18 @@ threshold, which calibration returns when alpha < 1/(n+1), is written as
 null. A map stores its grid as the radius ladder, the unit directions and
 the origin count, and the grid points are rebuilt from them on load. A
 whitener is its matrix plus the tag of the residual rows it was estimated on.
-Loading checks every map array's shape against the others and the residual
-bounding box against the score's dimension, and requires finite values, every
-key the writer writes (tags included), each tag and map origin a string or
-null, and each scalar of its kind (no integer is truncated), raising
-ParamError; a missing key, a key such as score.map.grid that holds no
-object, or a tag of another type, is named by its path. The scalars are
-checked where their objects are built: alpha and threshold in
+Every array goes through errors._array, which refuses one that is not numeric,
+has another shape or holds NaN or infinity. Loading checks every map array's
+shape against the others and the residual bounding box against the score's
+dimension, and requires every key the writer writes (tags included), each tag
+and map origin a string or null, and each scalar of its kind (no integer is
+truncated), raising ParamError; a missing key, a key such as score.map.grid
+that holds no object, or a tag of another type, is named by its path. The
+scalars are checked where their objects are built: alpha and threshold in
 CalibratedPredictor, and k, lam, alpha_lo, alpha_hi, epsilon and n_o in
-theirs. A predictor file that cannot be read, is not UTF-8
-JSON or is not an object is a ParamError naming it, and save_predictor raises
-ParamError naming a path it cannot write.
+theirs. A predictor file that cannot be read, is not UTF-8 JSON or is not an
+object is a ParamError naming it, and save_predictor raises ParamError naming
+a path it cannot write.
 Both k-NN models go through one codec, and a map's `origin` key holds its
 fit_tag, the tag of the residual rows it was fitted on.
 """
@@ -38,7 +39,7 @@ import numpy as np
 from .conformal import CalibratedPredictor, Whitener, make_score_function
 from .data import Dataset, KnnMeanRegressor, KnnQuantilePredictor, RidgeRegressor
 from .entropic import EntropicMap
-from .errors import ParamError, _file_errors, _integer, _object, _real, _write_text
+from .errors import ParamError, _array, _file_errors, _integer, _object, _real, _write_text
 from .sinkhorn import DualPotentials, OtProblem, Standardizer
 from .sphere import SphericalGrid
 
@@ -78,19 +79,6 @@ class _Section(dict):
 
 def _arr(a) -> list:
     return np.asarray(a, dtype=float).tolist()
-
-
-def _array(value, name: str, shape: tuple) -> np.ndarray:
-    """A loaded array, checked finite and of `shape` (None matches any length)."""
-    try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ParamError(f"{name} is not a numeric array") from None
-    if a.ndim != len(shape) or any(w is not None and w != n for n, w in zip(a.shape, shape)):
-        raise ParamError(f"{name} has shape {a.shape}, expected {shape}")
-    if not np.isfinite(a).all():
-        raise ParamError(f"{name} contains non-finite values")
-    return a
 
 
 def _check_header(doc: dict, expected: str):
@@ -171,9 +159,7 @@ def map_from_dict(doc: dict) -> EntropicMap:
         doc = _Section(doc)
     _check_header(doc, MAP_FORMAT)
     g = doc.section("grid")
-    grid = SphericalGrid(_array(g["radii"], "grid radii", (None,)),
-                         _array(g["directions"], "grid directions", (None, None)),
-                         g["n_o"])
+    grid = SphericalGrid(g["radii"], g["directions"], g["n_o"])
     dim = grid.dim
     prob = OtProblem(_array(doc["source_std"], "source_std", (None, dim)), grid.points,
                      doc["epsilon"])
@@ -195,7 +181,7 @@ def _whitener_to_dict(w: Whitener) -> dict:
 
 
 def _whitener_from_dict(doc: dict) -> Whitener:
-    return Whitener(_array(doc["matrix"], "whitener", (None, None)), doc.tag("tag"))
+    return Whitener(doc["matrix"], doc.tag("tag"))
 
 
 # ---------------------------------------------------------------------------

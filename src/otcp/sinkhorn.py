@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SinkhornNotConverged, _integer, _positive, _rows
+from .errors import SinkhornNotConverged, _array, _integer, _positive
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 2000
@@ -82,8 +82,8 @@ class OtProblem:
     epsilon: float
 
     def __post_init__(self):
-        src = _rows(self.source, "OT source")
-        tgt = _rows(self.target, "OT target", src.shape[1])
+        src = _array(self.source, "OT source", (None, None))
+        tgt = _array(self.target, "OT target", (None, src.shape[1]))
         object.__setattr__(self, "epsilon", _positive(self.epsilon, "epsilon"))
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", tgt)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamError, _integer, _level
+from .errors import ParamError, _array, _integer, _level
 
 DIRECTION_MODES = ("low_discrepancy", "iid")
 
@@ -114,12 +114,10 @@ class SphericalGrid:
     n_o: int
 
     def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=float)
-        dirs = np.asarray(self.directions, dtype=float)
-        if radii.ndim != 1 or radii.size == 0:
-            raise ParamError(f"radii must be a non-empty vector, got shape {radii.shape}")
-        if dirs.ndim != 2 or dirs.size == 0:
-            raise ParamError(f"directions must be a non-empty matrix, got shape {dirs.shape}")
+        radii = _array(self.radii, "grid radii", (None,))
+        dirs = _array(self.directions, "grid directions", (None, None))
+        if radii.size == 0 or dirs.size == 0:
+            raise ParamError("grid radii and directions must be non-empty")
         object.__setattr__(self, "n_o", _integer(self.n_o, "n_o", 0))
         shells = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1])
         object.__setattr__(self, "radii", radii)

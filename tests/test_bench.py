@@ -12,6 +12,7 @@ from otcp import (
     BenchConfig,
     CalibratedPredictor,
     Dataset,
+    DimensionError,
     EntropicMap,
     KnnQuantilePredictor,
     MethodError,
@@ -496,6 +497,19 @@ def test_config_rejects_keys_nothing_reads(over):
     {"seeds": (0, 0)},
     {"seeds": (3, 1, 3)},
     {"methods": ("merge_l2", "merge_l2")},
+    *({"dataset": {"kind": "synthetic", "generator": generator, "params": params}}
+      for generator, params in [
+          ("gaussian", {"cov": "x"}),
+          ("gaussian", {"cov": [[1, 0], [0]]}),
+          ("mixture", {"means": "x"}),
+          ("mixture", {"means": [[0, 0], None]}),
+          ("mixture", {"means": {}}),
+          ("mixture", {"covs": "x"}),
+          ("mixture", {"means": [[0, 0], [1, 1]], "weights": [None, 0.5]}),
+          ("mixture", {"means": [[0, 0], [1, 1]], "weights": "ab"}),
+          ("mixture", {"means": [[0, 0], [1, 1]], "covs": [np.eye(2).tolist()]}),
+          ("mixture", {"covs": [np.eye(2).tolist()], "cov": np.eye(2).tolist()}),
+          ("mixture", {"covs": [np.eye(2).tolist()] * 2})]),
 ])
 def test_config_rejects_values_no_run_can_use(over, monkeypatch):
     _no_loading(monkeypatch)
@@ -810,7 +824,14 @@ def test_an_uncreatable_output_dir_is_refused_before_any_seed(tmp_path, monkeypa
      ParamError, "n_mc must be an integer, got 10.5"),
     (lambda pred: bench.qmc_volume(lambda z: z[:, 0] > 0, [0.0], [1.0], 10.5, seed=0),
      ParamError, "n_samples must be an integer, got 10.5"),
-], ids=["mc-samples-zero", "mc-samples-float", "qmc-samples-float"])
+    (lambda pred: region_size_mc(pred, [0.5], (np.full(2, -1.5), np.full(2, 1.5)), seed=1.5),
+     ParamError, "seed must be an integer, got 1.5"),
+    (lambda pred: bench.qmc_volume(lambda z: z[:, 0] > 0, [0.0], [1.0], 8, seed=1.5),
+     ParamError, "seed must be an integer, got 1.5"),
+    (lambda pred: bench.qmc_volume(lambda z: z[:, 0] > 0, [0.0, 0.0], [1.0, 1.0, 1.0], 8, 0),
+     DimensionError, "bounds high must have length 2, got 3"),
+], ids=["mc-samples-zero", "mc-samples-float", "qmc-samples-float", "mc-seed-float",
+        "qmc-seed-float", "qmc-box-lengths"])
 def test_refused_sizing_arguments(call, error, message):
     with pytest.raises(error) as info:
         call(_zero_center_predictor(1.0))

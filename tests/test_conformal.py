@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from otcp import (
     split_dataset,
     synth_dataset,
 )
+from otcp.serialize import predictor_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -563,6 +566,16 @@ def test_non_finite_responses_are_refused(gaussian_pipeline, kind):
             pred.contains_rows(X, Y)
 
 
+def _contains_on_overflowing_map():
+    # a dual potential of 1e308 overflows the map's soft-min into NaN scores, which
+    # would compare False with the threshold
+    doc = json.loads((Path(__file__).parent / "data" / "otcp_v3.json").read_text())
+    doc["score"]["map"]["g"][0] = 1e308
+    pred = predictor_from_dict(doc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return pred.contains_rows([[0.1], [0.5]], [[0.0, 0.0], [0.5, 1.0]])
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda gp: make_score_function("merge_l2", regressor=KnnMeanRegressor(5)),
      NotFittedError, "regressor must be fitted first"),
@@ -606,6 +619,15 @@ def test_non_finite_responses_are_refused(gaussian_pipeline, kind):
      "alpha must be a real number, got '0.1'"),
     (lambda gp: region_contour_2d(_calibrated(gp, "merge_l2"), [0.5], n_angles=10.5),
      ParamError, "n_angles must be an integer, got 10.5"),
+    (lambda gp: conformal_threshold([math.nan] * 5 + [1.0] * 20, 0.1), ParamError,
+     "calibration scores must be finite, got NaN or Inf"),
+    (lambda gp: pit_values([math.nan, 1.0, 2.0], [1.5]), ParamError,
+     "calibration scores must be finite, got NaN or Inf"),
+    (lambda gp: make_score_function("merge_mahalanobis", regressor=gp["reg"],
+                                    whitener=[[math.nan, 0.0], [0.0, 1.0]]),
+     ParamError, "whitener must be finite, got NaN or Inf"),
+    (lambda gp: _contains_on_overflowing_map(), ParamError,
+     "scores must be finite, got NaN or Inf"),
     *((lambda gp, kind=kind, X=X: region_volumes(_calibrated(gp, kind), X), error, message)
       for kind in ("abs_univariate", "merge_l2", "merge_mahalanobis")
       for X, error, message in [
@@ -623,7 +645,8 @@ def test_non_finite_responses_are_refused(gaussian_pipeline, kind):
         "ridge-one-row", "covariance-no-rows", "covariance-one-row", "threshold-no-scores",
         "threshold-alpha", "pit-no-scores", "threshold-minus-inf", "calib-width",
         "contour-vertices", "contour-threshold-nan", "threshold-alpha-string",
-        "contour-vertices-float",
+        "contour-vertices-float", "threshold-nan-scores", "pit-nan-scores", "whitener-nan",
+        "map-score-overflow",
         *(f"volume-{kind}-{fault}" for kind in ("abs", "l2", "mahalanobis")
           for fault in ("3d", "width", "nan")),
         *(f"{call}-{bad}" for call in ("covariance", "mahalanobis-ridge", "map-fit")

@@ -668,11 +668,11 @@ def test_dataset_rejects_nonfinite():
      "need at least 4 rows to split"),
     (lambda: split_dataset(synth_dataset("gaussian", 10, 2), SplitSpec((0.45, 0.05, 0.25, 0.25))),
      ParamError, "ot_fit split empty for n=10"),
-    (lambda: synth_dataset("gaussian", 10, 2, {"cov": [[1.0]]}), ParamError,
-     "covariance must be 2x2, got (1, 1)"),
+    (lambda: synth_dataset("gaussian", 10, 2, {"cov": [[1.0]]}), DimensionError,
+     "covariance must have length 2, got 1"),
     (lambda: synth_dataset("gaussian", 0, 2), ParamError, "n must be >= 1"),
-    (lambda: synth_dataset("mixture", 10, 2, {"means": [0.0, 1.0]}), ParamError,
-     "mixture means must be k x 2"),
+    (lambda: synth_dataset("mixture", 10, 2, {"means": [0.0, 1.0]}), DimensionError,
+     "mixture means must be rows of a 2-D array, got 1-D"),
     (lambda: synth_dataset("mixture", 10, 2, {"means": [[0.0, 0.0], [1.0, 1.0]],
                                               "weights": [0.3, 0.3]}),
      ParamError, "mixture weights must be nonnegative and sum to 1"),
@@ -686,10 +686,12 @@ def test_dataset_rejects_nonfinite():
     (lambda: SplitSpec(seed=1.5), ParamError, "seed must be an integer, got 1.5"),
     (lambda: SplitSpec(("a", 1, 1, 1)), ParamError,
      "split fraction must be a real number, got 'a'"),
+    (lambda: Dataset([["a"], [1.0]], [[1.0], [2.0]]), ParamError,
+     "features is not a numeric array"),
 ], ids=["dataset-1d", "dataset-empty", "scores-1d", "scores-nan", "csv-d-out", "split-3-rows",
         "split-empty-ot-fit", "synth-cov-shape", "synth-n-zero", "mixture-means",
         "mixture-weights", "residual-width", "synth-n-float", "synth-n-bool", "synth-seed-float",
-        "split-seed-float", "split-fraction-string"])
+        "split-seed-float", "split-fraction-string", "dataset-string"])
 def test_refused_data_inputs(call, error, message):
     with pytest.raises(error) as info:
         call()

@@ -176,6 +176,7 @@ def test_grid_points_follow_from_the_ladder():
     ([1.0], np.zeros((0, 2)), 1),
     ([1.0], [[1.0, 0.0]], -1),
     ([1.0], [[1.0, 0.0]], 1.5),
+    ([0.5, math.nan], [[1.0, 0.0]], 1),
 ])
 def test_grid_rejects_malformed_ladder(radii, directions, n_o):
     with pytest.raises(ParamError):
