@@ -434,16 +434,19 @@ def _run_seed(cfg: BenchConfig, seed: int, cells):
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
     """Run every (seed, method) cell; a failure marks its row and spares the rest.
     With an output dir, made before the first seed, each method's first ok predictor
-    is saved under models/ (unless save_models is off) and the report is written there."""
+    is saved under models/ (unless save_models is off) and the report is written there.
+    The saves of one seed share one memo, so the arrays their models share, such as the
+    k-NN training rows, are encoded once."""
     cells = [(method, cfg, mi) for mi, method in enumerate(cfg.methods)]
     out = cfg.output_dir and _output_dir(cfg.output_dir)
     rows, saved_models = [], set()
     for seed in cfg.seeds:
+        encoded = {}
         for row, pred, _ in _run_seed(cfg, seed, cells):
             rows.append(row)
             if pred and out and cfg.save_models and row.method not in saved_models:
                 model_dir = _output_dir(out / "models")
-                serialize.save_predictor(pred, model_dir / f"{row.method}.json")
+                serialize.save_predictor(pred, model_dir / f"{row.method}.json", encoded)
                 saved_models.add(row.method)
     report = BenchReport(rows)
     if out:

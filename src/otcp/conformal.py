@@ -49,8 +49,8 @@ class ScoreFunction:
         return frozenset(tag for part in parts if (tag := getattr(part, "fit_tag", None)))
 
     def _check_pair(self, x, y):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = _array(np.atleast_2d(y), "responses", (None, self.d))
+        x = np.atleast_2d(_array(x, "query features"))
+        y = _array(np.atleast_2d(_array(y, "responses")), "responses", (None, self.d))
         if x.shape[0] not in (1, y.shape[0]):
             raise DimensionError(
                 f"{x.shape[0]} input rows for {y.shape[0]} responses; need 1 or one each")
@@ -348,12 +348,13 @@ def conformal_threshold(cal_scores, alpha: float) -> float:
 
 
 def pit_values(cal_scores, test_scores):
-    """Empirical CDF of the calibration scores at each test score, on {0,1/n,...,1}."""
+    """Empirical CDF of the calibration scores at each test score, on {0,1/n,...,1}:
+    a number for a number, an array of the same shape for an array."""
     sorted_scores = np.sort(_array(cal_scores, "calibration scores", (None,)))
     n = sorted_scores.size
     if n < 1:
         raise ParamError("need at least one calibration score")
-    return np.searchsorted(sorted_scores, test_scores, side="right") / n
+    return np.searchsorted(sorted_scores, _array(test_scores, "test scores"), side="right") / n
 
 
 @dataclass(eq=False)

@@ -253,11 +253,13 @@ def _mean_function(X: np.ndarray, d: int, slope: float) -> np.ndarray:
 
 def _mixture(params: dict, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Means (k x d), weights (k) and covariance Cholesky factors (k x d x d) of gaussian or
-    mixture `params` (a gaussian is the one-component, zero-mean mixture); weights that are
-    negative or do not sum to 1, a covariance not symmetric positive definite, or covs
-    given with cov raise ParamError."""
+    mixture `params` (a gaussian is the one-component, zero-mean mixture); no means, weights
+    that are negative or do not sum to 1, a covariance not symmetric positive definite, or
+    covs given with cov raise ParamError."""
     means = _array(params.get("means", np.zeros((1, d))), "mixture means", (None, d))
     k = len(means)
+    if k < 1:
+        raise ParamError("mixture means must hold at least one row")
     weights = _array(params.get("weights", np.full(k, 1.0 / k)), "mixture weights", (k,))
     if (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-9:
         raise ParamError("mixture weights must be nonnegative and sum to 1")
@@ -283,10 +285,12 @@ _SYNTH_PARAMS = {"gaussian": ("cov",),
 
 
 def synth_params(kind: str, d: int, params: dict | None) -> dict:
-    """A copy of `params`, once synthetic `kind` exists, can make d targets and reads
-    every key in `params`, p is an integer >= 1 and each scalar param is a real number."""
+    """A copy of `params`, once synthetic `kind` exists, d is an integer >= 1, `kind` can
+    make d targets and reads every key in `params`, p is an integer >= 1 and each scalar
+    param is a real number."""
     if not isinstance(kind, str) or kind not in _SYNTH_PARAMS:
         raise ParamError(f"unknown synthetic kind {kind!r}")
+    d = _integer(d, "d", 1)
     if kind == "banana" and d != 2:
         raise ParamError("banana generator is fixed at d=2")
     params = dict(_object({} if params is None else params, "params"))
@@ -312,7 +316,7 @@ def synth_dataset(kind: str, n: int, d: int = 2, params: dict | None = None,
                   (params: spread, curvature, noise)
       mixture  -- Gaussian mixture noise (params: means, weights, covs|cov)
 
-    A params key the kind does not read, an n or p that is not an integer >= 1,
+    A params key the kind does not read, an n, d or p that is not an integer >= 1,
     a seed that is not an integer >= 0, a slope, spread, curvature or noise
     that is not a real number, or a means, weights, cov or covs array _mixture
     refuses raises ParamError. Feature, noise, and mixture-assignment streams

@@ -91,14 +91,16 @@ class DimensionError(ParamError):
     """Array shapes are incompatible with the operation."""
 
 
-def _array(value, name: str, shape: tuple) -> np.ndarray:
-    """`value` as a float array of `shape` (None matches any extent): ParamError when numpy
-    cannot read it as floats, then DimensionError on another shape, then ParamError on a
-    NaN or infinite entry."""
+def _array(value, name: str, shape: tuple | None = None) -> np.ndarray:
+    """`value` as a float array of `shape` (None matches any extent; no shape, any shape):
+    ParamError when numpy cannot read it as floats, then DimensionError on another shape,
+    then ParamError on a NaN or infinite entry."""
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise ParamError(f"{name} is not a numeric array") from None
+    if shape is None:
+        shape = (None,) * a.ndim
     if a.ndim != len(shape):
         form = "rows of a 2-D array" if len(shape) == 2 else f"a {len(shape)}-D array"
         raise DimensionError(f"{name} must be {form}, got {a.ndim}-D")

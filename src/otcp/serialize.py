@@ -26,6 +26,12 @@ object is a ParamError naming it, and save_predictor raises ParamError naming
 a path it cannot write.
 Both k-NN models go through one codec, and a map's `origin` key holds its
 fit_tag, the tag of the residual rows it was fitted on.
+
+map_to_dict and predictor_to_dict give a document as plain JSON values, and a
+predictor file is json.dumps(predictor_to_dict(pred), allow_nan=False) plus a
+newline. save_predictor builds that text piece by piece and joins it once, so
+the saves of one bench seed pass one memo and encode each array their models
+share (the k-NN training rows) once; the file bytes do not depend on the memo.
 """
 
 from __future__ import annotations
@@ -77,8 +83,36 @@ class _Section(dict):
         return value
 
 
-def _arr(a) -> list:
-    return np.asarray(a, dtype=float).tolist()
+def _arr(a) -> np.ndarray:
+    """An array leaf of a document; _plain writes it as nested lists."""
+    return np.asarray(a, dtype=float)
+
+
+def _plain(value):
+    """`value` with every array leaf as nested lists: the document as JSON values."""
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _encode(value, encoded: dict, out: list) -> None:
+    """Append the text of json.dumps(_plain(value), allow_nan=False) to `out`, piece by
+    piece. The text of each array leaf is read from `encoded` under the array's id, or
+    stored there with the array, which keeps the id from being reused while it is kept."""
+    if isinstance(value, dict):
+        sep = "{"
+        for key, v in value.items():
+            out.append(f"{sep}{json.dumps(key)}: ")
+            _encode(v, encoded, out)
+            sep = ", "
+        out.append("}" if value else "{}")
+    elif isinstance(value, np.ndarray):
+        entry = encoded.get(id(value))
+        if entry is None:
+            entry = encoded[id(value)] = (value, json.dumps(value.tolist(), allow_nan=False))
+        out.append(entry[1])
+    else:
+        out.append(json.dumps(value, allow_nan=False))
 
 
 def _check_header(doc: dict, expected: str):
@@ -136,7 +170,7 @@ def _quantile_from_dict(doc: dict) -> KnnQuantilePredictor:
 # Entropic map
 # ---------------------------------------------------------------------------
 
-def map_to_dict(emap: EntropicMap) -> dict:
+def _map_to_dict(emap: EntropicMap) -> dict:
     grid = emap.grid
     return {
         "format": MAP_FORMAT, "version": VERSION,
@@ -152,6 +186,10 @@ def map_to_dict(emap: EntropicMap) -> dict:
                  "directions": _arr(grid.directions)},
         "origin": emap.fit_tag,
     }
+
+
+def map_to_dict(emap: EntropicMap) -> dict:
+    return _plain(_map_to_dict(emap))
 
 
 def map_from_dict(doc: dict) -> EntropicMap:
@@ -193,7 +231,7 @@ _COMPONENTS = {
     "regressor": ("regressor", _regressor_to_dict, _regressor_from_dict),
     "quantile_predictor": ("quantile_predictor", _quantile_to_dict, _quantile_from_dict),
     "whitener": ("whitener", _whitener_to_dict, _whitener_from_dict),
-    "transport_map": ("map", map_to_dict, map_from_dict),
+    "transport_map": ("map", _map_to_dict, map_from_dict),
 }
 
 
@@ -211,7 +249,7 @@ def _score_fn_from_dict(doc: _Section):
     return make_score_function(doc["kind"], **parts)
 
 
-def predictor_to_dict(pred: CalibratedPredictor) -> dict:
+def _predictor_to_dict(pred: CalibratedPredictor) -> dict:
     return {
         "format": PREDICTOR_FORMAT, "version": VERSION,
         "alpha": pred.alpha,
@@ -221,6 +259,10 @@ def predictor_to_dict(pred: CalibratedPredictor) -> dict:
         "residual_high": _arr(pred.residual_high),
         "score": _score_fn_to_dict(pred.score_fn),
     }
+
+
+def predictor_to_dict(pred: CalibratedPredictor) -> dict:
+    return _plain(_predictor_to_dict(pred))
 
 
 def predictor_from_dict(doc: dict) -> CalibratedPredictor:
@@ -240,8 +282,14 @@ def predictor_from_dict(doc: dict) -> CalibratedPredictor:
         _array(doc["cal_scores"], "cal_scores", (None,)), low, high)
 
 
-def save_predictor(pred: CalibratedPredictor, path) -> None:
-    _write_text(path, json.dumps(predictor_to_dict(pred), allow_nan=False) + "\n", "model")
+def save_predictor(pred: CalibratedPredictor, path, encoded: dict | None = None) -> None:
+    """Write `pred` to `path` as json.dumps(predictor_to_dict(pred), allow_nan=False) plus
+    a newline. Saves that pass one `encoded` dict encode an array they share once; the
+    dict keeps each array's text, so no array may change while it is in use."""
+    pieces = []
+    _encode(_predictor_to_dict(pred), {} if encoded is None else encoded, pieces)
+    pieces.append("\n")
+    _write_text(path, "".join(pieces), "model")
 
 
 def read_json_object(path, what: str) -> dict:

@@ -181,6 +181,9 @@ def test_pit_extremes_and_grid():
     assert pit_values(cal, 0.5) == 0.0
     assert pit_values(cal, 9.0) == 1.0
     assert pit_values(cal, 2.0) == pytest.approx(2 / 3)
+    # a number for a number, an array of the same shape for an array
+    assert isinstance(pit_values(cal, 2.0), float)
+    assert np.array_equal(pit_values(cal, [[0.5, 2.0], [3.0, 9.0]]), [[0, 2 / 3], [1, 1]])
 
 
 def test_predictor_pit_is_the_calibration_rank(gaussian_pipeline):
@@ -623,6 +626,14 @@ def _contains_on_overflowing_map():
      "calibration scores must be finite, got NaN or Inf"),
     (lambda gp: pit_values([math.nan, 1.0, 2.0], [1.5]), ParamError,
      "calibration scores must be finite, got NaN or Inf"),
+    (lambda gp: pit_values([1.0, 2.0], [math.nan]), ParamError,
+     "test scores must be finite, got NaN or Inf"),
+    (lambda gp: pit_values([1.0, 2.0], math.inf), ParamError,
+     "test scores must be finite, got NaN or Inf"),
+    (lambda gp: _calibrated(gp, "merge_l2").contains_rows([[0.5]], [[0, 0], [1]]), ParamError,
+     "responses is not a numeric array"),
+    (lambda gp: _calibrated(gp, "merge_l2").contains_rows("a", [[0.0, 0.0]]), ParamError,
+     "query features is not a numeric array"),
     (lambda gp: make_score_function("merge_mahalanobis", regressor=gp["reg"],
                                     whitener=[[math.nan, 0.0], [0.0, 1.0]]),
      ParamError, "whitener must be finite, got NaN or Inf"),
@@ -645,7 +656,9 @@ def _contains_on_overflowing_map():
         "ridge-one-row", "covariance-no-rows", "covariance-one-row", "threshold-no-scores",
         "threshold-alpha", "pit-no-scores", "threshold-minus-inf", "calib-width",
         "contour-vertices", "contour-threshold-nan", "threshold-alpha-string",
-        "contour-vertices-float", "threshold-nan-scores", "pit-nan-scores", "whitener-nan",
+        "contour-vertices-float", "threshold-nan-scores", "pit-nan-scores",
+        "pit-nan-test-score", "pit-inf-test-score", "contains-ragged-responses",
+        "contains-string-inputs", "whitener-nan",
         "map-score-overflow",
         *(f"volume-{kind}-{fault}" for kind in ("abs", "l2", "mahalanobis")
           for fault in ("3d", "width", "nan")),

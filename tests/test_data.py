@@ -688,10 +688,14 @@ def test_dataset_rejects_nonfinite():
      "split fraction must be a real number, got 'a'"),
     (lambda: Dataset([["a"], [1.0]], [[1.0], [2.0]]), ParamError,
      "features is not a numeric array"),
+    (lambda: synth_dataset("gaussian", 10, 2.5), ParamError, "d must be an integer, got 2.5"),
+    (lambda: synth_dataset("mixture", 10, 2, {"means": np.zeros((0, 2))}), ParamError,
+     "mixture means must hold at least one row"),
 ], ids=["dataset-1d", "dataset-empty", "scores-1d", "scores-nan", "csv-d-out", "split-3-rows",
         "split-empty-ot-fit", "synth-cov-shape", "synth-n-zero", "mixture-means",
         "mixture-weights", "residual-width", "synth-n-float", "synth-n-bool", "synth-seed-float",
-        "split-seed-float", "split-fraction-string", "dataset-string"])
+        "split-seed-float", "split-fraction-string", "dataset-string", "synth-d-float",
+        "mixture-no-means"])
 def test_refused_data_inputs(call, error, message):
     with pytest.raises(error) as info:
         call()

@@ -1,5 +1,6 @@
 import copy
 import functools
+import gc
 import json
 import math
 import re
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from otcp import (
     SCORE_KINDS,
+    Dataset,
     MethodError,
     ParamError,
     Regressor,
@@ -148,25 +150,78 @@ def test_infinite_threshold_is_standard_json(fitted, tmp_path):
 
 
 # v3 predictors as save_predictor writes them, kept as files so that a change
-# to the reader cannot drop one: banana n=200 with noise 0.3, seed 0,
-# SplitSpec(seed=0), knn_mean k=10, alpha 0.1; otcp on m=64 grid points at
-# epsilon 0.1, and merge_mahalanobis whitened with default_mahalanobis_ridge
+# to the reader or the writer cannot drop one: banana n=200 with noise 0.3,
+# seed 0, SplitSpec(seed=0), knn_mean k=10, alpha 0.1; otcp on m=64 grid points
+# at epsilon 0.1, merge_mahalanobis whitened with default_mahalanobis_ridge, and
+# mcp_max on a k=10 quantile predictor at levels 0.05 and 0.95
 _GOLDEN = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["otcp_v3", "merge_mahalanobis_v3"])
+@pytest.mark.parametrize("name", ["otcp_v3", "merge_mahalanobis_v3", "mcp_max_v3"])
 def test_golden_v3_files_load_and_save_byte_identically(tmp_path, name):
     path = _GOLDEN / f"{name}.json"
     pred = load_predictor(path)
     save_predictor(pred, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
     score = json.loads(path.read_text())["score"]
-    fitted_on = score.get("map", {}).get("origin") or score["whitener"]["tag"]
-    assert pred.score_fn.fit_tags == {score["regressor"]["tag"], fitted_on}
+    tags = {part.get("origin", part.get("tag")) for part in score.values()
+            if isinstance(part, dict)}
+    assert len(tags) == len(pred.score_fn.components)
+    assert pred.score_fn.fit_tags == tags
     X = [[0.1], [0.3], [0.5], [0.7], [0.9]]
     Y = [[0.0, 0.0], [0.5, 1.0], [-1.0, 2.0], [2.0, -2.0], [10.0, 10.0]]
     flags = pred.contains_rows(X, Y)
     assert flags.shape == (5,) and flags.dtype == bool
+
+
+def _reference_bytes(pred) -> bytes:
+    return (json.dumps(predictor_to_dict(pred), allow_nan=False) + "\n").encode()
+
+
+def _predictors(train, ot_fit, calib, regressor):
+    """One calibrated predictor of each score kind, all on one fitted regressor (the
+    first-target copy for abs_univariate, which shares the training features)."""
+    reg = fit_regressor(train, regressor)
+    resid = residuals(ot_fit, reg)
+    parts = {"merge_l2": {}, "merge_mahalanobis": {"whitener": estimate_covariance(resid)},
+             "mcp_max": {"quantile_predictor": fit_quantile_predictor(train, 5, 0.1, 0.9)},
+             "otcp": {"transport_map": fit_entropic_map(resid, build_spherical_grid(32, 2),
+                                                        epsilon=0.5)}}
+    preds = [calibrate(make_score_function(kind, regressor=reg, **extra), calib, alpha=0.2)
+             for kind, extra in parts.items()]
+    first = [Dataset(ds.features, ds.targets[:, :1], tag=ds.tag) for ds in (train, calib)]
+    abs_fn = make_score_function("abs_univariate", regressor=fit_regressor(first[0], regressor))
+    return [calibrate(abs_fn, first[1], alpha=0.2), *preds]
+
+
+@pytest.mark.parametrize("regressor", ["knn_mean", "ridge_linear"])
+def test_save_writes_the_json_dumps_text_alone_or_through_a_shared_memo(tmp_path, regressor):
+    train, ot_fit, calib, _ = split_dataset(synth_dataset("gaussian", 200, 2, seed=5),
+                                            SplitSpec(seed=5))
+    preds = _predictors(train, ot_fit, calib, regressor)
+    assert sorted(pred.score_fn.kind for pred in preds) == sorted(SCORE_KINDS)
+    path = tmp_path / "p.json"
+    for pred in preds:
+        save_predictor(pred, path)
+        assert path.read_bytes() == _reference_bytes(pred), pred.score_fn.kind
+    for order in (preds, preds[::-1]):
+        encoded = {}
+        for pred in order:
+            save_predictor(pred, path, encoded)
+            assert path.read_bytes() == _reference_bytes(pred), pred.score_fn.kind
+    # the first seed's predictors are dropped before the second's are fitted, so the
+    # second's training arrays, of the same shapes, may get the freed ids; the memo
+    # keeps its arrays alive, so it never hands back the first seed's text
+    encoded, written = {}, set()
+    for seed in (6, 7):
+        parts = split_dataset(synth_dataset("gaussian", 200, 2, seed=seed), SplitSpec(seed=seed))
+        for pred in _predictors(*parts[:3], regressor):
+            save_predictor(pred, path, encoded)
+            assert path.read_bytes() == _reference_bytes(pred), (seed, pred.score_fn.kind)
+            written.add(path.read_bytes())
+        del parts, pred
+        gc.collect()
+    assert len(written) == 2 * len(SCORE_KINDS)
 
 
 @pytest.mark.parametrize("version", [1, 2, 4])
