@@ -497,7 +497,8 @@ def write_region_csv(region, path) -> None:
 
 def export_contours(pred: CalibratedPredictor, xs, alphas, out_dir,
                     n_angles: int = 128) -> list[Path]:
-    """One polygon CSV per (query point, alpha), plus a manifest with areas.
+    """One polygon CSV per (query point, alpha), plus a manifest with areas; `xs` holds
+    the query points as rows.
 
     Thresholds for each alpha are recomputed from the stored calibration
     scores. Nested levels should give nested areas; violations are recorded in
@@ -505,8 +506,10 @@ def export_contours(pred: CalibratedPredictor, xs, alphas, out_dir,
     traced before `out_dir` is created, so a refused request writes nothing.
     """
     out_dir = Path(out_dir)
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    xs = _array(xs, "query points", (None, None))
     alphas = sorted(_real(a, "alpha") for a in alphas)
+    if not len(xs) or not alphas:
+        raise ParamError("contour export needs at least one query point and one alpha")
     _distinct(tuple(alphas), "alphas")
     traced, manifest = [], []
     for i, x in enumerate(xs):

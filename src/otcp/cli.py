@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import bench, serialize
-from .data import synth_dataset, write_dataset_csv
+from .data import _SYNTH_PARAMS, synth_dataset, write_dataset_csv
 from .errors import MethodError, ParamError
 
 
@@ -58,8 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_contour.set_defaults(run=_cmd_contour)
 
     p_synth = sub.add_parser("synth", help="write a synthetic dataset CSV")
-    p_synth.add_argument("--kind", choices=["gaussian", "banana", "mixture"],
-                         default="gaussian")
+    p_synth.add_argument("--kind", choices=list(_SYNTH_PARAMS), default="gaussian")
     p_synth.add_argument("--n", type=int, required=True)
     p_synth.add_argument("--d", type=int, default=2)
     p_synth.add_argument("--p", type=int, default=1)

@@ -48,28 +48,24 @@ class ScoreFunction:
         parts = (getattr(self, name) for name in self.components)
         return frozenset(tag for part in parts if (tag := getattr(part, "fit_tag", None)))
 
-    def _check_pair(self, x, y):
-        x = np.atleast_2d(_array(x, "query features"))
-        y = _array(np.atleast_2d(_array(y, "responses")), "responses", (None, self.d))
-        if x.shape[0] not in (1, y.shape[0]):
-            raise DimensionError(
-                f"{x.shape[0]} input rows for {y.shape[0]} responses; need 1 or one each")
-        return x, y
-
     def score_rows(self, X, Y) -> np.ndarray:
         """Scores of paired rows (X_i, Y_i), or of every Y row at a single X row."""
         return self.score_center_rows(X, Y)[0]
 
     def score_center_rows(self, X, Y) -> tuple[np.ndarray, np.ndarray]:
         """Scores of paired rows and the region centers at X, from one prediction."""
-        X, Y = self._check_pair(X, Y)
+        Y = _array(Y, "responses", (None, self.d))
         pred = self._predict_rows(X)
+        centers = self._centers(pred)
+        if len(centers) not in (1, len(Y)):
+            raise DimensionError(
+                f"{len(centers)} input rows for {len(Y)} responses; need 1 or one each")
         # a NaN score compares False with every threshold, so it is refused
-        return _array(self._scores(pred, Y), "scores", (None,)), self._centers(pred)
+        return _array(self._scores(pred, Y), "scores", (None,)), centers
 
     def center(self, x) -> np.ndarray:
-        """Representative center of the region at x (used for sizing bounds)."""
-        return self._centers(self._predict_rows(np.atleast_2d(x)))[0]
+        """Representative center of the region at the query point x (used for sizing bounds)."""
+        return self._centers(self._predict_rows(_array(x, "query point", (None,))[None]))[0]
 
     def contour_2d(self, x, r: float, circle: np.ndarray) -> tuple[np.ndarray, bool]:
         """Boundary of the d=2 set {y: score(x, y) <= r}, in order, unclosed.
@@ -391,7 +387,10 @@ class CalibratedPredictor:
     def contains_rows(self, X, Y) -> np.ndarray:
         return self.score_fn.score_rows(X, Y) <= self.threshold
 
-    contains_candidates = contains_rows  # every Y row at one x: one x row broadcasts
+    def contains_candidates(self, x, Y) -> np.ndarray:
+        """Whether each response row of Y lies in the set at the one query point x."""
+        point = _array(x, "query point", (None,))
+        return self.score_fn.score_rows(point[None], Y) <= self.threshold
 
     def threshold_at(self, alpha: float) -> float:
         """Threshold recomputed at a different miscoverage level from the same scores."""
@@ -453,7 +452,7 @@ def region_contour_2d(pred: CalibratedPredictor, x, n_angles: int = 128,
     r = pred.threshold if threshold is None else _real(threshold, "threshold")
     if not math.isfinite(r):
         raise MethodError("threshold is infinite (region is the whole plane)")
-    x = np.asarray(x, dtype=float)
+    x = _array(x, "query point", (None,))
     theta = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
     circle = np.column_stack([np.cos(theta), np.sin(theta)])
     verts, reordered = pred.score_fn.contour_2d(x, r, circle)

@@ -681,7 +681,7 @@ class KnnQuantilePredictor(_KnnModel):
         super().__init__(k)
 
     def predict_bounds(self, x):
-        lo, hi = self.bounds_rows(np.atleast_2d(np.asarray(x, dtype=float)))
+        lo, hi = self.bounds_rows(_array(x, "query point", (None,))[None])
         return lo[0], hi[0]
 
     def bounds_rows(self, X):

@@ -3,9 +3,10 @@
 Input that breaks a documented precondition (an argument, config value, data or
 artifact file, or output path) raises ParamError or a subclass, which the CLI,
 like MethodError, reports as a usage error with exit 2; anything else is a bug.
-Every array from outside (row blocks, generator params, calibration scores, grids,
-whiteners, sizing boxes, artifact arrays) goes through `_array`, which checks that it
-is numeric, its shape and its finiteness; miscoverage levels go through `_level`.
+Every array from outside (row blocks, query points, generator params, calibration
+scores, grids, whiteners, sizing boxes, artifact arrays) goes through `_array`, which
+checks that it is numeric, its shape and its finiteness; miscoverage levels go through
+`_level`.
 """
 
 import contextlib

@@ -27,11 +27,11 @@ a path it cannot write.
 Both k-NN models go through one codec, and a map's `origin` key holds its
 fit_tag, the tag of the residual rows it was fitted on.
 
-map_to_dict and predictor_to_dict give a document as plain JSON values, and a
-predictor file is json.dumps(predictor_to_dict(pred), allow_nan=False) plus a
-newline. save_predictor builds that text piece by piece and joins it once, so
-the saves of one bench seed pass one memo and encode each array their models
-share (the k-NN training rows) once; the file bytes do not depend on the memo.
+A predictor file is the strict JSON text of its document, each array written
+as nested lists, plus a newline. save_predictor builds that text piece by piece
+and joins it once, so the saves of one bench seed pass one memo and encode each
+array their models share (the k-NN training rows) once; the file bytes do not
+depend on the memo.
 """
 
 from __future__ import annotations
@@ -84,21 +84,15 @@ class _Section(dict):
 
 
 def _arr(a) -> np.ndarray:
-    """An array leaf of a document; _plain writes it as nested lists."""
+    """An array leaf of a document, written as nested lists."""
     return np.asarray(a, dtype=float)
 
 
-def _plain(value):
-    """`value` with every array leaf as nested lists: the document as JSON values."""
-    if isinstance(value, dict):
-        return {key: _plain(v) for key, v in value.items()}
-    return value.tolist() if isinstance(value, np.ndarray) else value
-
-
 def _encode(value, encoded: dict, out: list) -> None:
-    """Append the text of json.dumps(_plain(value), allow_nan=False) to `out`, piece by
-    piece. The text of each array leaf is read from `encoded` under the array's id, or
-    stored there with the array, which keeps the id from being reused while it is kept."""
+    """Append the strict JSON text of `value`, each array leaf as nested lists, to `out`,
+    piece by piece. The text of each array leaf is read from `encoded` under the array's
+    id, or stored there with the array, which keeps the id from being reused while it is
+    kept."""
     if isinstance(value, dict):
         sep = "{"
         for key, v in value.items():
@@ -188,10 +182,6 @@ def _map_to_dict(emap: EntropicMap) -> dict:
     }
 
 
-def map_to_dict(emap: EntropicMap) -> dict:
-    return _plain(_map_to_dict(emap))
-
-
 def map_from_dict(doc: dict) -> EntropicMap:
     if not isinstance(doc, _Section):
         doc = _Section(doc)
@@ -261,10 +251,6 @@ def _predictor_to_dict(pred: CalibratedPredictor) -> dict:
     }
 
 
-def predictor_to_dict(pred: CalibratedPredictor) -> dict:
-    return _plain(_predictor_to_dict(pred))
-
-
 def predictor_from_dict(doc: dict) -> CalibratedPredictor:
     doc = _Section(doc)
     _check_header(doc, PREDICTOR_FORMAT)
@@ -283,9 +269,9 @@ def predictor_from_dict(doc: dict) -> CalibratedPredictor:
 
 
 def save_predictor(pred: CalibratedPredictor, path, encoded: dict | None = None) -> None:
-    """Write `pred` to `path` as json.dumps(predictor_to_dict(pred), allow_nan=False) plus
-    a newline. Saves that pass one `encoded` dict encode an array they share once; the
-    dict keeps each array's text, so no array may change while it is in use."""
+    """Write `pred` to `path` as the strict JSON text of its document plus a newline.
+    Saves that pass one `encoded` dict encode an array they share once; the dict keeps
+    each array's text, so no array may change while it is in use."""
     pieces = []
     _encode(_predictor_to_dict(pred), {} if encoded is None else encoded, pieces)
     pieces.append("\n")

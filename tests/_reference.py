@@ -4,10 +4,13 @@ Each is written straight from its formula with direct differences |a - b|^2,
 so none shares code, or the expanded form of the squared distance, with the
 library's logits builder. The coupling of a solve, its marginal error and the
 forward map's potential live here, not in the package: the method needs none
-of them, only its tests do.
+of them, only its tests do. So does a saved document as plain JSON values,
+which the artifact tests compare saved bytes against.
 """
 
 import numpy as np
+
+from otcp import serialize
 
 
 def pairwise_sq_dists(A, B) -> np.ndarray:
@@ -62,3 +65,20 @@ def forward_potential(emap, z_std) -> float:
     forward_std(z) = z - grad, for half the soft-min of |z - u_j|^2 - g_j over grid points u_j."""
     d2 = pairwise_sq_dists(z_std, emap.grid.points)[0]
     return 0.5 * lse_eps(d2 - emap.potentials.g, emap.epsilon)
+
+
+def plain(value):
+    """`value` with every array leaf as nested lists: the document as plain JSON values."""
+    if isinstance(value, dict):
+        return {key: plain(v) for key, v in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def map_to_dict(emap) -> dict:
+    return plain(serialize._map_to_dict(emap))
+
+
+def predictor_to_dict(pred) -> dict:
+    """The predictor's document as plain JSON values; a saved file is
+    json.dumps(predictor_to_dict(pred), allow_nan=False) plus a newline."""
+    return plain(serialize._predictor_to_dict(pred))

@@ -805,6 +805,21 @@ def test_export_contours_nested_and_round_trip(calibrated_l2, tmp_path):
                           verts)
 
 
+@pytest.mark.parametrize("xs, alphas, error, message", [
+    ("a", [0.1], ParamError, "query points is not a numeric array"),
+    ([[[0.5]]], [0.1], DimensionError, "query points must be rows of a 2-D array, got 3-D"),
+    ([0.5], [0.1], DimensionError, "query points must be rows of a 2-D array, got 1-D"),
+    ([[0.5]], [], ParamError, "contour export needs at least one query point and one alpha"),
+    (np.empty((0, 1)), [0.1], ParamError,
+     "contour export needs at least one query point and one alpha"),
+], ids=["string", "3d", "1d", "no-alphas", "no-points"])
+def test_refused_export_writes_nothing(calibrated_l2, tmp_path, xs, alphas, error, message):
+    with pytest.raises(error) as info:
+        export_contours(calibrated_l2[0], xs, alphas, tmp_path / "ct")
+    assert type(info.value) is error and message in str(info.value)
+    assert not (tmp_path / "ct").exists()
+
+
 @pytest.mark.parametrize("run", [run_benchmark, sweep])
 def test_an_uncreatable_output_dir_is_refused_before_any_seed(tmp_path, monkeypatch, run):
     (tmp_path / "file").write_text("")

@@ -634,6 +634,18 @@ def _contains_on_overflowing_map():
      "responses is not a numeric array"),
     (lambda gp: _calibrated(gp, "merge_l2").contains_rows("a", [[0.0, 0.0]]), ParamError,
      "query features is not a numeric array"),
+    (lambda gp: _calibrated(gp, "merge_l2").contains_rows(0.5, [[0.0, 0.0]]), DimensionError,
+     "query features must be rows of a 2-D array, got 0-D"),
+    *((lambda gp, call=call, x=x: call(gp, x), error, message)
+      for call in (lambda gp, x: region_contour_2d(_calibrated(gp, "merge_l2"), x),
+                   lambda gp, x: _calibrated(gp, "merge_l2").score_fn.center(x),
+                   lambda gp, x: fit_quantile_predictor(gp["train"], 10, 0.05,
+                                                        0.95).predict_bounds(x),
+                   lambda gp, x: _calibrated(gp, "merge_l2").contains_candidates(
+                       x, [[0.0, 0.0]]))
+      for x, error, message in [
+          ([[0.5], [0.6]], DimensionError, "query point must be a 1-D array, got 2-D"),
+          ("a", ParamError, "query point is not a numeric array")]),
     (lambda gp: make_score_function("merge_mahalanobis", regressor=gp["reg"],
                                     whitener=[[math.nan, 0.0], [0.0, 1.0]]),
      ParamError, "whitener must be finite, got NaN or Inf"),
@@ -658,7 +670,10 @@ def _contains_on_overflowing_map():
         "contour-vertices", "contour-threshold-nan", "threshold-alpha-string",
         "contour-vertices-float", "threshold-nan-scores", "pit-nan-scores",
         "pit-nan-test-score", "pit-inf-test-score", "contains-ragged-responses",
-        "contains-string-inputs", "whitener-nan",
+        "contains-string-inputs", "contains-scalar-x",
+        *(f"{call}-{fault}" for call in ("contour", "center", "bounds", "candidates")
+          for fault in ("two-points", "string")),
+        "whitener-nan",
         "map-score-overflow",
         *(f"volume-{kind}-{fault}" for kind in ("abs", "l2", "mahalanobis")
           for fault in ("3d", "width", "nan")),
@@ -668,6 +683,17 @@ def test_refused_score_and_calibration_inputs(gaussian_pipeline, call, error, me
     with pytest.raises(error) as info:
         call(gaussian_pipeline)
     assert type(info.value) is error and message in str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["abs_univariate", "merge_l2", "merge_mahalanobis",
+                                  "mcp_max", "otcp"])
+def test_contains_candidates_is_contains_rows_at_one_point(gaussian_pipeline, kind):
+    pred = _calibrated(gaussian_pipeline, kind)
+    x = gaussian_pipeline["test"].features[3]
+    Y = pred.score_fn.center(x) + 2.0 * np.random.default_rng(1).standard_normal((40, pred.d))
+    hits = pred.contains_candidates(x, Y)
+    assert 0 < hits.sum() < len(Y)
+    assert np.array_equal(hits, pred.contains_rows(x[None], Y))
 
 
 _FEATURES = np.array([0.5])  # the features of one input (p = 1), not a row of them
@@ -688,9 +714,14 @@ _POINT = np.array([0.3, -0.2])  # one residual or ball point (d = 2), not a row 
     lambda gp: region_volumes(_calibrated(gp, "abs_univariate"), _FEATURES),
     lambda gp: region_volumes(_calibrated(gp, "merge_l2"), _FEATURES),
     lambda gp: region_volumes(_calibrated(gp, "merge_mahalanobis"), _FEATURES),
+    lambda gp: _calibrated(gp, "merge_l2").contains_rows(_FEATURES, _POINT),
+    lambda gp: _calibrated(gp, "merge_l2").score_fn.score_rows(_FEATURES, _POINT),
+    lambda gp: _calibrated(gp, "merge_l2").contains_rows(_FEATURES, _POINT[None]),
+    lambda gp: _calibrated(gp, "merge_l2").contains_rows(_FEATURES[None], _POINT),
 ], ids=["knn-predict", "ridge-predict", "knn-bounds", "map-forward", "map-rank",
         "map-inverse", "ot-problem", "map-fit", "covariance", "mahalanobis-ridge",
-        "volume-abs", "volume-l2", "volume-mahalanobis"])
+        "volume-abs", "volume-l2", "volume-mahalanobis", "contains-1d-pair",
+        "score-1d-pair", "contains-1d-x", "contains-1d-y"])
 def test_model_calls_refuse_a_1d_array(gaussian_pipeline, call):
     # every model call takes rows: a 1-D array is refused, never read as one row
     with pytest.raises(DimensionError) as info:

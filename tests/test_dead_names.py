@@ -1,8 +1,9 @@
 """Every function and class the package defines is named somewhere outside its definition.
 
-The search covers the package's modules other than `__init__.py` (whose exports
-alone keep nothing alive), the demos, the scripts, the benchmark runner and the
-README; the tests do not count, so a diagnostic only tests call belongs in
+The search covers the code of the package's modules other than `__init__.py`
+(whose exports alone keep nothing alive), without their docstrings and comments,
+and the demos, the scripts, the benchmark runner and the README as written; the
+tests do not count, so a diagnostic only tests call belongs in
 tests/_reference.py, not in the package. Standard library only.
 """
 
@@ -15,12 +16,24 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "otcp"
 
 
+def _code(path: Path) -> str:
+    """The module at `path` without its docstrings and comments."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if (isinstance(body, list) and body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)):
+            node.body = body[1:] or [ast.Pass()]
+    return ast.unparse(tree)
+
+
 def _corpus() -> str:
-    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    code = [_code(p) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    files = [ROOT / "README.md"]
     for folder in ("demos", "scripts", "perfbench"):
         files += sorted(p for p in (ROOT / folder).rglob("*") if p.suffix in (".py", ".md"))
-    files.append(ROOT / "README.md")
-    return "\n".join(p.read_text(encoding="utf-8") for p in files)
+    return "\n".join(code + [p.read_text(encoding="utf-8") for p in files])
 
 
 def _definitions() -> Counter:

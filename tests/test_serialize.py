@@ -31,7 +31,9 @@ from otcp import (
     split_dataset,
     synth_dataset,
 )
-from otcp.serialize import map_from_dict, map_to_dict, predictor_from_dict, predictor_to_dict
+from otcp.serialize import map_from_dict, predictor_from_dict
+
+from _reference import map_to_dict, predictor_to_dict
 
 
 @pytest.fixture(scope="module")
