@@ -63,8 +63,8 @@ from .data import (
 )
 from .entropic import fit_entropic_map
 from .errors import (MethodError, NotFittedError, ParamError, ProvenanceError, _array,
-                     _distinct, _file_errors, _integer, _level, _list, _object, _positive,
-                     _real, _write_text)
+                     _choice, _distinct, _file_errors, _integer, _level, _list, _object,
+                     _positive, _real, _tag, _write_text)
 from .sinkhorn import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .sphere import DIRECTION_MODES, build_spherical_grid, halton_sequence
 
@@ -137,14 +137,12 @@ class BenchConfig:
         self.mc_samples = _integer(self.mc_samples, "mc_samples", 1)
         self.region_size_points = _integer(self.region_size_points, "region_size_points", 1)
         self.bounds_inflation = _positive(self.bounds_inflation, "bounds_inflation")
-        if not (self.output_dir is None or isinstance(self.output_dir, str)):
-            raise ParamError(f"output_dir must be a string or null, got {self.output_dir!r}")
+        _tag(self.output_dir, "output_dir")
         if not isinstance(self.save_models, bool):
             raise ParamError(f"save_models must be true or false, got {self.save_models!r}")
         ds = {"kind": "synthetic", **_object(self.dataset, "dataset")}
-        if not isinstance(ds["kind"], str) or ds["kind"] not in DATASET_DEFAULTS:
-            raise ParamError(f"unknown dataset kind {ds['kind']!r}")
-        ds = self.dataset = _filled("dataset", ds, DATASET_DEFAULTS[ds["kind"]])
+        kind = _choice(ds["kind"], "dataset kind", DATASET_DEFAULTS)
+        ds = self.dataset = _filled("dataset", ds, DATASET_DEFAULTS[kind])
         if ds["kind"] == "csv":
             if not isinstance(ds["path"], str):
                 raise ParamError(f"dataset path must be a string, got {ds['path']!r}")
@@ -159,16 +157,13 @@ class BenchConfig:
         o = self.otcp = _filled("otcp", self.otcp, OTCP_DEFAULTS)
         o.update(epsilon=_positive(o["epsilon"], "otcp epsilon"),
                  m=_integer(o["m"], "otcp m", 2), tol=_positive(o["tol"], "otcp tol"),
-                 max_iter=_integer(o["max_iter"], "otcp max_iter", 1))
-        if o["grid_mode"] not in DIRECTION_MODES:
-            raise ParamError(f"otcp grid_mode must be one of {DIRECTION_MODES}")
+                 max_iter=_integer(o["max_iter"], "otcp max_iter", 1),
+                 grid_mode=_choice(o["grid_mode"], "otcp grid_mode", DIRECTION_MODES))
         KnnQuantilePredictor(*self._mcp_levels())  # rejects levels mcp_max would
-        self.methods = _list(self.methods, "methods")
+        self.methods = tuple(_choice(m, "score kind", SCORE_KINDS)
+                             for m in _list(self.methods, "methods"))
         if not self.methods:
             raise ParamError("need at least one method")
-        unknown = [m for m in self.methods if m not in SCORE_KINDS]
-        if unknown:
-            raise ParamError(f"unknown score kinds {unknown}; choose from {SCORE_KINDS}")
         _distinct(self.methods, "methods")
         self.fractions = tuple(_real(f, "fractions") for f in _list(self.fractions, "fractions"))
         SplitSpec(self.fractions)  # rejects fractions split_dataset would
@@ -466,8 +461,8 @@ def sweep(cfg: BenchConfig, eps_list=None, m_list=None) -> list[dict]:
     order, and writes them as sweep.csv (SWEEP_COLUMNS) under the config's
     output dir when one is set.
     """
-    eps_list = DEFAULT_SWEEP_EPSILONS if eps_list is None else tuple(eps_list)
-    m_list = DEFAULT_SWEEP_TARGETS if m_list is None else tuple(m_list)
+    eps_list = DEFAULT_SWEEP_EPSILONS if eps_list is None else _list(eps_list, "sweep eps")
+    m_list = DEFAULT_SWEEP_TARGETS if m_list is None else _list(m_list, "sweep targets")
     if not eps_list or not m_list:
         raise ParamError("sweep lists must be nonempty")
     cells = [("otcp", replace(cfg, otcp={**cfg.otcp, "epsilon": eps, "m": m}), 0)
@@ -507,7 +502,7 @@ def export_contours(pred: CalibratedPredictor, xs, alphas, out_dir,
     """
     out_dir = Path(out_dir)
     xs = _array(xs, "query points", (None, None))
-    alphas = sorted(_real(a, "alpha") for a in alphas)
+    alphas = sorted(_real(a, "alpha") for a in _list(alphas, "alphas"))
     if not len(xs) or not alphas:
         raise ParamError("contour export needs at least one query point and one alpha")
     _distinct(tuple(alphas), "alphas")

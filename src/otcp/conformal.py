@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset, KnnQuantilePredictor, Regressor, _fitted_rows, _scores_and_origin
 from .entropic import EntropicMap
 from .errors import (DimensionError, MethodError, NotFittedError, ParamError, ProvenanceError,
-                     _array, _integer, _level, _real)
+                     _array, _choice, _integer, _level, _real, _tag)
 
 # ---------------------------------------------------------------------------
 # Score functions
@@ -259,9 +259,7 @@ SCORE_KINDS = tuple(SCORE_CLASSES)
 def make_score_function(kind: str, regressor=None, quantile_predictor=None,
                         transport_map=None, whitener=None) -> ScoreFunction:
     """Build a score function from its fitted components."""
-    if not isinstance(kind, str) or kind not in SCORE_CLASSES:
-        raise ParamError(f"unknown score kind {kind!r}; choose from {SCORE_KINDS}")
-    cls = SCORE_CLASSES[kind]
+    cls = SCORE_CLASSES[_choice(kind, "score kind", SCORE_KINDS)]
     given = {"regressor": regressor, "quantile_predictor": quantile_predictor,
              "transport_map": transport_map, "whitener": whitener}
     missing = [name for name in cls.components if given[name] is None]
@@ -283,6 +281,7 @@ class Whitener:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _array(self.matrix, "whitener", (None, None)))
+        _tag(self.fit_tag, "whitener fit_tag")
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix, dtype=dtype)
@@ -298,12 +297,8 @@ def estimate_covariance(resid, ridge: float = 0.0) -> Whitener:
     A ScoreMatrix's origin becomes the whitener's fit_tag; a plain array
     gives an untagged whitener.
     """
-    Z, fit_tag = _scores_and_origin(resid)
-    ridge = _real(ridge, "ridge")
-    if not 0.0 <= ridge < math.inf:
-        raise ParamError(f"ridge must be >= 0 and finite, got {ridge}")
-    if Z.shape[0] < 2:
-        raise ParamError(f"a covariance needs at least 2 residual rows, got {Z.shape[0]}")
+    Z, fit_tag = _scores_and_origin(resid, 2, "a covariance")
+    ridge = _real(ridge, "ridge", 0)
     centered = Z - Z.mean(axis=0)
     cov = centered.T @ centered / (Z.shape[0] - 1) + ridge * np.eye(Z.shape[1])
     vals, vecs = np.linalg.eigh(cov)
@@ -315,9 +310,7 @@ def estimate_covariance(resid, ridge: float = 0.0) -> Whitener:
 
 def default_mahalanobis_ridge(resid) -> float:
     """Ridge of 1e-6 * trace(cov)/d, guarding near-singular residual covariances."""
-    Z = _scores_and_origin(resid)[0]
-    if Z.shape[0] < 2:
-        raise ParamError(f"a Mahalanobis ridge needs at least 2 residual rows, got {Z.shape[0]}")
+    Z = _scores_and_origin(resid, 2, "a Mahalanobis ridge")[0]
     var = Z.var(axis=0, ddof=1).sum()
     return 1e-6 * float(var) / Z.shape[1]
 
@@ -447,8 +440,7 @@ def region_contour_2d(pred: CalibratedPredictor, x, n_angles: int = 128,
     """
     if pred.d != 2:
         raise MethodError("region contours are defined for d = 2 only")
-    if _integer(n_angles, "n_angles") < 8:
-        raise ParamError("need at least 8 contour vertices")
+    n_angles = _integer(n_angles, "n_angles", 8)
     r = pred.threshold if threshold is None else _real(threshold, "threshold")
     if not math.isfinite(r):
         raise MethodError("threshold is infinite (region is the whole plane)")

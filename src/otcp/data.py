@@ -17,8 +17,8 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .errors import (DimensionError, NotFittedError, ParamError, ParseError, _file_errors,
-                     _array, _integer, _object, _real)
+from .errors import (DimensionError, NotFittedError, ParamError, ParseError, _array,
+                     _choice, _file_errors, _integer, _list, _object, _real, _tag)
 
 SPLIT_NAMES = ("train", "ot_fit", "calib", "test")
 
@@ -41,6 +41,7 @@ class Dataset:
                 f"row mismatch: {X.shape[0]} feature rows vs {Y.shape[0]} target rows")
         if X.shape[0] < 1 or X.shape[1] < 1 or Y.shape[1] < 1:
             raise DimensionError("need n >= 1, p >= 1, d >= 1")
+        _tag(self.tag, "dataset tag")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "targets", Y)
         if not self.feature_names:
@@ -79,9 +80,9 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.fractions) != 4:
+        fractions = [_real(f, "split fraction") for f in _list(self.fractions, "split fractions")]
+        if len(fractions) != 4:
             raise ParamError("need exactly four split fractions")
-        fractions = [_real(f, "split fraction") for f in self.fractions]
         if any(f < 0 or f > 1 for f in fractions):
             raise ParamError("split fractions must lie in [0, 1]")
         if abs(sum(fractions) - 1.0) > 1e-9:
@@ -98,16 +99,21 @@ class ScoreMatrix:
 
     def __post_init__(self):
         Z = _array(self.scores, "scores", (None, None))
-        if Z.shape[1] < 1:
-            raise DimensionError("scores must be an n x d matrix with d >= 1")
+        if Z.shape[0] < 1 or Z.shape[1] < 1:
+            raise DimensionError("scores must be an n x d matrix with n >= 1 and d >= 1")
+        _tag(self.origin, "scores origin")
         object.__setattr__(self, "scores", Z)
 
 
-def _scores_and_origin(scores) -> tuple[np.ndarray, str]:
-    """(rows, origin) of a ScoreMatrix, or of a plain 2-D array as untagged rows."""
-    if isinstance(scores, ScoreMatrix):
-        return scores.scores, scores.origin
-    return _array(scores, "residuals", (None, None)), ""
+def _scores_and_origin(scores, need: int, what: str) -> tuple[np.ndarray, str]:
+    """(rows, origin) of a ScoreMatrix, or of a plain 2-D array as untagged rows; fewer
+    than `need` rows raise ParamError saying that `what` needs them."""
+    Z, origin = ((scores.scores, scores.origin) if isinstance(scores, ScoreMatrix)
+                 else (_array(scores, "residuals", (None, None)), ""))
+    if len(Z) < need:
+        raise ParamError(f"{what} needs at least {need} residual row{'s' * (need > 1)}, "
+                         f"got {len(Z)}")
+    return Z, origin
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +176,7 @@ def load_dataset_csv(path, d_out: int, tag: str | None = None) -> Dataset:
     when a bad cell and unreadable text fall in one block, the read error may be
     the one reported.
     """
-    if d_out < 1:
-        raise ParamError("d_out must be >= 1")
+    d_out = _integer(d_out, "d_out", 1)
     with _file_errors("read dataset", path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -228,8 +233,8 @@ def split_dataset(ds: Dataset, spec: SplitSpec):
     sizes[0] += remainder
     if sizes[2] < 1 or sizes[3] < 1:
         raise ParamError(f"calib/test splits empty for n={n}, fractions={spec.fractions}")
-    for name, frac, size in zip(SPLIT_NAMES, spec.fractions, sizes):
-        if frac > 0 and size < 1:
+    for name, size in zip(SPLIT_NAMES, sizes):
+        if size < 1:
             raise ParamError(f"{name} split empty for n={n}, fractions={spec.fractions}")
     perm = np.random.default_rng(spec.seed).permutation(n)
     out = []
@@ -288,8 +293,7 @@ def synth_params(kind: str, d: int, params: dict | None) -> dict:
     """A copy of `params`, once synthetic `kind` exists, d is an integer >= 1, `kind` can
     make d targets and reads every key in `params`, p is an integer >= 1 and each scalar
     param is a real number."""
-    if not isinstance(kind, str) or kind not in _SYNTH_PARAMS:
-        raise ParamError(f"unknown synthetic kind {kind!r}")
+    _choice(kind, "synthetic kind", _SYNTH_PARAMS)
     d = _integer(d, "d", 1)
     if kind == "banana" and d != 2:
         raise ParamError("banana generator is fixed at d=2")
@@ -627,9 +631,7 @@ class RidgeRegressor(Regressor):
     kind = "ridge_linear"
 
     def __init__(self, lam: float = 0.0):
-        self.lam = _real(lam, "ridge penalty")
-        if not 0.0 <= self.lam < math.inf:
-            raise ParamError("ridge penalty must be finite and >= 0")
+        self.lam = _real(lam, "ridge penalty", 0)
         self.coef = None  # (p + 1, d), last row is the intercept
 
     def fit(self, train: Dataset) -> "RidgeRegressor":
@@ -652,13 +654,12 @@ _REGRESSORS = {"knn_mean": (KnnMeanRegressor, {"k": 25}),
 
 def regressor_params(kind: str, params: dict) -> dict:
     """The defaults of regressor `kind` updated by `params`, which it must all take and accept."""
-    if not isinstance(kind, str) or kind not in _REGRESSORS:
-        raise ParamError(f"unknown regressor kind {kind!r}")
-    unknown = sorted(set(params) - set(_REGRESSORS[kind][1]))
+    cls, defaults = _REGRESSORS[_choice(kind, "regressor kind", _REGRESSORS)]
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ParamError(f"{kind} regressor takes no parameters {unknown}")
-    params = {**_REGRESSORS[kind][1], **params}
-    _REGRESSORS[kind][0](**params)
+    params = {**defaults, **params}
+    cls(**params)
     return params
 
 

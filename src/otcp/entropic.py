@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _scores_and_origin
-from .errors import DimensionError, _array
+from .errors import DimensionError, _array, _tag
 from .sinkhorn import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -43,6 +43,9 @@ class EntropicMap:
     grid: SphericalGrid
     standardizer: Standardizer
     fit_tag: str = ""  # tag of the residual rows the map was fitted on
+
+    def __post_init__(self):
+        _tag(self.fit_tag, "map fit_tag")
 
     def __repr__(self):
         return (f"EntropicMap(dim={self.dim}, n={self.source_std.shape[0]}, "
@@ -105,7 +108,7 @@ def fit_entropic_map(scores, grid: SphericalGrid, *, epsilon: float = 0.1,
     by its own mean and deviation (queries reuse the transform). `grid` is a
     built target measure of the same dimension (see `build_spherical_grid`).
     """
-    z, fit_tag = _scores_and_origin(scores)
+    z, fit_tag = _scores_and_origin(scores, 1, "a transport map")
     if grid.dim != z.shape[1]:
         raise DimensionError(f"grid dim {grid.dim} != score dim {z.shape[1]}")
     std = Standardizer.fit(z)

@@ -3,10 +3,12 @@
 Input that breaks a documented precondition (an argument, config value, data or
 artifact file, or output path) raises ParamError or a subclass, which the CLI,
 like MethodError, reports as a usage error with exit 2; anything else is a bug.
-Every array from outside (row blocks, query points, generator params, calibration
-scores, grids, whiteners, sizing boxes, artifact arrays) goes through `_array`, which
-checks that it is numeric, its shape and its finiteness; miscoverage levels go through
-`_level`.
+Every value from outside goes through the reader of its rule: arrays (row blocks,
+query points, generator params, calibration scores, grids, whiteners, sizing boxes,
+artifact arrays) `_array`, which checks that one is numeric, its shape and its
+finiteness; levels `_level`; kinds and modes `_choice`, whose refusal lists the
+choices; counts `_integer`; bounded reals `_real` (`_positive` for a strict bound);
+lists `_list`; tags `_tag`.
 """
 
 import contextlib
@@ -23,10 +25,14 @@ class ParamError(ValueError):
     """An argument violates a documented precondition."""
 
 
-def _real(value, name: str) -> float:
+def _real(value, name: str, low: float | None = None) -> float:
+    """A real number other than NaN; with `low`, also finite and >= low."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
         raise ParamError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if low is not None and not low <= value < math.inf:
+        raise ParamError(f"{name} must be >= {low} and finite, got {value}")
+    return value
 
 
 def _positive(value, name: str) -> float:
@@ -53,6 +59,20 @@ def _integer(value, name: str, low: int | None = None) -> int:
     return int(value)
 
 
+def _choice(value, name: str, choices) -> str:
+    """`value` when it is one of `choices` (such as the keys of a kind's table)."""
+    if not isinstance(value, str) or value not in choices:
+        raise ParamError(f"unknown {name} {value!r}; choose from {tuple(choices)}")
+    return value
+
+
+def _tag(value, name: str) -> str | None:
+    """A provenance tag: a string or None."""
+    if value is not None and not isinstance(value, str):
+        raise ParamError(f"{name} must be a string or null, got {value!r}")
+    return value
+
+
 def _object(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ParamError(f"{name} is not a JSON object")
@@ -60,7 +80,8 @@ def _object(value, name: str) -> dict:
 
 
 def _list(value, name: str) -> tuple:
-    if not isinstance(value, (list, tuple)):
+    """A list, tuple or 1-D numpy array, as a tuple of its entries."""
+    if not (isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1):
         raise ParamError(f"{name} is not a list")
     return tuple(value)
 

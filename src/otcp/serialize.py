@@ -43,9 +43,10 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import CalibratedPredictor, Whitener, make_score_function
-from .data import Dataset, KnnMeanRegressor, KnnQuantilePredictor, RidgeRegressor
+from .data import _REGRESSORS, Dataset, KnnMeanRegressor, KnnQuantilePredictor, RidgeRegressor
 from .entropic import EntropicMap
-from .errors import ParamError, _array, _file_errors, _integer, _object, _real, _write_text
+from .errors import (ParamError, _array, _choice, _file_errors, _integer, _object, _real, _tag,
+                     _write_text)
 from .sinkhorn import DualPotentials, OtProblem, Standardizer
 from .sphere import SphericalGrid
 
@@ -77,10 +78,7 @@ class _Section(dict):
 
     def tag(self, key) -> str | None:
         """The tag at `key`, a string or None; anything else raises ParamError naming it."""
-        value = self[key]
-        if value is not None and not isinstance(value, str):
-            raise ParamError(f"artifact {self.path}{key} must be a string or null, got {value!r}")
-        return value
+        return _tag(self[key], f"artifact {self.path}{key}")
 
 
 def _arr(a) -> np.ndarray:
@@ -140,15 +138,13 @@ def _regressor_to_dict(reg) -> dict:
 
 
 def _regressor_from_dict(doc: dict):
-    if doc["kind"] == "knn_mean":
+    if _choice(doc["kind"], "regressor kind", _REGRESSORS) == "knn_mean":
         return _knn_from_dict(KnnMeanRegressor(doc["k"]), doc)
-    if doc["kind"] == "ridge_linear":
-        reg = RidgeRegressor(doc["lam"])
-        reg.p, reg.d = _integer(doc["p"], "ridge p", 1), _integer(doc["d"], "ridge d", 1)
-        reg.coef = _array(doc["coef"], "ridge coef", (reg.p + 1, reg.d))
-        reg.fit_tag = doc.tag("tag")
-        return reg
-    raise ParamError(f"unknown regressor kind {doc['kind']!r}")
+    reg = RidgeRegressor(doc["lam"])
+    reg.p, reg.d = _integer(doc["p"], "ridge p", 1), _integer(doc["d"], "ridge d", 1)
+    reg.coef = _array(doc["coef"], "ridge coef", (reg.p + 1, reg.d))
+    reg.fit_tag = doc.tag("tag")
+    return reg
 
 
 def _quantile_to_dict(qp: KnnQuantilePredictor) -> dict:

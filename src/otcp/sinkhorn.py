@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SinkhornNotConverged, _array, _integer, _positive
+from .errors import DimensionError, SinkhornNotConverged, _array, _integer, _positive
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 2000
@@ -84,6 +84,9 @@ class OtProblem:
     def __post_init__(self):
         src = _array(self.source, "OT source", (None, None))
         tgt = _array(self.target, "OT target", (None, src.shape[1]))
+        if not (src.size and tgt.size):
+            raise DimensionError(f"OT source and target must be non-empty, got {src.shape} "
+                                 f"and {tgt.shape}")
         object.__setattr__(self, "epsilon", _positive(self.epsilon, "epsilon"))
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", tgt)

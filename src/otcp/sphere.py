@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamError, _array, _integer, _level
+from .errors import ParamError, _array, _choice, _integer, _level
 
 DIRECTION_MODES = ("low_discrepancy", "iid")
 
@@ -62,8 +62,8 @@ def inverse_normal_cdf(p):
     Wichura's algorithm AS241 (Appl. Statist. 37, 1988). A scalar gives a float,
     an array an array of its shape.
     """
-    arr = np.asarray(p, dtype=float)
-    if ((arr <= 0.0) | (arr >= 1.0)).any() or not np.isfinite(arr).all():
+    arr = _array(p, "probabilities")
+    if ((arr <= 0.0) | (arr >= 1.0)).any():
         raise ParamError("inverse_normal_cdf requires 0 < p < 1")
     x = np.array([_STANDARD_NORMAL.inv_cdf(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
     return float(x) if arr.ndim == 0 else x
@@ -75,11 +75,8 @@ def sphere_directions(n_s: int, dim: int, mode: str = "low_discrepancy",
 
     dim=1 always alternates +1/-1 so both half-lines are covered.
     """
-    n_s, dim = _integer(n_s, "n_s"), _integer(dim, "dim")
-    if n_s < 1 or dim < 1:
-        raise ParamError("need n_s >= 1 and dim >= 1")
-    if mode not in DIRECTION_MODES:
-        raise ParamError(f"unknown direction mode {mode!r}; choose from {DIRECTION_MODES}")
+    n_s, dim = _integer(n_s, "n_s", 1), _integer(dim, "dim", 1)
+    _choice(mode, "direction mode", DIRECTION_MODES)
     if dim == 1:
         signs = np.where(np.arange(n_s) % 2 == 0, 1.0, -1.0)
         return signs[:, None]
@@ -154,11 +151,7 @@ def build_spherical_grid(m: int, dim: int, factorization=None,
     remaining n_o = m - n_R*n_S >= 1 points at the origin. An explicit
     (n_R, n_S, n_o) triple must satisfy n_R*n_S + n_o = m.
     """
-    m, dim = _integer(m, "m"), _integer(dim, "dim")
-    if m < 2:
-        raise ParamError("need m >= 2 grid points")
-    if dim < 1:
-        raise ParamError("need dim >= 1")
+    m, dim = _integer(m, "m", 2), _integer(dim, "dim", 1)
     if factorization is None:
         n_r = math.isqrt(m)
         n_s = (m - 1) // n_r

@@ -36,6 +36,8 @@ from otcp import (
 )
 from otcp import bench, data, serialize
 from otcp.bench import DEFAULT_SWEEP_EPSILONS, DEFAULT_SWEEP_TARGETS
+from otcp.conformal import SCORE_CLASSES
+from otcp.sphere import DIRECTION_MODES, sphere_directions
 
 
 def _zero_center_predictor(threshold: float, d: int = 2, kind: str = "merge_l2",
@@ -517,6 +519,25 @@ def test_config_rejects_values_no_run_can_use(over, monkeypatch):
         run_benchmark(BenchConfig(**over))
 
 
+@pytest.mark.parametrize("call, table", [
+    (lambda: BenchConfig(dataset={"kind": "parquet"}), bench.DATASET_DEFAULTS),
+    (lambda: BenchConfig(dataset={"generator": "swiss_roll"}), data._SYNTH_PARAMS),
+    (lambda: BenchConfig(regressor={"kind": "forest"}), data._REGRESSORS),
+    (lambda: serialize._regressor_from_dict(serialize._Section({"kind": "forest"})),
+     data._REGRESSORS),
+    (lambda: BenchConfig(methods=["merge_l2", "merge_l3"]), SCORE_CLASSES),
+    (lambda: make_score_function("merge_l3"), SCORE_CLASSES),
+    (lambda: BenchConfig(otcp={"grid_mode": "sobol"}), DIRECTION_MODES),
+    (lambda: sphere_directions(4, 2, mode="sobol"), DIRECTION_MODES),
+], ids=["dataset-kind", "generator", "regressor-kind", "artifact-regressor-kind", "methods",
+        "score-kind", "grid-mode", "direction-mode"])
+def test_a_kind_refusal_lists_every_choice(call, table):
+    with pytest.raises(ParamError) as info:
+        call()
+    assert type(info.value) is ParamError
+    assert str(info.value).split("; choose from ")[1] == repr(tuple(table))
+
+
 def test_config_resolves_each_section_once():
     assert BenchConfig(otcp={"epsilon": 0.05}).otcp == {
         "epsilon": 0.05, "m": 4096, "grid_mode": "low_discrepancy", "tol": 1e-6,
@@ -762,7 +783,8 @@ def test_sweep_rejects_empty_axis(axes, monkeypatch):
 @pytest.mark.parametrize("axes", [{"eps_list": [0.1, -1.0]}, {"eps_list": [0.1, math.nan]},
                                   {"m_list": [256, 1]}, {"m_list": [256.5]},
                                   {"eps_list": [0.1, 0.1]}, {"eps_list": [1, 1.0]},
-                                  {"m_list": [256, 64, 256]}])
+                                  {"m_list": [256, 64, 256]}, {"eps_list": 0.1},
+                                  {"m_list": 256}])
 def test_sweep_rejects_a_bad_axis_value_before_loading(axes, monkeypatch):
     _no_loading(monkeypatch)
     with pytest.raises(ParamError):
@@ -812,12 +834,22 @@ def test_export_contours_nested_and_round_trip(calibrated_l2, tmp_path):
     ([[0.5]], [], ParamError, "contour export needs at least one query point and one alpha"),
     (np.empty((0, 1)), [0.1], ParamError,
      "contour export needs at least one query point and one alpha"),
-], ids=["string", "3d", "1d", "no-alphas", "no-points"])
+    ([[0.5]], 0.1, ParamError, "alphas is not a list"),
+], ids=["string", "3d", "1d", "no-alphas", "no-points", "alphas-number"])
 def test_refused_export_writes_nothing(calibrated_l2, tmp_path, xs, alphas, error, message):
     with pytest.raises(error) as info:
         export_contours(calibrated_l2[0], xs, alphas, tmp_path / "ct")
     assert type(info.value) is error and message in str(info.value)
     assert not (tmp_path / "ct").exists()
+
+
+def test_export_takes_its_alphas_as_a_list_tuple_or_1d_array(calibrated_l2, tmp_path):
+    pred, test = calibrated_l2
+    texts = []
+    for i, alphas in enumerate([[0.5, 0.1], (0.5, 0.1), np.array([0.5, 0.1])]):
+        paths = export_contours(pred, test.features[:1], alphas, tmp_path / str(i))
+        texts.append([path.read_text() for path in paths])
+    assert texts[0] == texts[1] == texts[2]
 
 
 @pytest.mark.parametrize("run", [run_benchmark, sweep])

@@ -20,6 +20,7 @@ from otcp import (
     ParamError,
     ProvenanceError,
     SplitSpec,
+    Whitener,
     build_spherical_grid,
     calibrate,
     conformal_threshold,
@@ -615,7 +616,7 @@ def _contains_on_overflowing_map():
                           synth_dataset("gaussian", 20, 3, seed=1), 0.1),
      DimensionError, "responses must have width 2, got 3"),
     (lambda gp: region_contour_2d(_calibrated(gp, "merge_l2"), [0.5], n_angles=4),
-     ParamError, "need at least 8 contour vertices"),
+     ParamError, "n_angles must be >= 8, got 4"),
     (lambda gp: region_contour_2d(_calibrated(gp, "merge_l2"), [0.5], threshold=math.nan),
      ParamError, "threshold must be a real number, got nan"),
     (lambda gp: conformal_threshold([1.0, 2.0, 3.0], "0.1"), ParamError,
@@ -663,6 +664,15 @@ def _contains_on_overflowing_map():
       for call in (lambda z: estimate_covariance(z, 0.5), default_mahalanobis_ridge,
                    lambda z: fit_entropic_map(z, build_spherical_grid(16, 2)))
       for bad in (math.nan, math.inf)),
+    (lambda gp: Whitener(np.eye(2), 5), ParamError,
+     "whitener fit_tag must be a string or null, got 5"),
+    (lambda gp: dataclasses.replace(gp["emap"], fit_tag=5), ParamError,
+     "map fit_tag must be a string or null, got 5"),
+    (lambda gp: fit_entropic_map(np.zeros((0, 2)), build_spherical_grid(16, 2)), ParamError,
+     "a transport map needs at least 1 residual row, got 0"),
+    *((lambda gp, sides=sides: OtProblem(*sides, 0.1), DimensionError,
+       "OT source and target must be non-empty")
+      for sides in [(np.zeros((0, 2)), np.ones((4, 2))), (np.ones((4, 2)), np.zeros((0, 2)))]),
 ], ids=["regressor-unfitted", "quantile-unfitted", "interval-empty", "map-width",
         "otcp-volume-unsampled", "ridge-negative", "ridge-nan", "ridge-infinite",
         "ridge-one-row", "covariance-no-rows", "covariance-one-row", "threshold-no-scores",
@@ -678,7 +688,9 @@ def _contains_on_overflowing_map():
         *(f"volume-{kind}-{fault}" for kind in ("abs", "l2", "mahalanobis")
           for fault in ("3d", "width", "nan")),
         *(f"{call}-{bad}" for call in ("covariance", "mahalanobis-ridge", "map-fit")
-          for bad in ("nan", "inf"))])
+          for bad in ("nan", "inf")),
+        "whitener-tag-number", "map-tag-number", "map-fit-no-rows", "ot-no-source-rows",
+        "ot-no-target-rows"])
 def test_refused_score_and_calibration_inputs(gaussian_pipeline, call, error, message):
     with pytest.raises(error) as info:
         call(gaussian_pipeline)

@@ -691,11 +691,28 @@ def test_dataset_rejects_nonfinite():
     (lambda: synth_dataset("gaussian", 10, 2.5), ParamError, "d must be an integer, got 2.5"),
     (lambda: synth_dataset("mixture", 10, 2, {"means": np.zeros((0, 2))}), ParamError,
      "mixture means must hold at least one row"),
+    (lambda: load_dataset_csv("never-opened.csv", 1.5), ParamError,
+     "d_out must be an integer, got 1.5"),
+    (lambda: load_dataset_csv("never-opened.csv", True), ParamError,
+     "d_out must be an integer, got True"),
+    (lambda: SplitSpec(0.5), ParamError, "split fractions is not a list"),
+    (lambda: Dataset(np.zeros((3, 1)), np.zeros((3, 1)), tag=5), ParamError,
+     "dataset tag must be a string or null, got 5"),
+    (lambda: ScoreMatrix(np.zeros((3, 2)), origin=5), ParamError,
+     "scores origin must be a string or null, got 5"),
+    (lambda: split_dataset(synth_dataset("gaussian", 10, 2), SplitSpec((0.6, 0, 0.2, 0.2))),
+     ParamError, "ot_fit split empty for n=10"),
+    (lambda: ScoreMatrix(np.ones((5, 0))), DimensionError,
+     "scores must be an n x d matrix with n >= 1 and d >= 1"),
+    (lambda: ScoreMatrix(np.ones((0, 2))), DimensionError,
+     "scores must be an n x d matrix with n >= 1 and d >= 1"),
 ], ids=["dataset-1d", "dataset-empty", "scores-1d", "scores-nan", "csv-d-out", "split-3-rows",
         "split-empty-ot-fit", "synth-cov-shape", "synth-n-zero", "mixture-means",
         "mixture-weights", "residual-width", "synth-n-float", "synth-n-bool", "synth-seed-float",
         "split-seed-float", "split-fraction-string", "dataset-string", "synth-d-float",
-        "mixture-no-means"])
+        "mixture-no-means", "csv-d-out-float", "csv-d-out-bool", "split-fractions-number",
+        "dataset-tag-number", "scores-origin-number", "split-zero-fraction-ot-fit",
+        "scores-no-columns", "scores-no-rows"])
 def test_refused_data_inputs(call, error, message):
     with pytest.raises(error) as info:
         call()

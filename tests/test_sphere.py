@@ -271,11 +271,11 @@ def test_import_loads_no_scipy():
 @pytest.mark.parametrize("call, error, message", [
     (lambda: halton_sequence(0, 2), ParamError, "count must be >= 1"),
     (lambda: halton_sequence(4, 2, skip=-1), ParamError, "skip must be >= 0"),
-    (lambda: sphere_directions(0, 2), ParamError, "need n_s >= 1 and dim >= 1"),
+    (lambda: sphere_directions(0, 2), ParamError, "n_s must be >= 1, got 0"),
     (lambda: sphere_directions(4, 2, mode="grid"), ParamError,
      "unknown direction mode 'grid'"),
-    (lambda: build_spherical_grid(1, 2), ParamError, "need m >= 2 grid points"),
-    (lambda: build_spherical_grid(16, 0), ParamError, "need dim >= 1"),
+    (lambda: build_spherical_grid(1, 2), ParamError, "m must be >= 2, got 1"),
+    (lambda: build_spherical_grid(16, 0), ParamError, "dim must be >= 1, got 0"),
     (lambda: build_spherical_grid(200, 1, factorization=(100.7, 2, 0)), ParamError,
      "factorization entry must be an integer, got 100.7"),
     (lambda: build_spherical_grid(200, 1, factorization=(True, 199, 1)), ParamError,
@@ -293,11 +293,12 @@ def test_import_loads_no_scipy():
      "factorization must be (n_R, n_S, n_o), got (100, 2)"),
     (lambda: grid_radius_index(10, 3, 3, 1, "0.1"), ParamError,
      "alpha must be a real number, got '0.1'"),
+    (lambda: inverse_normal_cdf("a"), ParamError, "probabilities is not a numeric array"),
 ], ids=["halton-count", "halton-skip", "directions-count", "directions-mode", "grid-m",
         "grid-dim", "grid-factor-float", "grid-factor-bool", "grid-m-float", "grid-dim-float",
         "halton-count-float", "halton-dim-float", "halton-skip-float", "directions-count-float",
         "directions-dim-float", "radius-index-float", "grid-factor-pair",
-        "radius-index-alpha-string"])
+        "radius-index-alpha-string", "normal-quantile-string"])
 def test_refused_grid_arguments(call, error, message):
     with pytest.raises(error) as info:
         call()
