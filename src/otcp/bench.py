@@ -165,8 +165,7 @@ class BenchConfig:
         if not self.methods:
             raise ParamError("need at least one method")
         _distinct(self.methods, "methods")
-        self.fractions = tuple(_real(f, "fractions") for f in _list(self.fractions, "fractions"))
-        SplitSpec(self.fractions)  # rejects fractions split_dataset would
+        self.fractions = SplitSpec(self.fractions).fractions  # those split_dataset accepts
 
     def _mcp_levels(self) -> tuple:
         """mcp_max's (k, alpha_lo, alpha_hi), unless set: the regressor's (or knn_mean's) k,

@@ -44,10 +44,16 @@ class Dataset:
         _tag(self.tag, "dataset tag")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "targets", Y)
-        if not self.feature_names:
-            object.__setattr__(self, "feature_names", [f"x{j}" for j in range(X.shape[1])])
-        if not self.target_names:
-            object.__setattr__(self, "target_names", [f"y{j}" for j in range(Y.shape[1])])
+        # one string per column; an empty list names the columns x0, x1, ... or y0, y1, ...
+        for what, prefix, width in (("feature_names", "x", X.shape[1]),
+                                    ("target_names", "y", Y.shape[1])):
+            names = (list(_list(getattr(self, what), what))
+                     or [f"{prefix}{j}" for j in range(width)])
+            if not all(isinstance(name, str) for name in names):
+                raise ParamError(f"{what} must be strings, got {names!r}")
+            if len(names) != width:
+                raise DimensionError(f"{what} has {len(names)} names for {width} columns")
+            object.__setattr__(self, what, names)
 
     def __repr__(self):
         return (f"Dataset(n={self.n}, p={self.p}, d={self.d}, "
@@ -80,7 +86,8 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        fractions = [_real(f, "split fraction") for f in _list(self.fractions, "split fractions")]
+        fractions = tuple(_real(f, "split fraction")
+                          for f in _list(self.fractions, "split fractions"))
         if len(fractions) != 4:
             raise ParamError("need exactly four split fractions")
         if any(f < 0 or f > 1 for f in fractions):
@@ -88,6 +95,7 @@ class SplitSpec:
         if abs(sum(fractions) - 1.0) > 1e-9:
             raise ParamError(f"split fractions sum to {sum(fractions)}, expected 1")
         _integer(self.seed, "seed", 0)
+        object.__setattr__(self, "fractions", fractions)  # hashable, and equal by value
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,21 +383,19 @@ def _fitted_rows(model, X) -> np.ndarray:
 
 
 _KNN_BLOCK_ENTRIES = 1 << 18  # cap on query rows * training rows per distance block
-# a block whose widest slab, and then whose screen, keeps more of the training rows runs dense
-_KNN_SLAB_SHARE = 0.5
 
 
-def _sq_distances(rows: np.ndarray, columns: np.ndarray, idx, d2: np.ndarray,
+def _sq_distances(rows: np.ndarray, columns: np.ndarray, idx: np.ndarray, d2: np.ndarray,
                   sq: np.ndarray) -> None:
-    """Squared distances from each of `rows` to training points, written into d2.
+    """Squared distances from each of `rows` to the training points idx, written into d2.
 
-    columns[j] holds feature j of the training points; column c of d2 is training
-    point c, or idx[:, c] when idx is given. The sum runs one feature at a time,
+    columns[j] holds feature j of the training points; entry (i, c) of d2 is
+    training point idx[i, c]. The sum runs one feature at a time,
     (x_0 - t_0)^2 + (x_1 - t_1)^2 + ..., so a pair gets the same bits whichever
     set of columns it is measured in. sq is scratch of d2's shape.
     """
     for j in range(rows.shape[1]):
-        t = columns[j] if idx is None else np.take(columns[j], idx, out=sq, mode="clip")
+        t = np.take(columns[j], idx, out=sq, mode="clip")
         diff = sq if j else d2
         np.subtract(rows[:, j:j + 1], t, out=diff)
         diff *= diff
@@ -397,35 +403,12 @@ def _sq_distances(rows: np.ndarray, columns: np.ndarray, idx, d2: np.ndarray,
             d2 += sq
 
 
-def _nearest_first(d2: np.ndarray, k: int) -> np.ndarray:
-    """Columns of each row's k smallest entries of d2, nearest first, (rows, k).
-
-    Equal distances favor the lower column, exactly as a stable sort of each row
-    would order them. Each row is partitioned at its k-th smallest distance and
-    only the k kept columns are sorted.
-    """
-    # the k-th smallest distance per row, copied so the partition is freed
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k].copy()
-    keep = d2 < kth
-    # fill each row up to k with its lowest columns at the k-th distance; when no
-    # row has more ties than it needs (continuous data), every tie is kept as is
-    ties = d2 == kth
-    need = k - np.count_nonzero(keep, axis=1)
-    if not np.array_equal(np.count_nonzero(ties, axis=1), need):
-        ties &= np.cumsum(ties, axis=1, dtype=np.int32) <= need[:, None]
-    keep |= ties
-    cand = (np.flatnonzero(keep) % d2.shape[1]).reshape(-1, k)  # ascending per row
-    order = np.argsort(np.take_along_axis(d2, cand, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cand, order, axis=1)
-
-
 class _KnnIndex(NamedTuple):
     """Training rows prepared for _knn_indices, built once per fit."""
 
     columns: np.ndarray  # (p, n + 1): feature j in row j, then inf at index n (padding)
-    s: int  # the widest feature
-    order: np.ndarray  # (n + 1,): training indices sorted along feature s, then n
-    sorted_s: np.ndarray  # (n,): feature s in that order
+    order: np.ndarray  # (n + 1,): training indices sorted along feature 0, then n
+    sorted0: np.ndarray  # (n,): feature 0 in that order
     center: np.ndarray  # (p,): the training mean c
     screen: np.ndarray  # (p + 1, n): -2 (t - c) feature by feature, then |t - c|^2
 
@@ -436,8 +419,7 @@ def _knn_index(train_X: np.ndarray) -> _KnnIndex:
     columns = np.empty((p, n + 1))
     columns[:, :n] = train_X.T
     columns[:, n] = np.inf
-    s = int(np.argmax(np.ptp(train_X, axis=0)))
-    order = np.argsort(train_X[:, s])
+    order = np.argsort(train_X[:, 0])
     # an overflow here leaves some |t - c|^2 inf or nan, and that turns the screen off
     with np.errstate(over="ignore", invalid="ignore"):
         center = train_X.mean(axis=0)
@@ -445,14 +427,40 @@ def _knn_index(train_X: np.ndarray) -> _KnnIndex:
         np.subtract(columns[:, :n], center[:, None], out=screen[:p])
         screen[p] = np.square(screen[:p]).sum(axis=0)
         screen[:p] *= -2
-    return _KnnIndex(columns, s, np.append(order, n), train_X[order, s], center, screen)
+    return _KnnIndex(columns, np.append(order, n), train_X[order, 0], center, screen)
+
+
+def _slab(index: _KnnIndex, xs: np.ndarray, k: int) -> np.ndarray:
+    """Training rows that may be among the k nearest to each one-feature query xs.
+
+    The k sorted training values around a query's place in the sorted order
+    bound its k-th squared distance by their largest one, B, and every row with
+    (x - t)^2 <= B lies in one slab of that order, found by two binary searches
+    and widened by a few ulps against rounding. A B that overflows to inf widens
+    the slab to every row. The slabs come back as a (rows, w) array of training
+    indices, ascending per row and padded with index n.
+    """
+    order, sorted0 = index.order, index.sorted0
+    n = sorted0.size
+    start = np.clip(np.searchsorted(sorted0, xs) - k // 2, 0, n - k)
+    window = xs[:, None] - sorted0[start[:, None] + np.arange(k)]
+    window *= window
+    # the slack covers the rounding of the squares, of their root and of xs -/+ radius
+    radius = np.sqrt(window.max(axis=1)) * (1 + 1e-9) + 1e-9 * np.abs(xs) + 1e-150
+    first = np.searchsorted(sorted0, xs - radius, "left")
+    last = np.searchsorted(sorted0, xs + radius, "right")
+    pos = first[:, None] + np.arange(int((last - first).max()))
+    pos[pos >= last[:, None]] = n
+    cand = order[pos]
+    cand.sort(axis=1)
+    return cand
 
 
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 
-def _screened(index: _KnnIndex, rows: np.ndarray, k: int, d2: np.ndarray):
-    """Training rows that may be among each of `rows`' k nearest, or None.
+def _screened(index: _KnnIndex, rows: np.ndarray, k: int, d2: np.ndarray) -> np.ndarray:
+    """Training rows that may be among each of `rows`' k nearest.
 
     The product [x - c, 1] @ index.screen is |x - t|^2 - |x - c|^2 for every
     training row t, and the second term is the same along a row. In floats it is
@@ -464,11 +472,10 @@ def _screened(index: _KnnIndex, rows: np.ndarray, k: int, d2: np.ndarray):
     smallest screened value, which an in-place partition of the product finds.
     The product is formed a second time, which is cheaper than keeping a copy in
     a second (rows, n) buffer, to pick the rows within that value plus 2 delta.
-    They come back as a (rows, w) array of training indices, ascending
-    per row and padded with index n. None when some row's bound is not finite
-    (nothing is multiplied then), or when some row keeps more than
-    _KNN_SLAB_SHARE of the training rows: the caller measures every row.
-    d2 is (rows, n) scratch.
+    They come back as a (rows, w) array of training indices, ascending per row
+    and padded with index n. When some row's bound is not finite (features near
+    the square root of the largest float) every row is returned for every query,
+    and nothing is multiplied. d2 is (rows, n) scratch.
     """
     center, screen = index.center, index.screen
     p, n = center.size, d2.shape[1]
@@ -477,18 +484,15 @@ def _screened(index: _KnnIndex, rows: np.ndarray, k: int, d2: np.ndarray):
         np.subtract(rows, center, out=left[:, :p])
         scale = 2 * (np.square(left[:, :p]).sum(axis=1) + screen[p].max())
     if not np.isfinite(scale).all():
-        return None
+        return np.broadcast_to(np.arange(n), d2.shape)
     np.matmul(left, screen, out=d2)
     d2.partition(k - 1, axis=1)
     limit = d2[:, k - 1] + 32 * (p + 2) * (_EPS * scale + _TINY)
     np.matmul(left, screen, out=d2)
     near = d2 <= limit[:, None]
     count = np.count_nonzero(near, axis=1)
-    w = int(count.max())
-    if w > _KNN_SLAB_SHARE * n:
-        return None
-    cand = np.full((len(rows), w), n, dtype=np.intp)
-    cand[np.arange(w) < count[:, None]] = np.flatnonzero(near) % n
+    cand = np.full((len(rows), int(count.max())), n, dtype=np.intp)
+    cand[np.arange(cand.shape[1]) < count[:, None]] = np.flatnonzero(near) % n
     return cand
 
 
@@ -502,56 +506,31 @@ def _knn_indices(index: _KnnIndex, X: np.ndarray, k: int) -> np.ndarray:
     pairwise, so the two can differ in the last bit and a near-tie can go the
     other way.
 
-    Only the training rows that can be among a query's k nearest are measured.
-    The training rows are sorted along their widest feature s. The k sorted rows
-    around a query's place in that order bound its k-th distance by their largest
-    one, B, and every row with (x_s - t_s)^2 <= B lies in one slab of the sorted
-    order (widened by a few ulps against rounding). When a block's widest slab
-    holds more than _KNN_SLAB_SHARE of the training rows, as it does for a few
-    features of similar range, the block is screened instead (_screened): one
-    matrix product ranks every training row up to a rounding bound, and the
-    candidates are the rows within twice that bound of each query's k-th
-    screened value. Either way a block's candidates are measured directly as
-    one padded array in training-index order, padding at distance inf, so the
-    neighbours, their ties and their order are those of measuring every row.
-    A block measures every training row when its screen bound is not finite
-    (features near the square root of the largest float) or its screen keeps
-    more than _KNN_SLAB_SHARE of the rows. Queries run in blocks of at most
-    _KNN_BLOCK_ENTRIES distances, so memory does not grow with q. The sort, the
-    padded columns and the screen's training factor come from `index`, built
-    once per training set by _knn_index.
+    Only the training rows that can be among a query's k nearest are measured:
+    with one feature, the query's slab of the sorted training values (_slab);
+    with more, the rows its screen keeps (_screened). A block's candidates are
+    measured once, directly, as one padded array in training-index order with
+    the padding at distance inf, and each row of distances is sorted stably, so
+    the neighbours, their ties and their order are those of measuring every row.
+    Queries run in blocks of at most _KNN_BLOCK_ENTRIES distances, so memory
+    does not grow with q. The sort, the padded columns and the screen's training
+    factor come from `index`, built once per training set by _knn_index.
     """
-    columns, s, order, sorted_s, *_ = index
-    n = sorted_s.size
-    q = X.shape[0]
+    columns, n = index.columns, index.sorted0.size
+    q, p = X.shape
     step = max(1, min(q, _KNN_BLOCK_ENTRIES // n))
     d2_buf, sq_buf = np.empty(step * n), np.empty(step * n)
     out = np.empty((q, k), dtype=np.intp)
     for lo in range(0, q, step):
         rows = X[lo:lo + step]
-        r, xs = len(rows), rows[:, s]
-        start = np.clip(np.searchsorted(sorted_s, xs) - k // 2, 0, n - k)
-        window = order[start[:, None] + np.arange(k)]
-        d2, sq = d2_buf[:r * k].reshape(r, k), sq_buf[:r * k].reshape(r, k)
-        _sq_distances(rows, columns, window, d2, sq)
-        # a float sum of squares is no smaller than its s term, so a row within B has
-        # (x_s - t_s)^2 <= B; the slack covers the rounding of that square and of xs -/+ radius
-        radius = np.sqrt(d2.max(axis=1)) * (1 + 1e-9) + 1e-9 * np.abs(xs) + 1e-150
-        first = np.searchsorted(sorted_s, xs - radius, "left")
-        last = np.searchsorted(sorted_s, xs + radius, "right")
-        w = int((last - first).max())
-        if w <= _KNN_SLAB_SHARE * n:
-            pos = first[:, None] + np.arange(w)
-            pos[pos >= last[:, None]] = n
-            cand = order[pos]
-            cand.sort(axis=1)
-        else:
-            cand = _screened(index, rows, k, d2_buf[:r * n].reshape(r, n))
-        w = n if cand is None else cand.shape[1]  # None: measure every training row
+        r = len(rows)
+        cand = (_slab(index, rows[:, 0], k) if p == 1
+                else _screened(index, rows, k, d2_buf[:r * n].reshape(r, n)))
+        w = cand.shape[1]
         d2, sq = d2_buf[:r * w].reshape(r, w), sq_buf[:r * w].reshape(r, w)
-        _sq_distances(rows, columns[:, :n] if cand is None else columns, cand, d2, sq)
-        near = _nearest_first(d2, k)
-        out[lo:lo + r] = near if cand is None else np.take_along_axis(cand, near, axis=1)
+        _sq_distances(rows, columns, cand, d2, sq)
+        near = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        out[lo:lo + r] = np.take_along_axis(cand, near, axis=1)
     return out
 
 

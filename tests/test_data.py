@@ -178,6 +178,18 @@ def test_split_errors():
         SplitSpec((0.5, 0.2, 0.2, 0.2))
 
 
+@pytest.mark.parametrize("fractions", [[0.4, 0.2, 0.2, 0.2], np.array([0.4, 0.2, 0.2, 0.2]),
+                                       (0.4, 0.2, 0.2, 0.2)], ids=["list", "array", "tuple"])
+def test_split_spec_keeps_a_tuple_of_floats(fractions):
+    spec, plain = SplitSpec(fractions, seed=3), SplitSpec((0.4, 0.2, 0.2, 0.2), seed=3)
+    assert type(spec.fractions) is tuple and spec.fractions == plain.fractions
+    assert all(type(f) is float for f in spec.fractions)
+    # hashable, and equal by value whatever sequence it was made from
+    assert hash(spec) == hash(plain) and spec == plain
+    assert SplitSpec(np.array(fractions), seed=3) == spec
+    assert spec != SplitSpec(fractions, seed=4)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(4, 200),
        st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
@@ -387,7 +399,7 @@ def test_knn_models_match_direct_reference(n, p, d, q, features, all_rows, block
                                            a_lo, a_hi, seed):
     rng = np.random.default_rng(seed)
     if features == "long":
-        # one feature and a few hundred rows: the default slab share prunes
+        # one feature and a few hundred rows: the slab prunes most of them
         n, p = int(rng.integers(100, 400)), 1
     k = n if all_rows else int(rng.integers(1, min(n, 30) + 1))
     if features == "integer" or p >= 8:
@@ -410,43 +422,17 @@ def test_knn_models_match_direct_reference(n, p, d, q, features, all_rows, block
     train = Dataset(draw(n), rng.standard_normal((n, d)))
     X = draw(q)
     neigh = _knn_reference(train.features, train.targets, X, k)
-    # small block caps push q through several distance blocks; a slab share of 0
-    # measures every training row, of 1 only the slabs, and the default picks per block
-    for share in (0.0, 1.0, data._KNN_SLAB_SHARE):
-        with (mock.patch.object(data, "_KNN_BLOCK_ENTRIES", block),
-              mock.patch.object(data, "_KNN_SLAB_SHARE", share)):
-            mean = fit_regressor(train, "knn_mean", k=k).predict_rows(X)
-            lo, hi = fit_quantile_predictor(train, k, a_lo, a_hi).bounds_rows(X)
-        assert np.array_equal(mean, neigh.mean(axis=1))
-        assert np.array_equal(lo, np.quantile(neigh, a_lo, axis=1))
-        assert np.array_equal(hi, np.quantile(neigh, a_hi, axis=1))
-
-
-@pytest.mark.parametrize("features", ["integer", "decimal", "continuous"])
-def test_nearest_first_matches_a_stable_sort(features):
-    rng = np.random.default_rng(5)
-    if features == "integer":
-        train, X = rng.integers(-2, 3, (300, 2)) * 1.0, rng.integers(-2, 3, (200, 2)) * 1.0
-    elif features == "decimal":
-        train, X = rng.integers(-10, 11, (300, 2)) / 10, rng.integers(-10, 11, (200, 2)) / 10
-    else:
-        train, X = rng.standard_normal((300, 2)), rng.standard_normal((200, 2))
-    d2 = ((X[:, None, :] - train[None]) ** 2).sum(axis=2)
-    # one all-tied row makes a block that needs the tie trim in any case
-    for block in (d2, np.vstack([d2, np.zeros(300)])):
-        for k in (1, 7, 25, 300):
-            with mock.patch.object(np, "cumsum", wraps=np.cumsum) as trim:
-                near = data._nearest_first(block, k)
-            assert np.array_equal(near, np.argsort(block, axis=1, kind="stable")[:, :k])
-            # continuous rows tie only at their own k-th distance, so the trim is skipped
-            if block is d2 and (features == "continuous" or k == 300):
-                assert not trim.called
-            if block is not d2 and k < 300:
-                assert trim.called
+    # small block caps push q through several distance blocks
+    with mock.patch.object(data, "_KNN_BLOCK_ENTRIES", block):
+        mean = fit_regressor(train, "knn_mean", k=k).predict_rows(X)
+        lo, hi = fit_quantile_predictor(train, k, a_lo, a_hi).bounds_rows(X)
+    assert np.array_equal(mean, neigh.mean(axis=1))
+    assert np.array_equal(lo, np.quantile(neigh, a_lo, axis=1))
+    assert np.array_equal(hi, np.quantile(neigh, a_hi, axis=1))
 
 
 def _measured_entries(train_X, X, k):
-    # the (query, training row) distances the search computes, window bounds included
+    # the (query, training row) distances the search computes
     with mock.patch.object(data, "_sq_distances", wraps=data._sq_distances) as measure:
         idx = data._knn_indices(data._knn_index(train_X), X, k)
     assert np.array_equal(idx, _knn_reference(train_X, np.arange(len(train_X)), X, k))
@@ -458,8 +444,8 @@ def test_knn_measures_only_the_slab_when_it_is_narrow():
     # one uniform feature: each query's slab holds a few dozen of 800 rows
     assert _measured_entries(rng.uniform(size=(800, 1)), rng.uniform(size=(500, 1)),
                              25) < 0.15 * 500 * 800
-    # three uniform features: the slabs hold most rows, so the block is screened and
-    # only the rows within the screen's bound are measured, after the k window rows
+    # three uniform features: the block is screened, and only the rows within the
+    # screen's bound are measured
     assert _measured_entries(rng.uniform(size=(800, 3)), rng.uniform(size=(500, 3)),
                              25) <= 500 * (25 + 2 * 25)
 
@@ -482,30 +468,46 @@ def test_knn_search_memory_stays_within_a_few_blocks():
         assert peak < 3 * block_bytes
 
 
+@pytest.mark.parametrize("p", [1, 3])
+def test_knn_measures_each_block_once(p):
+    # no window is measured before the candidates: one _sq_distances call per block
+    rng = np.random.default_rng(6)
+    train_X, X = rng.uniform(size=(800, p)), rng.uniform(size=(500, p))
+    with (mock.patch.object(data, "_KNN_BLOCK_ENTRIES", 100 * 800),
+          mock.patch.object(data, "_sq_distances", wraps=data._sq_distances) as measure):
+        idx = data._knn_indices(data._knn_index(train_X), X, 25)
+    assert np.array_equal(idx, _knn_reference(train_X, np.arange(800), X, 25))
+    assert measure.call_count == 5  # 500 queries in blocks of 100
+
+
 def _search_paths(train_X, X, k):
-    """The search's indices, and each block's path: "slab", "screen" or "dense"."""
-    log, measure, screen = [], data._sq_distances, data._screened
+    """The search's indices, and each block's path: "slab", "screen" or "all" (every row)."""
+    log, measure, slab, screen = [], data._sq_distances, data._slab, data._screened
 
     def measured(rows, columns, idx, d2, sq):
-        log.append(("measure", idx is None))
+        log.append(("measure", idx))
         return measure(rows, columns, idx, d2, sq)
+
+    def slabbed(*args):
+        cand = slab(*args)
+        log.append(("slab", cand))
+        return cand
 
     def screened(*args):
         cand = screen(*args)
-        log.append(("screen", cand is not None))
+        # every row is one training-index row shared by every query
+        log.append(("all" if cand.strides[0] == 0 else "screen", cand))
         return cand
 
     with (mock.patch.object(data, "_sq_distances", measured),
+          mock.patch.object(data, "_slab", slabbed),
           mock.patch.object(data, "_screened", screened)):
         idx = data._knn_indices(data._knn_index(train_X), X, k)
     paths = []
-    while log:  # per block: the window, then maybe the screen, then the measured rows
-        assert log.pop(0) == ("measure", False)
-        if log[0][0] == "screen":
-            paths.append("screen" if log.pop(0)[1] else "dense")
-        else:
-            paths.append("slab")
-        assert log.pop(0) == ("measure", paths[-1] == "dense")
+    while log:  # per block: one path, then its candidates measured once
+        (path, cand), (step, measured_idx) = log.pop(0), log.pop(0)
+        assert step == "measure" and measured_idx is cand
+        paths.append(path)
     return idx, paths
 
 
@@ -537,10 +539,12 @@ def test_knn_screen_matches_a_stable_sort(p, n, q, k_share, kind, block, seed):
           mock.patch.object(np, "matmul", wraps=np.matmul) as product):
         idx, paths = _search_paths(train_X, X, k)
         assert np.array_equal(idx, _knn_reference(train_X, np.arange(n), X, k))
-    if kind == "huge":  # the bound is not finite: every block is dense, with no product
-        assert set(paths) == {"dense"} and not product.called
-    if kind == "offset" and n >= 3:  # the screen keeps most rows, so the block runs dense
-        assert "screen" not in paths
+    if p == 1:  # one feature: always the slab
+        assert set(paths) == {"slab"}
+    elif kind == "huge":  # the bound is not finite: every row, with no product
+        assert set(paths) == {"all"} and not product.called
+    else:  # the screen keeps its candidates however many there are, offset rows too
+        assert set(paths) == {"screen"}
 
 
 def test_knn_screen_without_a_finite_bound_adds_no_warning():
@@ -554,7 +558,7 @@ def test_knn_screen_without_a_finite_bound_adds_no_warning():
     # measuring every row directly overflows the same way; the screen adds nothing
     d2, sq = np.empty((50, 300)), np.empty((50, 300))
     with pytest.warns(RuntimeWarning) as direct:
-        data._sq_distances(X, index.columns[:, :300], None, d2, sq)
+        data._sq_distances(X, index.columns, np.broadcast_to(np.arange(300), (50, 300)), d2, sq)
     assert {str(w.message) for w in searched} == {str(w.message) for w in direct}
 
 
@@ -706,13 +710,23 @@ def test_dataset_rejects_nonfinite():
      "scores must be an n x d matrix with n >= 1 and d >= 1"),
     (lambda: ScoreMatrix(np.ones((0, 2))), DimensionError,
      "scores must be an n x d matrix with n >= 1 and d >= 1"),
+    (lambda: Dataset(np.zeros((3, 2)), np.ones((3, 1)), feature_names=["a"]), DimensionError,
+     "feature_names has 1 names for 2 columns"),
+    (lambda: Dataset(np.zeros((3, 1)), np.ones((3, 1)), target_names=["a", "b"]),
+     DimensionError, "target_names has 2 names for 1 columns"),
+    (lambda: Dataset(np.zeros((3, 2)), np.ones((3, 1)), feature_names=5), ParamError,
+     "feature_names is not a list"),
+    (lambda: Dataset(np.zeros((3, 1)), np.ones((3, 2)), target_names=["a", 0]), ParamError,
+     "target_names must be strings, got ['a', 0]"),
 ], ids=["dataset-1d", "dataset-empty", "scores-1d", "scores-nan", "csv-d-out", "split-3-rows",
         "split-empty-ot-fit", "synth-cov-shape", "synth-n-zero", "mixture-means",
         "mixture-weights", "residual-width", "synth-n-float", "synth-n-bool", "synth-seed-float",
         "split-seed-float", "split-fraction-string", "dataset-string", "synth-d-float",
         "mixture-no-means", "csv-d-out-float", "csv-d-out-bool", "split-fractions-number",
         "dataset-tag-number", "scores-origin-number", "split-zero-fraction-ot-fit",
-        "scores-no-columns", "scores-no-rows"])
+        "scores-no-columns", "scores-no-rows", "dataset-feature-name-count",
+        "dataset-target-name-count", "dataset-feature-names-number",
+        "dataset-target-name-number"])
 def test_refused_data_inputs(call, error, message):
     with pytest.raises(error) as info:
         call()

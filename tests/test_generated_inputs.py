@@ -7,11 +7,13 @@ with no edit to this file.
 """
 
 import copy
+import importlib.util
 import json
 import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -156,3 +158,10 @@ def test_a_mutated_artifact_is_refused_or_scores_finitely(mutation, value):
         return
     assert np.isfinite(scores).all()
     assert inside.shape == (len(_Y),) and inside.dtype == bool
+
+
+@pytest.mark.skipif(importlib.util.find_spec("libcst") is None, reason="libcst not installed")
+def test_a_failing_generated_test_can_report_its_patch():
+    # hypothesis imports this to write a failing example's patch; the deprecation
+    # libcst's import raises must not fail it, or the test session stops there
+    import hypothesis.extra._patching  # noqa: F401
